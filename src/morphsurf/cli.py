@@ -84,6 +84,11 @@ def _cmd_compare(args) -> int:
         if m not in control.MODES:
             raise sio.ScenarioError(f"unknown mode {m!r}")
     seeds = sio.parse_seed_list(args.seeds) if args.seeds else [base.seed]
+    if base.objects is not None and len(seeds) > 1:
+        raise sio.ScenarioError(
+            "the scenario lists its objects, so every seed would run the same "
+            "simulation: give one seed, or place the objects with objects_random"
+        )
     args.out.mkdir(parents=True, exist_ok=True)
 
     summary: dict[str, dict] = {}
@@ -137,9 +142,7 @@ def _cmd_validate(args) -> int:
             report = validate_grid(heights, cfg)
         else:
             sc = sio.load_scenario(path)
-            grid = control.control_tick(
-                engine.initial_objects(sc), sc.mode, sc.params, sc.cfg
-            )
+            grid = control.command(*engine.initial_state(sc), sc.mode, sc.params, sc.cfg)[1]
             report = validate_grid(grid, sc.cfg)
     elif path.suffix == ".csv":
         if args.cell_width is None or args.cell_length is None or args.stroke is None:

@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import ObjectState, locate_cell
+import numpy as np
+
+from .dynamics import ObjectState, cell_indices, locate_cell
 from .surface import (
     ActuatorGrid,
     ControlInput,
@@ -72,19 +74,24 @@ class ControllerParams:
     hardware_split: bool = False
 
 
-def occupancy_sets(objects: list[ObjectState], cfg: SurfaceConfig) -> OccupancySets:
-    """Occupied columns/rows relative to the reference cell."""
-    cols = set()
-    rows = set()
-    for o in objects:
-        col, row = locate_cell(o, cfg)
-        cols.add(col)
-        rows.add(row)
+def occupancy_sets(x: np.ndarray, y: np.ndarray, cfg: SurfaceConfig) -> OccupancySets:
+    """Occupied columns/rows relative to the reference cell, for objects at
+    positions (x[k], y[k]).  Raises locate_cell's ValueError for the first
+    object outside the workspace."""
+    if x.size and not (
+        x.min() >= 0.0 and x.max() <= cfg.width and y.min() >= 0.0 and y.max() <= cfg.length
+    ):
+        for px, py in zip(x.tolist(), y.tolist()):
+            locate_cell(ObjectState(px, py), cfg)  # raises for the first one outside
+    ci, cj = cell_indices(x, y, cfg)
+    cols = sorted(set(ci.tolist()))  # 0-based
+    rows = sorted(set(cj.tolist()))
+    ref_i, ref_j = cfg.ref_col - 1, cfg.ref_row - 1
     return OccupancySets(
-        cols_left=tuple(sorted(c for c in cols if c < cfg.ref_col)),
-        cols_right=tuple(sorted(c for c in cols if c > cfg.ref_col)),
-        rows_below=tuple(sorted(r for r in rows if r < cfg.ref_row)),
-        rows_above=tuple(sorted(r for r in rows if r > cfg.ref_row)),
+        cols_left=tuple(c + 1 for c in cols if c < ref_i),
+        cols_right=tuple(c + 1 for c in cols if c > ref_i),
+        rows_below=tuple(r + 1 for r in rows if r < ref_j),
+        rows_above=tuple(r + 1 for r in rows if r > ref_j),
     )
 
 
@@ -173,20 +180,23 @@ def single_cell_feedback(
 
 
 def split_fractions(
-    objects: list[ObjectState], params: ControllerParams, cfg: SurfaceConfig
+    x: np.ndarray, y: np.ndarray, params: ControllerParams, cfg: SurfaceConfig
 ) -> tuple[float, float]:
     """Per-tick stroke split; all-or-nothing when hardware_split is on."""
     if not params.hardware_split:
         return params.frac_x, params.frac_y
     xc = (cfg.ref_col - 0.5) * cfg.W
     yc = (cfg.ref_row - 0.5) * cfg.L
-    err_x = sum(abs(o.x - xc) for o in objects)
-    err_y = sum(abs(o.y - yc) for o in objects)
+    # Summed object after object, not in np.sum's pairwise order, so that
+    # near-ties between the axes resolve as the golden tests pin them.
+    err_x = sum(np.abs(x - xc).tolist())
+    err_y = sum(np.abs(y - yc).tolist())
     return (1.0, 0.0) if err_x >= err_y else (0.0, 1.0)
 
 
 def control_input(
-    objects: list[ObjectState],
+    x: np.ndarray,
+    y: np.ndarray,
     mode: str,
     params: ControllerParams,
     cfg: SurfaceConfig,
@@ -196,8 +206,8 @@ def control_input(
         # The funnel never reacts to the objects, so the per-tick hardware
         # split does not apply either.
         return static_funnel(params.frac_x, params.frac_y, cfg)
-    a, b = split_fractions(objects, params, cfg)
-    sets = occupancy_sets(objects, cfg)
+    a, b = split_fractions(x, y, params, cfg)
+    sets = occupancy_sets(x, y, cfg)
     if mode == "distributed":
         return distributed_allocation(sets, a, b, cfg)
     if mode == "wave":
@@ -206,12 +216,16 @@ def control_input(
 
 
 def command(
-    objects: list[ObjectState],
+    x: np.ndarray,
+    y: np.ndarray,
+    vx: np.ndarray,
+    vy: np.ndarray,
     mode: str,
     params: ControllerParams,
     cfg: SurfaceConfig,
 ) -> tuple[ControlInput, ActuatorGrid]:
-    """Commanded (input, grid) pair for this tick.
+    """Commanded (input, grid) pair for this tick, for objects with positions
+    (x[k], y[k]) and velocities (vx[k], vy[k]).
 
     Multi-cell modes compose occupancy sets, the chosen allocation and grid
     reconstruction.  single_cell runs the saturated position-velocity
@@ -223,32 +237,20 @@ def command(
     if mode == "single_cell":
         if cfg.n != 1 or cfg.m != 1:
             raise ValueError("single_cell mode requires a 1x1 surface")
-        if not objects:
+        if not x.size:
             raise ValueError("single_cell mode needs an object to regulate")
         gains = params.gains
         if gains is None:
             gains = SingleCellGains(
                 kx=cfg.stroke / (2 * cfg.W), ky=cfg.stroke / (2 * cfg.L)
             )
-        o = objects[0]
-        dz1, dz2, _ = single_cell_feedback(
-            o.x - cfg.W / 2.0, o.y - cfg.L / 2.0, gains, cfg, o.vx, o.vy
-        )
+        e_x, e_y = float(x[0]) - cfg.W / 2.0, float(y[0]) - cfg.L / 2.0
+        dz1, dz2, _ = single_cell_feedback(e_x, e_y, gains, cfg, float(vx[0]), float(vy[0]))
         quarter = cfg.stroke / 4.0
         grid = ActuatorGrid(
             (quarter + dz1 / 2.0, quarter - dz1 / 2.0),
             (quarter + dz2 / 2.0, quarter - dz2 / 2.0),
         )
         return ControlInput((dz1,), (dz2,), 0.5, 0.5), grid
-    u = control_input(objects, mode, params, cfg)
+    u = control_input(x, y, mode, params, cfg)
     return u, reconstruct_actuator_grid(u, cfg)
-
-
-def control_tick(
-    objects: list[ObjectState],
-    mode: str,
-    params: ControllerParams,
-    cfg: SurfaceConfig,
-) -> ActuatorGrid:
-    """Commanded actuator grid for this tick."""
-    return command(objects, mode, params, cfg)[1]

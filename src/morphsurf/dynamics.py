@@ -62,6 +62,16 @@ def locate_cell(s: ObjectState, cfg: SurfaceConfig) -> tuple[int, int]:
     return col, row
 
 
+def cell_indices(
+    x: np.ndarray, y: np.ndarray, cfg: SurfaceConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """0-based (column, row) index arrays of the cells holding positions
+    (x[k], y[k]) inside the workspace: locate_cell's rule, minus one."""
+    ci = np.minimum(np.floor(x / cfg.W).astype(int), cfg.n - 1)
+    cj = np.minimum(np.floor(y / cfg.L).astype(int), cfg.m - 1)
+    return ci, cj
+
+
 def height_at(s: ObjectState, grid: ActuatorGrid, cfg: SurfaceConfig) -> float:
     """Surface height under the object; exact since each cell is planar."""
     col, row = locate_cell(s, cfg)
@@ -95,24 +105,6 @@ def steady_speed(o: CellOrientation, p: PhysicsParams) -> float:
         * math.cos(o.roll)
         * math.sin(o.pitch)
     )
-
-
-def gravity_field(
-    field: list[list[CellOrientation]], gravity: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell gravity acceleration components (n, m) for the substep kernel."""
-    n = len(field)
-    m = len(field[0])
-    gx = np.empty((n, m))
-    gy = np.empty((n, m))
-    for i in range(n):
-        for j in range(m):
-            o = field[i][j]
-            ct, st = math.cos(o.pitch), math.sin(o.pitch)
-            cp, sp = math.cos(o.roll), math.sin(o.roll)
-            gx[i, j] = gravity * ct * cp * cp * st
-            gy[i, j] = -gravity * ct * cp * sp
-    return gx, gy
 
 
 def advance(
@@ -154,42 +146,34 @@ def advance(
 
 
 def _reflect(pos: np.ndarray, vel: np.ndarray, hi: float) -> None:
-    if pos.size == 0 or (pos.min() >= 0.0 and pos.max() <= hi):
+    if pos.size == 0:
+        return
+    lo, top = pos.min(), pos.max()
+    if lo >= 0.0 and top <= hi:
         return  # nothing reached a wall this substep
-    while True:
-        below = pos < 0.0
-        if below.any():
-            pos[below] = -pos[below]
-            vel[below] = -vel[below]
-        above = pos > hi
-        if above.any():
-            pos[above] = 2.0 * hi - pos[above]
-            vel[above] = -vel[above]
-        elif not below.any():
-            return
+    if lo < -hi or top > 2.0 * hi:
+        # Overshoots beyond one extent fold in closed form: a position k
+        # extents past 0 has bounced |k| times, so odd k mirrors it and
+        # reverses its velocity.
+        far = (pos < -hi) | (pos > 2.0 * hi)
+        k = np.floor(pos[far] / hi)
+        r = pos[far] - k * hi
+        odd = k % 2 != 0
+        pos[far] = np.where(odd, hi - r, r)
+        vel[far] = np.where(odd, -vel[far], vel[far])
+    below = pos < 0.0
+    if below.any():
+        pos[below] = -pos[below]
+        vel[below] = -vel[below]
+    above = pos > hi
+    if above.any():
+        pos[above] = 2.0 * hi - pos[above]
+        vel[above] = -vel[above]
 
 
-def step(
-    objects: list[ObjectState],
-    field: list[list[CellOrientation]],
-    p: PhysicsParams,
-    cfg: SurfaceConfig,
-) -> list[ObjectState]:
-    """One integration step of ``p.dt`` for every object; objects do not interact."""
-    x = np.array([o.x for o in objects])
-    y = np.array([o.y for o in objects])
-    vx = np.array([o.vx for o in objects])
-    vy = np.array([o.vy for o in objects])
-    gx, gy = gravity_field(field, p.gravity)
-    advance(x, y, vx, vy, gx, gy, cfg, p.friction, p.dt)
-    return [
-        ObjectState(float(x[k]), float(y[k]), float(vx[k]), float(vy[k]), o.mass)
-        for k, o in enumerate(objects)
-    ]
-
-
-def first_order_lag(z: float, z_com: float, tau: float, dt: float) -> float:
-    """Exact first-order response toward a held command over an interval dt."""
+def first_order_lag(z, z_com, tau: float, dt: float):
+    """Exact first-order response toward a held command over an interval dt,
+    for one height or elementwise for arrays of heights."""
     if tau == 0.0:
         return z_com
     return z + (z_com - z) * (1.0 - math.exp(-dt / tau))

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import control
 from .control import ControllerParams
-from .dynamics import ObjectState, PhysicsParams, first_order_lag, gravity_field, advance
-from .surface import ActuatorGrid, ControlInput, SurfaceConfig, cell_orientation
+from .dynamics import ObjectState, PhysicsParams, advance, cell_indices, first_order_lag
+from .surface import SurfaceConfig
 
 DEFAULT_CONTROL_RATE = 10.0  # Hz
 DEFAULT_SETTLE_SPEED = 1e-3  # m/s; "at rest" threshold for the stop rule
@@ -49,8 +49,9 @@ class Scenario:
             raise ValueError("control_rate and t_max must be positive")
         if self.mode not in control.MODES:
             raise ValueError(f"unknown controller mode {self.mode!r}")
-        if self.objects is None and self.random_count <= 0:
-            raise ValueError("scenario needs explicit objects or a random count")
+        count = len(self.objects) if self.objects is not None else self.random_count
+        if count < 1:
+            raise ValueError("scenario needs at least one object, explicit or random")
         period = 1.0 / self.control_rate
         substeps = round(period / self.physics.dt)
         if substeps < 1 or abs(substeps * self.physics.dt - period) > 1e-6 * period:
@@ -107,14 +108,18 @@ class RunMetrics:
     wall_clock: float
 
 
-def initial_objects(sc: Scenario) -> list[ObjectState]:
-    """Explicit initial states, or seeded uniform placement over the workspace."""
+def initial_state(sc: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Initial (x, y, vx, vy) arrays: the explicit objects, or seeded uniform
+    placement at rest over the workspace."""
     if sc.objects is not None:
-        return [replace(o) for o in sc.objects]
+        return tuple(
+            np.array([getattr(o, k) for o in sc.objects], dtype=float)
+            for k in ("x", "y", "vx", "vy")
+        )
     rng = np.random.default_rng(sc.seed)
     xs = rng.uniform(0.0, sc.cfg.width, sc.random_count)
     ys = rng.uniform(0.0, sc.cfg.length, sc.random_count)
-    return [ObjectState(float(x), float(y)) for x, y in zip(xs, ys)]
+    return xs, ys, np.zeros(sc.random_count), np.zeros(sc.random_count)
 
 
 def _reference_at(sc: Scenario, t: float) -> SurfaceConfig:
@@ -133,13 +138,29 @@ def final_reference(sc: Scenario) -> SurfaceConfig:
 def _grid_orientation_terms(
     grid_col: np.ndarray, grid_row: np.ndarray, cfg: SurfaceConfig, gravity: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    dz_col = grid_col[:-1] - grid_col[1:]
-    dz_row = grid_row[:-1] - grid_row[1:]
-    field = [
-        [cell_orientation(dz_col[i], dz_row[j], cfg) for j in range(cfg.m)]
-        for i in range(cfg.n)
-    ]
-    return gravity_field(field, gravity)
+    """Per-cell gravity acceleration components (n, m) for the substep kernel.
+
+    Cell (i, j) has pitch atan2(dz_col[i], W), shared by its column, and
+    roll atan2(-cos(pitch) * dz_row[j], L) (surface.cell_orientation);
+    gx = g Ct Cp^2 St and gy = -g Ct Cp Sp as in the dynamics docstring.
+    Scalar math keeps every value bit-identical to that per-cell formula:
+    numpy's vectorised arctan2 rounds differently on some inputs.
+    """
+    W, L = cfg.W, cfg.L
+    dz_row = (grid_row[:-1] - grid_row[1:]).tolist()
+    gx: list[float] = []
+    gy: list[float] = []
+    for dz1 in (grid_col[:-1] - grid_col[1:]).tolist():
+        pitch = math.atan2(dz1, W)
+        ct, st = math.cos(pitch), math.sin(pitch)
+        g_ct, neg_g_ct = gravity * ct, -gravity * ct
+        for dz2 in dz_row:
+            roll = math.atan2(-ct * dz2, L)
+            cp = math.cos(roll)
+            gx.append(g_ct * cp * cp * st)
+            gy.append(neg_g_ct * cp * math.sin(roll))
+    shape = (cfg.n, cfg.m)
+    return np.array(gx).reshape(shape), np.array(gy).reshape(shape)
 
 
 def run(sc: Scenario) -> tuple[SimTrace, RunMetrics]:
@@ -151,13 +172,8 @@ def run(sc: Scenario) -> tuple[SimTrace, RunMetrics]:
     substeps = sc.substeps
     n_ticks = int(round(sc.t_max / period))
 
-    objs = initial_objects(sc)
-    n_obj = len(objs)
-    x = np.array([o.x for o in objs])
-    y = np.array([o.y for o in objs])
-    vx = np.array([o.vx for o in objs])
-    vy = np.array([o.vy for o in objs])
-    masses = np.array([o.mass for o in objs])
+    x, y, vx, vy = initial_state(sc)
+    masses = np.array([o.mass for o in sc.objects]) if sc.objects else np.ones(x.size)
 
     grid_col = np.zeros(cfg.n + 1)  # actual (post-response) heights
     grid_row = np.zeros(cfg.m + 1)
@@ -182,20 +198,17 @@ def run(sc: Scenario) -> tuple[SimTrace, RunMetrics]:
         else:
             settle_streak = 0
 
-        states = [
-            ObjectState(float(x[k]), float(y[k]), float(vx[k]), float(vy[k]))
-            for k in range(n_obj)
-        ]
-        u, commanded = control.command(states, sc.mode, sc.params, ref_cfg)
-        grid_col = _lag(grid_col, np.asarray(commanded.col_heights), p.tau, period)
-        grid_row = _lag(grid_row, np.asarray(commanded.row_heights), p.tau, period)
+        u, commanded = control.command(x, y, vx, vy, sc.mode, sc.params, ref_cfg)
+        # Each lag step makes new arrays, so the rows below need no copies.
+        grid_col = first_order_lag(grid_col, np.asarray(commanded.col_heights), p.tau, period)
+        grid_row = first_order_lag(grid_row, np.asarray(commanded.row_heights), p.tau, period)
 
         rows_t.append(t)
-        rows_state.append(np.column_stack([x, y, vx, vy]).copy())
+        rows_state.append(np.column_stack([x, y, vx, vy]))
         rows_dz_col.append(np.asarray(u.dz_col, dtype=float))
         rows_dz_row.append(np.asarray(u.dz_row, dtype=float))
-        rows_grid_col.append(grid_col.copy())
-        rows_grid_row.append(grid_row.copy())
+        rows_grid_col.append(grid_col)
+        rows_grid_row.append(grid_row)
 
         if settle_streak >= 2:
             converged = True
@@ -225,13 +238,6 @@ def run(sc: Scenario) -> tuple[SimTrace, RunMetrics]:
     return trace, metrics
 
 
-def _lag(actual: np.ndarray, commanded: np.ndarray, tau: float, dt: float) -> np.ndarray:
-    if tau == 0.0:
-        return commanded.astype(float)
-    k = 1.0 - math.exp(-dt / tau)
-    return actual + (commanded - actual) * k
-
-
 def _settled(
     x: np.ndarray,
     y: np.ndarray,
@@ -246,9 +252,8 @@ def _settled(
 
 
 def _contained(x: np.ndarray, y: np.ndarray, cfg: SurfaceConfig) -> np.ndarray:
-    ci = np.minimum(np.floor(x / cfg.W).astype(int) + 1, cfg.n)
-    cj = np.minimum(np.floor(y / cfg.L).astype(int) + 1, cfg.m)
-    return (ci == cfg.ref_col) & (cj == cfg.ref_row)
+    ci, cj = cell_indices(x, y, cfg)
+    return (ci == cfg.ref_col - 1) & (cj == cfg.ref_row - 1)
 
 
 def convergence_time(
@@ -272,8 +277,7 @@ def convergence_time(
 def arrival_times(trace: SimTrace, cfg: SurfaceConfig) -> list[float | None]:
     """Per-object earliest time after which it never leaves the reference cell."""
     out: list[float | None] = []
-    for k in range(trace.n_objects):
-        inside = _contained(trace.states[:, k, 0], trace.states[:, k, 1], cfg)
+    for inside in _contained(trace.states[:, :, 0], trace.states[:, :, 1], cfg).T:
         if inside.all():
             out.append(0.0)
             continue
@@ -328,7 +332,10 @@ def batch(scenarios: list[Scenario], workers: int | None = None) -> list[BatchEn
         workers = os.cpu_count() or 1
         env = os.environ.get(THREADS_ENV)
         if env:
-            workers = max(1, int(env))
+            try:
+                workers = max(1, int(env))
+            except ValueError:
+                raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
     workers = min(workers, len(scenarios))
 
     results: list[BatchEntry] = []

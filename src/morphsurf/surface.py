@@ -224,8 +224,8 @@ def reconstruct_actuator_grid(u: ControlInput, cfg: SurfaceConfig) -> ActuatorGr
     row = _component_heights(u.dz_row, cfg.ref_row)
 
     tol = 1e-9 * max(1.0, cfg.stroke)
-    lo = col.min() + row.min()
-    hi = col.max() + row.max()
+    lo = min(col) + min(row)
+    hi = max(col) + max(row)
     if lo < -tol or hi > cfg.stroke + tol:
         i = int(np.argmin(col) if lo < -tol else np.argmax(col)) + 1
         j = int(np.argmin(row) if lo < -tol else np.argmax(row)) + 1
@@ -236,16 +236,19 @@ def reconstruct_actuator_grid(u: ControlInput, cfg: SurfaceConfig) -> ActuatorGr
     return ActuatorGrid(tuple(col), tuple(row))
 
 
-def _component_heights(dz: tuple[float, ...], ref: int) -> np.ndarray:
-    """Cumulative-sum height components for one axis (1-based ref index)."""
-    k = len(dz)
-    out = np.zeros(k + 1)
+def _component_heights(dz: tuple[float, ...], ref: int) -> list[float]:
+    """Cumulative-sum height components for one axis (1-based ref index).
+
+    Each height sums its own slice of dz with numpy's summation; a running
+    cumulative sum would add in another order.
+    """
     d = np.asarray(dz)
-    for i in range(ref):  # actuator lines 1..ref
-        out[i] = d[i:ref].sum()
-    for i in range(ref, k + 1):  # actuator lines ref+1..k+1
-        out[i] = -d[ref:i].sum()
-    return out
+    add = np.add.reduce  # what ndarray.sum calls, without its wrapper
+    return (
+        [float(add(d[i:ref])) for i in range(ref)]  # actuator lines 1..ref
+        + [-0.0]  # line ref+1: minus the empty sum
+        + [float(-add(d[ref:i])) for i in range(ref + 1, len(dz) + 1)]
+    )
 
 
 def validate_grid(

@@ -1,8 +1,11 @@
 """Shared generators and oracles for randomized kinematics/dynamics tests."""
 
+import math
+
 import numpy as np
 
-from morphsurf import ControlInput, SurfaceConfig
+from morphsurf import ControlInput, ObjectState, SurfaceConfig
+from morphsurf.dynamics import advance
 
 
 def random_config(rng, max_n=8, max_m=8) -> SurfaceConfig:
@@ -58,3 +61,41 @@ def slaved_energy(x, y, vx, vy, col, row, cfg, gravity):
     sy = -dzr[cj] / cfg.L
     vz = sx * vx + sy * vy
     return 0.5 * (vx * vx + vy * vy + vz * vz) + gravity * h, (ci, cj)
+
+
+def object_arrays(objects):
+    """The (x, y, vx, vy) arrays the engine and the controllers work on,
+    from a list of ObjectState."""
+    return tuple(
+        np.array([getattr(o, k) for o in objects], dtype=float)
+        for k in ("x", "y", "vx", "vy")
+    )
+
+
+def gravity_field(field, gravity):
+    """Per-cell oracle of the engine's field build: gravity acceleration
+    components (n, m) from a grid of CellOrientation, one cell at a time."""
+    n = len(field)
+    m = len(field[0])
+    gx = np.empty((n, m))
+    gy = np.empty((n, m))
+    for i in range(n):
+        for j in range(m):
+            o = field[i][j]
+            ct, st = math.cos(o.pitch), math.sin(o.pitch)
+            cp, sp = math.cos(o.roll), math.sin(o.roll)
+            gx[i, j] = gravity * ct * cp * cp * st
+            gy[i, j] = -gravity * ct * cp * sp
+    return gx, gy
+
+
+def step(objects, field, p, cfg):
+    """One integration step of ``p.dt`` for every object on a fixed field of
+    CellOrientation; objects do not interact."""
+    x, y, vx, vy = object_arrays(objects)
+    gx, gy = gravity_field(field, p.gravity)
+    advance(x, y, vx, vy, gx, gy, cfg, p.friction, p.dt)
+    return [
+        ObjectState(float(x[k]), float(y[k]), float(vx[k]), float(vy[k]), o.mass)
+        for k, o in enumerate(objects)
+    ]

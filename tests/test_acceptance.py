@@ -26,7 +26,6 @@ from morphsurf import (
     distributed_allocation,
     static_funnel,
     steady_speed,
-    step,
     surface_orientation_field,
     reconstruct_actuator_grid,
     validate_grid,
@@ -34,10 +33,17 @@ from morphsurf import (
 from morphsurf import scenario as sio
 from morphsurf.cli import EXIT_OK, EXIT_UNSETTLED, main
 from morphsurf.control import occupancy_sets, single_cell_feedback
-from morphsurf.dynamics import advance, gravity_field
+from morphsurf.dynamics import advance
 from morphsurf.engine import Scenario, batch, run, seed_sweep
 
-from conftest import random_config, random_feasible_input, slaved_energy
+from conftest import (
+    gravity_field,
+    object_arrays,
+    random_config,
+    random_feasible_input,
+    slaved_energy,
+    step,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -320,7 +326,8 @@ class TestC6FunnelEquivalence:
             for i in range(1, cfg.n + 1)
             for j in range(1, cfg.m + 1)
         ]
-        sets = occupancy_sets(objects, cfg)
+        x, y, _, _ = object_arrays(objects)
+        sets = occupancy_sets(x, y, cfg)
         u_dist = distributed_allocation(sets, 0.5, 0.5, cfg)
         u_funnel = static_funnel(0.5, 0.5, cfg)
         ok = u_dist.dz_col == u_funnel.dz_col and u_dist.dz_row == u_funnel.dz_row

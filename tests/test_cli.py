@@ -49,6 +49,12 @@ class TestRunCommand:
         assert main(["run", str(path), "-o", str(tmp_path / "out")]) == EXIT_INVALID
         assert "turbo" in capsys.readouterr().err
 
+    def test_empty_object_list_exits_one(self, tmp_path, capsys):
+        path = tiny_scenario(tmp_path, objects=[])
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == EXIT_INVALID
+        assert "at least one object" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "trace.csv").exists()
+
     def test_timeout_exits_two(self, tmp_path):
         path = tiny_scenario(tmp_path, t_max=0.5)
         out = tmp_path / "out"
@@ -132,6 +138,23 @@ class TestCompareCommand:
         main(["run", str(doc_path), "-o", str(out_run)])
         metrics = json.loads((out_run / "metrics.json").read_text())
         assert summary["wave"]["median"] == metrics["convergence_time"]
+
+    def test_explicit_objects_refuse_several_seeds(self, tmp_path, capsys):
+        # listed objects do not depend on the seed: the runs would be copies
+        path = tiny_scenario(tmp_path)
+        out = tmp_path / "cmp"
+        argv = ["compare", str(path), "--modes", "wave", "-o", str(out)]
+        assert main(argv + ["--seeds", "1..2"]) == EXIT_INVALID
+        assert "objects_random" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+        assert main(argv + ["--seeds", "3"]) == EXIT_OK
+
+    def test_non_integer_thread_cap_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MORPHSURF_THREADS", "two")
+        path = tiny_scenario(tmp_path)
+        assert main(["compare", str(path), "--modes", "wave", "-o",
+                     str(tmp_path / "cmp")]) == EXIT_INVALID
+        assert "MORPHSURF_THREADS" in capsys.readouterr().err
 
     def test_unknown_mode_rejected(self, tmp_path):
         path = tiny_scenario(tmp_path)

@@ -11,24 +11,41 @@ from morphsurf import (
     SingleCellGains,
     SurfaceConfig,
     acceleration,
-    control_tick,
     distributed_allocation,
-    occupancy_sets,
+    locate_cell,
     planar_completion,
     single_cell_feedback,
     static_funnel,
     wave,
 )
-from morphsurf.control import SINGLE_CELL_KD, control_input
+from morphsurf import control
+from morphsurf.control import SINGLE_CELL_KD
+from morphsurf.dynamics import cell_indices
+from conftest import object_arrays
 
 # The running example: S(5,4) with reference cell (3,1) and stroke 100.
 CFG = SurfaceConfig(n=5, m=4, W=2.0, L=2.0, stroke=100.0, ref_col=3, ref_row=1)
 
 
 def objects_in_cells(cells, cfg):
-    return [
-        ObjectState((i - 0.5) * cfg.W, (j - 0.5) * cfg.L) for i, j in cells
-    ]
+    """(x, y, vx, vy) arrays of objects at rest at the given cells' centres."""
+    return object_arrays(
+        [ObjectState((i - 0.5) * cfg.W, (j - 0.5) * cfg.L) for i, j in cells]
+    )
+
+
+def occupancy_sets(objects, cfg):
+    x, y, _, _ = objects
+    return control.occupancy_sets(x, y, cfg)
+
+
+def control_input(objects, mode, params, cfg):
+    x, y, _, _ = objects
+    return control.control_input(x, y, mode, params, cfg)
+
+
+def control_tick(objects, mode, params, cfg):
+    return control.command(*objects, mode, params, cfg)[1]
 
 
 EXAMPLE_CELLS = [(1, 2), (2, 4), (5, 3), (4, 1)]
@@ -37,7 +54,7 @@ EXAMPLE_SETS = OccupancySets((1, 2), (4, 5), (), (2, 3, 4))
 
 class TestOccupancySets:
     def test_empty_surface(self):
-        s = occupancy_sets([], CFG)
+        s = occupancy_sets(object_arrays([]), CFG)
         assert s == OccupancySets((), (), (), ())
 
     def test_all_in_reference(self):
@@ -51,6 +68,63 @@ class TestOccupancySets:
     def test_single_neighbor(self):
         s = occupancy_sets(objects_in_cells([(3, 2)], CFG), CFG)
         assert s == OccupancySets((), (), (), (2,))
+
+    @staticmethod
+    def sets_by_locate_cell(xs, ys, cfg):
+        cells = [locate_cell(ObjectState(a, b), cfg) for a, b in zip(xs, ys)]
+        cols = {c for c, _ in cells}
+        rows = {r for _, r in cells}
+        return OccupancySets(
+            tuple(sorted(c for c in cols if c < cfg.ref_col)),
+            tuple(sorted(c for c in cols if c > cfg.ref_col)),
+            tuple(sorted(r for r in rows if r < cfg.ref_row)),
+            tuple(sorted(r for r in rows if r > cfg.ref_row)),
+        )
+
+    @pytest.mark.parametrize("cfg", [
+        CFG,
+        SurfaceConfig(5, 4, 0.1, 0.3, 1.0, 3, 2),  # multiples of W round both ways
+        SurfaceConfig(3, 7, 2.0 / 3.0, 0.7, 1.0, 1, 7),
+        SurfaceConfig(1, 1, 0.3, 0.3, 1.0, 1, 1),
+    ])
+    def test_boundaries_and_far_walls_match_locate_cell(self, cfg):
+        def edges(count, size, extent):
+            # every boundary k * size, the far wall, and their float neighbours
+            pts = [k * size for k in range(count + 1)] + [extent, -0.0]
+            pts += [np.nextafter(p, -np.inf) for p in pts]
+            pts += [np.nextafter(p, np.inf) for p in pts]
+            return [p for p in pts if 0.0 <= p <= extent]
+
+        grid = np.meshgrid(edges(cfg.n, cfg.W, cfg.width), edges(cfg.m, cfg.L, cfg.length))
+        xs, ys = (a.ravel().tolist() for a in grid)
+        assert 0.0 <= min(xs) and max(xs) == cfg.width and max(ys) == cfg.length
+        ci, cj = cell_indices(np.array(xs), np.array(ys), cfg)
+        cells = [locate_cell(ObjectState(a, b), cfg) for a, b in zip(xs, ys)]
+        assert list(zip((ci + 1).tolist(), (cj + 1).tolist())) == cells
+        for a, b in zip(xs, ys):
+            got = control.occupancy_sets(np.array([a]), np.array([b]), cfg)
+            assert got == self.sets_by_locate_cell([a], [b], cfg)
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            pick = rng.choice(len(xs), size=3)
+            got = control.occupancy_sets(np.array(xs)[pick], np.array(ys)[pick], cfg)
+            assert got == self.sets_by_locate_cell(
+                [xs[k] for k in pick], [ys[k] for k in pick], cfg
+            )
+
+    @pytest.mark.parametrize("x, y", [
+        (np.nextafter(0.0, -1.0), 1.0),
+        (np.nextafter(CFG.width, np.inf), 1.0),
+        (1.0, np.nextafter(CFG.length, np.inf)),
+        (float("nan"), 1.0),
+        (1.0, float("-inf")),
+    ])
+    def test_outside_workspace_raises_like_locate_cell(self, x, y):
+        with pytest.raises(ValueError) as expected:
+            locate_cell(ObjectState(x, y), CFG)
+        with pytest.raises(ValueError) as got:
+            control.occupancy_sets(np.array([1.0, x]), np.array([1.0, y]), CFG)
+        assert str(got.value) == str(expected.value)
 
 
 class TestDistributedAllocation:

@@ -16,11 +16,16 @@ from morphsurf import (
     locate_cell,
     reconstruct_actuator_grid,
     steady_speed,
-    step,
     surface_orientation_field,
 )
-from morphsurf.dynamics import advance, first_order_lag, gravity_field
-from conftest import random_config, random_feasible_input, slaved_energy
+from morphsurf.dynamics import advance, first_order_lag
+from conftest import (
+    gravity_field,
+    random_config,
+    random_feasible_input,
+    slaved_energy,
+    step,
+)
 
 CFG = SurfaceConfig(n=5, m=4, W=2.0, L=2.0, stroke=1.0, ref_col=3, ref_row=1)
 P = PhysicsParams()
@@ -142,6 +147,27 @@ class TestStep:
         assert objs[0].x > 0
         speed = math.hypot(objs[0].vx, objs[0].vy)
         assert speed == pytest.approx(math.hypot(2.0, 0.5), rel=1e-12)
+
+
+class TestFarOvershoot:
+    @pytest.mark.parametrize("v0", [1e12, -1e12])
+    def test_speed_1e12_folds_back_inside(self, v0):
+        # 1e12 m/s over dt = 2**-10 s is 976562500 m a substep: every value
+        # below is an integer under 2**53, so the float arithmetic is exact
+        # and the unfolded straight-line motion predicts the end state.
+        cfg = SurfaceConfig(n=4, m=1, W=2.0, L=2.0, stroke=1.0, ref_col=1, ref_row=1)
+        dt, substeps, x0 = 2.0**-10, 10, 1.0
+        x, y = np.array([x0]), np.array([1.0])
+        vx, vy = np.array([v0]), np.zeros(1)
+        flat = np.zeros((cfg.n, cfg.m))
+        advance(x, y, vx, vy, flat, flat, cfg, 0.0, dt, substeps)
+
+        hi = int(cfg.width)
+        bounces, r = divmod(int(x0) + substeps * int(v0 * dt), hi)
+        assert 0.0 <= x[0] <= cfg.width
+        assert x[0] == (r if bounces % 2 == 0 else hi - r)
+        assert vx[0] == (v0 if bounces % 2 == 0 else -v0)
+        assert (y[0], vy[0]) == (1.0, 0.0)
 
 
 class TestActuatorResponse:

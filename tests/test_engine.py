@@ -8,18 +8,24 @@ from morphsurf import (
     ObjectState,
     PhysicsParams,
     SurfaceConfig,
+    cell_orientation,
+    reconstruct_actuator_grid,
 )
+from morphsurf.dynamics import first_order_lag
 from morphsurf.engine import (
     BatchEntry,
     Scenario,
     SimTrace,
+    _grid_orientation_terms,
     arrival_times,
     batch,
     convergence_time,
-    initial_objects,
+    initial_state,
     run,
     seed_sweep,
 )
+
+from conftest import gravity_field, random_feasible_input
 
 CFG = SurfaceConfig(n=3, m=2, W=2.0, L=2.0, stroke=1.0, ref_col=2, ref_row=1)
 PHYS = PhysicsParams(gravity=0.0981, friction=0.1, tau=0.0, dt=0.005)
@@ -68,19 +74,25 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             small_scenario(mode="teleport")
 
+    def test_empty_object_list_refused(self):
+        with pytest.raises(ValueError, match="at least one object"):
+            small_scenario(objects=())
+
 
 class TestInitialObjects:
     def test_seeded_uniform_is_deterministic(self):
         sc = small_scenario(objects=None, random_count=8, seed=42)
-        a = initial_objects(sc)
-        b = initial_objects(sc)
-        assert a == b
-        assert all(0 <= o.x <= CFG.width and 0 <= o.y <= CFG.length for o in a)
+        a = initial_state(sc)
+        b = initial_state(sc)
+        assert all(np.array_equal(u, v) for u, v in zip(a, b))
+        x, y, vx, vy = a
+        assert np.all((0 <= x) & (x <= CFG.width) & (0 <= y) & (y <= CFG.length))
+        assert not vx.any() and not vy.any()
 
     def test_different_seed_different_layout(self):
-        a = initial_objects(small_scenario(objects=None, random_count=8, seed=1))
-        b = initial_objects(small_scenario(objects=None, random_count=8, seed=2))
-        assert a != b
+        a = initial_state(small_scenario(objects=None, random_count=8, seed=1))
+        b = initial_state(small_scenario(objects=None, random_count=8, seed=2))
+        assert not np.array_equal(a[0], b[0])
 
 
 class TestRun:
@@ -171,6 +183,59 @@ class TestActuatorLag:
             actual = expected
 
 
+def field_by_cell(grid_col, grid_row, cfg, gravity):
+    """The field built one cell at a time from CellOrientation objects."""
+    dz_col = grid_col[:-1] - grid_col[1:]
+    dz_row = grid_row[:-1] - grid_row[1:]
+    field = [
+        [cell_orientation(dz_col[i], dz_row[j], cfg) for j in range(cfg.m)]
+        for i in range(cfg.n)
+    ]
+    return gravity_field(field, gravity)
+
+
+class TestFieldBuild:
+    SIZES = [(1, 1), (3, 2), (1, 10), (5, 6), (12, 12)]
+
+    @staticmethod
+    def assert_same_field(grid_col, grid_row, cfg, gravity=0.0981):
+        got = _grid_orientation_terms(grid_col, grid_row, cfg, gravity)
+        want = field_by_cell(grid_col, grid_row, cfg, gravity)
+        for g, w in zip(got, want):
+            assert g.shape == (cfg.n, cfg.m)
+            assert np.array_equal(g, w)
+            assert np.array_equal(np.signbit(g), np.signbit(w))  # signed zeros too
+
+    @pytest.mark.parametrize("n, m", SIZES)
+    def test_random_grids_with_level_runs(self, n, m):
+        rng = np.random.default_rng(n * 100 + m)
+        cfg = SurfaceConfig(n, m, 2.0, 1.5, 1.0, 1, 1)
+        for _ in range(40):
+            col = rng.uniform(-0.5, 0.5, n + 1)
+            row = rng.uniform(-0.5, 0.5, m + 1)
+            # level runs give zero drops, and -0.0 next to 0.0 negative ones
+            for h in (col, row):
+                zero = rng.random(h.size) < 0.4
+                h[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+            row[1:][rng.random(m) < 0.2] = row[0]
+            self.assert_same_field(col, row, cfg)
+
+    @pytest.mark.parametrize("n, m", SIZES)
+    def test_lagging_controller_grids(self, n, m):
+        # actual grids chasing a series of commanded grids through the lag,
+        # as the engine builds them; tau = 0 repeats the commanded grid
+        rng = np.random.default_rng(7 * n + m)
+        cfg = SurfaceConfig(n, m, 2.0, 2.0, 1.0, int(rng.integers(1, n + 1)),
+                            int(rng.integers(1, m + 1)))
+        for tau in (0.0, 0.3):
+            col, row = np.zeros(n + 1), np.zeros(m + 1)
+            for _ in range(20):
+                g = reconstruct_actuator_grid(random_feasible_input(rng, cfg), cfg)
+                col = first_order_lag(col, np.asarray(g.col_heights), tau, 0.1)
+                row = first_order_lag(row, np.asarray(g.row_heights), tau, 0.1)
+                self.assert_same_field(col, row, cfg)
+
+
 class TestConvergenceTime:
     def test_never_leaving_is_zero(self):
         cfg = CFG
@@ -222,6 +287,11 @@ class TestBatch:
         assert [e.metrics.convergence_time for e in entries] == [
             e.metrics.convergence_time for e in again
         ]
+
+    def test_non_integer_thread_cap_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("MORPHSURF_THREADS", "abc")
+        with pytest.raises(ValueError, match="MORPHSURF_THREADS must be an integer"):
+            batch([small_scenario(t_max=1.0)])
 
     def test_failure_reported_per_entry(self):
         good = small_scenario(t_max=50.0)
