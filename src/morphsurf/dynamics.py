@@ -9,6 +9,14 @@ to the surface.  The planar equations of motion are
 
 Integration is semi-implicit Euler (velocity first, then position) with
 elastic reflection at the exterior walls.
+
+The field is held fixed over the substeps of a control tick, and an object
+rarely leaves its cell or reaches a wall within one tick.  So ``advance``
+runs a tick as one array recurrence with each object's acceleration taken
+from its starting cell, checks afterwards that no object left that cell or
+the workspace, and finishes only the objects that did with the exact
+per-substep loop, from the first substep at which one failed.  The result
+is bit-for-bit the per-substep loop's.
 """
 
 from __future__ import annotations
@@ -44,6 +52,11 @@ class PhysicsParams:
     def __post_init__(self):
         if self.gravity <= 0 or self.friction < 0 or self.tau < 0 or self.dt <= 0:
             raise ValueError("require gravity > 0, friction >= 0, tau >= 0, dt > 0")
+
+
+# Most object-substeps one held-cell recurrence records; advance splits longer
+# calls into blocks, each starting from freshly looked-up cells.
+_HELD_BLOCK = 1 << 15
 
 
 def locate_cell(s: ObjectState, cfg: SurfaceConfig) -> tuple[int, int]:
@@ -124,30 +137,131 @@ def advance(
     The orientation field is held fixed; each object's acceleration is looked
     up from the cell it currently occupies.  Wall hits reflect the position
     about the wall and negate the normal velocity (no energy loss).
+
+    All substeps of the call run as one held-cell recurrence on (x, y)
+    stacked: each object's cell is found once, from its starting position,
+    and substep s computes ``v[s] = v[s-1] * keep + g * dt`` and ``p[s] =
+    p[s-1] + v[s] * dt`` with that cell's ``g``.  The result is then checked
+    in whole-array operations: an object passes if every position it reached
+    lies inside the workspace and every position it started a substep from
+    lies in its starting cell; NaN fails both.  For a passing object the
+    recurrence is operation for operation what the per-substep loop
+    (``_advance_exact``: look the cell up, step, reflect) computes, because
+    that loop would gather the same ``g`` on every substep and its reflection
+    leaves positions inside the workspace untouched; numpy's elementwise
+    IEEE operations do not depend on the array's length or on the other
+    elements.  Up to the first substep at which any object fails, every
+    object's recurrence is exact, so the failing objects resume from there
+    with the per-substep loop, and only they.  Calls longer than
+    ``_HELD_BLOCK`` object-substeps run as several such recurrences, each from
+    the cells the objects then occupy, as the loop would look them up.
     """
-    n, m = cfg.n, cfg.m
-    xmax, ymax = cfg.width, cfg.length
-    inv_w, inv_l = 1.0 / cfg.W, 1.0 / cfg.L
+    # Blocks of substeps bound the recorded states to O(objects) memory.
+    block = max(1, _HELD_BLOCK // max(x.size, 1))
+    for done in range(0, substeps, block):
+        _advance_held(x, y, vx, vy, gx_cell, gy_cell, cfg, friction, dt,
+                      min(block, substeps - done))
+
+
+def _advance_held(
+    x: np.ndarray,
+    y: np.ndarray,
+    vx: np.ndarray,
+    vy: np.ndarray,
+    gx_cell: np.ndarray,
+    gy_cell: np.ndarray,
+    cfg: SurfaceConfig,
+    friction: float,
+    dt: float,
+    substeps: int,
+) -> None:
+    """advance for one block of substeps: the checked held-cell recurrence."""
     keep = 1.0 - friction * dt
-    hi_i, hi_j = n - 1, m - 1
+    inv, cap, ext = _axes(cfg)
+    p = np.empty((substeps + 1, 2, x.size))  # positions, row s after s substeps
+    v = np.empty((substeps + 1, 2, x.size))  # velocities, likewise
+    p[0] = x, y
+    v[0] = vx, vy
+
+    # Each object's starting cell and its bounds in cell units: [c, c + 1),
+    # or [c, inf) for the last cell of an axis.
+    c = _cells(p[0], inv, cap)
+    a = np.array((gx_cell[c[0], c[1]], gy_cell[c[0], c[1]]))
+    a *= dt
+    lo = c.astype(float)
+    hi = lo + 1.0
+    hi[c == cap] = np.inf
+
+    rows = list(v)
+    for prev, cur in zip(rows, rows[1:]):
+        np.multiply(prev, keep, out=cur)
+        cur += a
+    np.multiply(v[1:], dt, out=p[1:])
+    np.add.accumulate(p, axis=0, out=p)  # p[s] = p[s-1] + v[s] * dt, in order
+
+    # ok[s - 1]: the position after substep s is inside the workspace and,
+    # unless it is the last, still in the starting cell.
+    ok = (p[1:] >= 0.0) & (p[1:] <= ext)
+    held = p[1:-1] * inv
+    ok[:-1] &= (held >= lo) & (held < hi)
+    x[:], y[:] = p[-1]
+    vx[:], vy[:] = v[-1]
+    if not ok.all():
+        ok = ok.all(axis=1)
+        redo = np.flatnonzero(~ok.all(axis=0))
+        # Before the first substep that fails for any object, every object
+        # followed the loop exactly; the failing ones resume from there.
+        k = int(np.argmin(ok.all(axis=1)))
+        pk, vk = p[k][:, redo], v[k][:, redo]
+        _advance_exact(pk, vk, gx_cell, gy_cell, cfg, keep, dt, substeps - k)
+        x[redo], y[redo] = pk
+        vx[redo], vy[redo] = vk
+
+
+def _axes(cfg: SurfaceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-axis (2, 1) columns for stacked (x, y) rows: inverse cell size,
+    last cell index and workspace extent."""
+    return (
+        np.array([[1.0 / cfg.W], [1.0 / cfg.L]]),
+        np.array([[cfg.n - 1], [cfg.m - 1]]),
+        np.array([[cfg.width], [cfg.length]]),
+    )
+
+
+def _cells(p: np.ndarray, inv: np.ndarray, cap: np.ndarray) -> np.ndarray:
+    """0-based cell indices of stacked (x, y) positions inside the workspace:
+    truncate the position in cell units, clamped to the last cell."""
+    c = (p * inv).astype(np.intp)
+    np.minimum(c, cap, out=c)
+    return c
+
+
+def _advance_exact(
+    p: np.ndarray,
+    v: np.ndarray,
+    gx_cell: np.ndarray,
+    gy_cell: np.ndarray,
+    cfg: SurfaceConfig,
+    keep: float,
+    dt: float,
+    substeps: int,
+) -> None:
+    """advance one substep at a time on stacked (2, k) positions and
+    velocities, in place: look each cell up, step, reflect at the walls."""
+    inv, cap, ext = _axes(cfg)
     for _ in range(substeps):
-        ci = (x * inv_w).astype(np.intp)
-        np.minimum(ci, hi_i, out=ci)
-        cj = (y * inv_l).astype(np.intp)
-        np.minimum(cj, hi_j, out=cj)
-        vx *= keep
-        vx += gx_cell[ci, cj] * dt
-        vy *= keep
-        vy += gy_cell[ci, cj] * dt
-        x += vx * dt
-        y += vy * dt
-        _reflect(x, vx, xmax)
-        _reflect(y, vy, ymax)
+        c = _cells(p, inv, cap)
+        a = np.array((gx_cell[c[0], c[1]], gy_cell[c[0], c[1]]))
+        a *= dt
+        v *= keep
+        v += a
+        p += v * dt
+        if not ((p >= 0.0) & (p <= ext)).all():
+            _reflect(p[0], v[0], cfg.width)
+            _reflect(p[1], v[1], cfg.length)
 
 
 def _reflect(pos: np.ndarray, vel: np.ndarray, hi: float) -> None:
-    if pos.size == 0:
-        return
     lo, top = pos.min(), pos.max()
     if lo >= 0.0 and top <= hi:
         return  # nothing reached a wall this substep

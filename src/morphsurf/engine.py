@@ -45,13 +45,26 @@ class Scenario:
     settle_speed: float = DEFAULT_SETTLE_SPEED
 
     def __post_init__(self):
-        if self.control_rate <= 0 or self.t_max <= 0:
-            raise ValueError("control_rate and t_max must be positive")
+        if not (0 < self.control_rate < math.inf and 0 < self.t_max < math.inf):
+            raise ValueError("control_rate and t_max must be positive and finite")
         if self.mode not in control.MODES:
             raise ValueError(f"unknown controller mode {self.mode!r}")
         count = len(self.objects) if self.objects is not None else self.random_count
         if count < 1:
             raise ValueError("scenario needs at least one object, explicit or random")
+        cfg = self.cfg
+        for k, o in enumerate(self.objects or ()):
+            if not (0.0 <= o.x <= cfg.width and 0.0 <= o.y <= cfg.length):
+                raise ValueError(
+                    f"objects[{k}] at ({o.x}, {o.y}) lies outside the workspace "
+                    f"[0, {cfg.width}] x [0, {cfg.length}]"
+                )
+        for when, col, row in self.reference_schedule:
+            if not (when >= 0.0 and 1 <= col <= cfg.n and 1 <= row <= cfg.m):
+                raise ValueError(
+                    f"reference_schedule entry [{when}, {col}, {row}] needs a time "
+                    f">= 0 and a cell of the {cfg.n}x{cfg.m} grid"
+                )
         period = 1.0 / self.control_rate
         substeps = round(period / self.physics.dt)
         if substeps < 1 or abs(substeps * self.physics.dt - period) > 1e-6 * period:

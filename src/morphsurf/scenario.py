@@ -1,7 +1,9 @@
 """Scenario files, trace/metrics serialization and grid files.
 
-Scenario files are JSON with fixed keys (unknown keys are rejected); units
-are SI throughout.  Traces are CSV with one row per control tick and every
+Scenario files are JSON with fixed keys (unknown keys are rejected) and
+finite numbers (NaN and infinities are rejected, naming the field); units
+are SI throughout.  The scenario echoed into metrics files loads back as the
+same scenario.  Traces are CSV with one row per control tick and every
 float printed with full round-trip precision, so identical seeded runs
 produce byte-identical files.
 """
@@ -9,6 +11,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -32,6 +35,14 @@ def _require_keys(d: dict, allowed: set[str], where: str) -> None:
         raise ScenarioError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _finite(value, field: str) -> float:
+    """``value`` as a float; NaN and infinities are refused, naming the field."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ScenarioError(f"{field} must be a finite number, got {value!r}")
+    return number
+
+
 def load_scenario(path: str | Path, mode: str | None = None, seed: int | None = None) -> Scenario:
     """Parse a scenario file; mode/seed arguments override the file values."""
     try:
@@ -49,7 +60,7 @@ def scenario_from_dict(
     _require_keys(
         doc,
         {"surface", "physics", "control", "objects", "objects_random", "t_max",
-         "reference_schedule"},
+         "reference_schedule", "seed"},
         "scenario",
     )
     try:
@@ -59,9 +70,9 @@ def scenario_from_dict(
         cfg = SurfaceConfig(
             n=int(surface["n"]),
             m=int(surface["m"]),
-            W=float(surface["W"]),
-            L=float(surface["L"]),
-            stroke=float(surface["l"]),
+            W=_finite(surface["W"], "surface.W"),
+            L=_finite(surface["L"], "surface.L"),
+            stroke=_finite(surface["l"], "surface.l"),
             ref_col=int(ref[0]),
             ref_row=int(ref[1]),
         )
@@ -69,10 +80,10 @@ def scenario_from_dict(
         phys = doc.get("physics", {})
         _require_keys(phys, {"g", "b", "tau", "dt"}, "physics")
         physics = PhysicsParams(
-            gravity=float(phys.get("g", 9.81)),
-            friction=float(phys.get("b", 0.1)),
-            tau=float(phys.get("tau", 0.0)),
-            dt=float(phys.get("dt", 1e-3)),
+            gravity=_finite(phys.get("g", 9.81), "physics.g"),
+            friction=_finite(phys.get("b", 0.1), "physics.b"),
+            tau=_finite(phys.get("tau", 0.0), "physics.tau"),
+            dt=_finite(phys.get("dt", 1e-3), "physics.dt"),
         )
 
         ctl = doc["control"]
@@ -80,8 +91,8 @@ def scenario_from_dict(
             ctl, {"mode", "a", "b", "rate", "gains", "hardware_split"}, "control"
         )
         file_mode = str(ctl["mode"])
-        a = float(ctl.get("a", 0.5))
-        b = float(ctl.get("b", 0.5))
+        a = _finite(ctl.get("a", 0.5), "control.a")
+        b = _finite(ctl.get("b", 0.5), "control.b")
         if abs(a + b - 1.0) > 1e-9:
             raise ScenarioError(
                 f"control fractions must satisfy a + b = 1, got a={a} b={b}"
@@ -90,11 +101,14 @@ def scenario_from_dict(
         if "gains" in ctl:
             g = ctl["gains"]
             _require_keys(g, {"kx", "ky", "sat_x", "sat_y"}, "control.gains")
+            sat = {
+                k: _finite(g[k], f"control.gains.{k}") if g.get(k) is not None else None
+                for k in ("sat_x", "sat_y")
+            }
             gains = SingleCellGains(
-                kx=float(g["kx"]),
-                ky=float(g["ky"]),
-                sat_x=float(g["sat_x"]) if g.get("sat_x") is not None else None,
-                sat_y=float(g["sat_y"]) if g.get("sat_y") is not None else None,
+                kx=_finite(g["kx"], "control.gains.kx"),
+                ky=_finite(g["ky"], "control.gains.ky"),
+                **sat,
             )
         params = ControllerParams(
             frac_x=a,
@@ -102,11 +116,11 @@ def scenario_from_dict(
             gains=gains,
             hardware_split=bool(ctl.get("hardware_split", False)),
         )
-        rate = float(ctl.get("rate", DEFAULT_CONTROL_RATE))
+        rate = _finite(ctl.get("rate", DEFAULT_CONTROL_RATE), "control.rate")
 
         objects = None
         random_count = 0
-        file_seed = 0
+        file_seed = int(doc.get("seed", 0))
         if "objects" in doc and "objects_random" in doc:
             raise ScenarioError("give either objects or objects_random, not both")
         if "objects" in doc:
@@ -115,11 +129,11 @@ def scenario_from_dict(
                 _require_keys(o, {"x", "y", "vx", "vy", "mass"}, f"objects[{k}]")
                 objects.append(
                     ObjectState(
-                        x=float(o["x"]),
-                        y=float(o["y"]),
-                        vx=float(o.get("vx", 0.0)),
-                        vy=float(o.get("vy", 0.0)),
-                        mass=float(o.get("mass", 1.0)),
+                        x=_finite(o["x"], f"objects[{k}].x"),
+                        y=_finite(o["y"], f"objects[{k}].y"),
+                        vx=_finite(o.get("vx", 0.0), f"objects[{k}].vx"),
+                        vy=_finite(o.get("vy", 0.0), f"objects[{k}].vy"),
+                        mass=_finite(o.get("mass", 1.0), f"objects[{k}].mass"),
                     )
                 )
             objects = tuple(objects)
@@ -127,7 +141,13 @@ def scenario_from_dict(
             r = doc["objects_random"]
             _require_keys(r, {"count", "seed"}, "objects_random")
             random_count = int(r["count"])
-            file_seed = int(r.get("seed", 0))
+            if "seed" in r:
+                placement_seed = int(r["seed"])
+                if "seed" in doc and placement_seed != file_seed:
+                    raise ScenarioError(
+                        f"seed {file_seed} and objects_random.seed {placement_seed} differ"
+                    )
+                file_seed = placement_seed
         else:
             raise ScenarioError("scenario needs objects or objects_random")
 
@@ -137,7 +157,11 @@ def scenario_from_dict(
                 raise ScenarioError(
                     f"reference_schedule[{k}] must be [time, column, row]"
                 )
-            schedule.append((float(entry[0]), int(entry[1]), int(entry[2])))
+            when, col, row = (
+                _finite(v, f"reference_schedule[{k}] {part}")
+                for v, part in zip(entry, ("time", "column", "row"))
+            )
+            schedule.append((when, int(col), int(row)))
         schedule.sort(key=lambda e: e[0])
 
         return Scenario(
@@ -148,18 +172,19 @@ def scenario_from_dict(
             objects=objects,
             random_count=random_count,
             control_rate=rate,
-            t_max=float(doc.get("t_max", 300.0)),
+            t_max=_finite(doc.get("t_max", 300.0), "t_max"),
             seed=seed if seed is not None else file_seed,
             reference_schedule=tuple(schedule),
         )
     except ScenarioError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ScenarioError(f"invalid scenario: {exc}") from exc
 
 
 def scenario_echo(sc: Scenario) -> dict:
-    """JSON-serializable scenario summary embedded in metrics files."""
+    """JSON-serializable scenario embedded in metrics files; scenario_from_dict
+    reads it back as ``sc`` (``settle_speed``, which files do not set, aside)."""
     doc = {
         "surface": {
             "n": sc.cfg.n, "m": sc.cfg.m, "W": sc.cfg.W, "L": sc.cfg.L,

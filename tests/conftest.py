@@ -5,7 +5,6 @@ import math
 import numpy as np
 
 from morphsurf import ControlInput, ObjectState, SurfaceConfig
-from morphsurf.dynamics import advance
 
 
 def random_config(rng, max_n=8, max_m=8) -> SurfaceConfig:
@@ -94,8 +93,46 @@ def step(objects, field, p, cfg):
     CellOrientation; objects do not interact."""
     x, y, vx, vy = object_arrays(objects)
     gx, gy = gravity_field(field, p.gravity)
-    advance(x, y, vx, vy, gx, gy, cfg, p.friction, p.dt)
+    advance_reference(x, y, vx, vy, gx, gy, cfg, p.friction, p.dt)
     return [
         ObjectState(float(x[k]), float(y[k]), float(vx[k]), float(vy[k]), o.mass)
         for k, o in enumerate(objects)
     ]
+
+
+def advance_reference(x, y, vx, vy, gx_cell, gy_cell, cfg, friction, dt, substeps=1):
+    """Oracle of ``dynamics.advance``: one substep at a time, each object's
+    cell looked up again before every substep, then the semi-implicit Euler
+    step and the reflection at the walls, on x and y separately."""
+    inv_w, inv_l = 1.0 / cfg.W, 1.0 / cfg.L
+    keep = 1.0 - friction * dt
+    for _ in range(substeps):
+        ci = (x * inv_w).astype(np.intp)
+        np.minimum(ci, cfg.n - 1, out=ci)
+        cj = (y * inv_l).astype(np.intp)
+        np.minimum(cj, cfg.m - 1, out=cj)
+        vx *= keep
+        vx += gx_cell[ci, cj] * dt
+        vy *= keep
+        vy += gy_cell[ci, cj] * dt
+        x += vx * dt
+        y += vy * dt
+        reflect_reference(x, vx, cfg.width)
+        reflect_reference(y, vy, cfg.length)
+
+
+def reflect_reference(pos, vel, hi):
+    """Elastic reflection into [0, hi] in place; an overshoot of k extents
+    past 0 has bounced |k| times, so odd k mirrors it and reverses vel."""
+    far = (pos < -hi) | (pos > 2.0 * hi)
+    k = np.floor(pos[far] / hi)
+    r = pos[far] - k * hi
+    odd = k % 2 != 0
+    pos[far] = np.where(odd, hi - r, r)
+    vel[far] = np.where(odd, -vel[far], vel[far])
+    below = pos < 0.0
+    pos[below] = -pos[below]
+    vel[below] = -vel[below]
+    above = pos > hi
+    pos[above] = 2.0 * hi - pos[above]
+    vel[above] = -vel[above]

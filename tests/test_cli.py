@@ -3,10 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morphsurf import scenario as sio
 from morphsurf.cli import EXIT_INVALID, EXIT_OK, EXIT_UNSETTLED, main
-from morphsurf.engine import convergence_time, run
+from morphsurf.control import ControllerParams, SingleCellGains
+from morphsurf.dynamics import ObjectState, PhysicsParams
+from morphsurf.engine import Scenario, convergence_time, run
+from morphsurf.surface import SurfaceConfig
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -61,6 +65,115 @@ class TestRunCommand:
         assert main(["run", str(path), "-o", str(out)]) == EXIT_UNSETTLED
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["converged"] is False
+
+
+NAN, INF = float("nan"), float("inf")
+SURFACE = {"n": 3, "m": 2, "W": 2.0, "L": 2.0, "l": 1.0, "ref": [2, 1]}
+PHYSICS = {"g": 0.0981, "b": 0.1, "tau": 0.0, "dt": 0.005}
+
+
+class TestHostileInput:
+    """Each input is refused when it is loaded, with exit 1 and the field
+    named, before any output is written."""
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"surface": {**SURFACE, "W": NAN}}, "surface.W"),
+            ({"physics": {**PHYSICS, "g": INF}}, "physics.g"),
+            ({"objects": [{"x": 1.0, "y": 3.0, "vx": NAN}]}, "objects[0].vx"),
+            ({"objects": [{"x": 1.0, "y": 3.0, "vy": -INF}]}, "objects[0].vy"),
+            ({"objects": [{"x": 1.0, "y": 3.0}, {"x": -1.0, "y": 1.0}]}, "objects[1]"),
+            ({"reference_schedule": [[0.5, 99, 99]]}, "reference_schedule"),
+            ({"reference_schedule": [[-1.0, 1, 1]]}, "reference_schedule"),
+            ({"reference_schedule": [[0.5, INF, 1]]}, "reference_schedule[0] column"),
+            ({"t_max": NAN}, "t_max"),
+        ],
+    )
+    def test_refused_at_load(self, tmp_path, capsys, overrides, field):
+        path = tiny_scenario(tmp_path, **overrides)
+        with pytest.raises(sio.ScenarioError, match=field.replace("[", r"\[")):
+            sio.load_scenario(path)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "-o", str(out)]) == EXIT_INVALID
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+
+def scenarios():
+    """Scenarios as the loader builds them, settle speed left at its default."""
+
+    @st.composite
+    def build(draw):
+        size = st.floats(0.1, 5.0)
+        n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        cfg = SurfaceConfig(
+            n, m, draw(size), draw(size), draw(size),
+            draw(st.integers(1, n)), draw(st.integers(1, m)),
+        )
+        a = draw(st.floats(0.0, 1.0))
+        gains = draw(st.none() | st.builds(
+            SingleCellGains, st.floats(0.01, 1.0), st.floats(0.01, 1.0),
+            st.none() | size, st.none() | size,
+        ))
+        seed = draw(st.integers(0, 2**31))
+        if draw(st.booleans()):
+            objects = tuple(draw(st.lists(st.builds(
+                ObjectState,
+                st.floats(0.0, cfg.width), st.floats(0.0, cfg.length),
+                st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.1, 5.0),
+            ), min_size=1, max_size=4)))
+            count = 0
+        else:
+            objects, count = None, draw(st.integers(1, 50))
+        rate = draw(st.sampled_from([1.0, 10.0, 20.0]))
+        schedule = sorted(draw(st.lists(st.tuples(
+            st.floats(0.0, 100.0), st.integers(1, n), st.integers(1, m),
+        ), max_size=3)))
+        return Scenario(
+            cfg=cfg,
+            physics=PhysicsParams(
+                draw(st.floats(0.01, 20.0)), draw(st.floats(0.0, 1.0)),
+                draw(st.floats(0.0, 2.0)), 0.1 / rate,
+            ),
+            mode=draw(st.sampled_from(["wave", "distributed", "funnel", "single_cell"])),
+            params=ControllerParams(a, 1.0 - a, gains, draw(st.booleans())),
+            objects=objects,
+            random_count=count,
+            control_rate=rate,
+            t_max=draw(st.floats(1.0, 1000.0)),
+            seed=seed,
+            reference_schedule=tuple(schedule),
+        )
+
+    return build()
+
+
+class TestScenarioEcho:
+    @settings(max_examples=200, deadline=None)
+    @given(scenarios())
+    def test_echo_reloads_as_the_same_scenario(self, sc):
+        doc = json.loads(json.dumps(sio.scenario_echo(sc)))
+        assert sio.scenario_from_dict(doc) == sc
+
+    def test_seed_argument_overrides_the_echoed_seed(self):
+        sc = sio.load_scenario(SCENARIOS / "paper-s5x6.json", seed=4)
+        echo = sio.scenario_echo(sc)
+        assert sio.scenario_from_dict(echo).seed == 4
+        assert sio.scenario_from_dict(echo, seed=9).seed == 9
+
+    def test_conflicting_seeds_are_refused(self):
+        doc = sio.scenario_echo(sio.load_scenario(SCENARIOS / "paper-s5x6.json"))
+        doc["seed"] = 2
+        with pytest.raises(sio.ScenarioError, match="objects_random.seed"):
+            sio.scenario_from_dict(doc)
+
+    def test_metrics_file_scenario_reloads(self, tmp_path):
+        path = tiny_scenario(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "-o", str(out)]) == EXIT_OK
+        echoed = json.loads((out / "metrics.json").read_text())["scenario"]
+        assert sio.scenario_from_dict(echoed) == sio.load_scenario(path)
 
 
 class TestSingleCellGains:

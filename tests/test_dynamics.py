@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morphsurf import (
     ActuatorGrid,
@@ -18,8 +19,10 @@ from morphsurf import (
     steady_speed,
     surface_orientation_field,
 )
+from morphsurf import dynamics
 from morphsurf.dynamics import advance, first_order_lag
 from conftest import (
+    advance_reference,
     gravity_field,
     random_config,
     random_feasible_input,
@@ -322,3 +325,139 @@ class TestEnergyDissipation:
         gy = np.zeros((2, 2))
         advance(x, y, vx, vy, gx, gy, cfg, 0.0, 1e-3, 1)
         assert vx[0] == 3.0 and vy[0] == 1.0  # frictionless: exact flip
+
+
+def run_both(state, gx, gy, cfg, friction, dt, substeps):
+    """(advance, advance_reference) end states from copies of one state."""
+    out = []
+    for fn in (advance, advance_reference):
+        s = [np.array(a, dtype=float) for a in state]
+        fn(*s, gx, gy, cfg, friction, dt, substeps)
+        out.append(s)
+    return out
+
+
+def assert_bitwise(state, gx, gy, cfg, friction, dt, substeps):
+    got, want = run_both(state, gx, gy, cfg, friction, dt, substeps)
+    for name, g, w in zip(("x", "y", "vx", "vy"), got, want):
+        assert np.array_equal(g, w), name
+        assert np.array_equal(np.signbit(g), np.signbit(w)), name
+
+
+def ramp_field(cfg):
+    """A field whose every cell differs, so the wrong cell shows."""
+    k = np.arange(cfg.n * cfg.m, dtype=float).reshape(cfg.n, cfg.m)
+    return 0.3 + 0.05 * k, -0.2 + 0.03 * k
+
+
+class TestHeldCellRecurrence:
+    """advance against the per-substep loop, bit for bit (signs of zero too)."""
+
+    CFG = SurfaceConfig(n=4, m=3, W=0.7, L=1.3, stroke=1.0, ref_col=2, ref_row=2)
+
+    @pytest.mark.parametrize("substeps", [1, 10])
+    def test_on_cell_boundaries_and_far_walls(self, substeps):
+        cfg = self.CFG
+        gx, gy = ramp_field(cfg)
+        xs = [i * cfg.W for i in range(cfg.n)] + [cfg.width]
+        ys = [j * cfg.L for j in range(cfg.m)] + [cfg.length]
+        xs += [np.nextafter(v, d) for v in xs for d in (-1.0, 1.0)]
+        ys += [np.nextafter(v, d) for v in ys for d in (-1.0, 1.0)]
+        x, y = (a.ravel() for a in np.meshgrid(xs, ys))
+        inside = (x >= 0) & (x <= cfg.width) & (y >= 0) & (y <= cfg.length)
+        x, y = x[inside], y[inside]
+        rng = np.random.default_rng(5)
+        for vx, vy in [(0.0, 0.0), tuple(rng.uniform(-0.3, 0.3, (2, x.size)))]:
+            state = (x, y, np.broadcast_to(vx, x.shape), np.broadcast_to(vy, x.shape))
+            assert_bitwise(state, gx, gy, cfg, 0.1, 0.01, substeps)
+            assert_bitwise(state, 0 * gx, 0 * gy, cfg, 0.0, 0.01, substeps)
+
+    @pytest.mark.parametrize("substeps", [1, 10])
+    def test_signed_zeros(self, substeps):
+        cfg = self.CFG
+        z = [0.0, -0.0]
+        x, y, vx, vy = (a.ravel() for a in np.meshgrid(z, z, z, z))
+        zero = np.zeros((cfg.n, cfg.m))
+        for gx, gy in [(zero, -zero), (-zero, zero), ramp_field(cfg)]:
+            assert_bitwise((x, y, vx, vy), gx, gy, cfg, 0.0, 0.01, substeps)
+            assert_bitwise((x, y, vx, vy), gx, gy, cfg, 0.1, 0.01, substeps)
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_cell_crossing_and_wall_hit_in_substep_k(self, k):
+        # Each object reaches its event halfway through substep k of 10.
+        cfg = self.CFG
+        gx, gy = ramp_field(cfg)
+        dt, v = 0.01, 0.5
+        run = (k - 0.5) * v * dt
+        x = np.array([cfg.W - run, 2 * cfg.W + run, cfg.width - run, run, 0.35, 0.35])
+        y = np.array([0.6, 0.6, 0.6, 0.6, cfg.L - run, cfg.length - run])
+        vx = np.array([v, -v, v, -v, 0.0, 0.0])
+        vy = np.array([0.0, 0.0, 0.0, 0.0, v, v])
+        assert_bitwise((x, y, vx, vy), gx, gy, cfg, 0.0, dt, 10)
+        assert_bitwise((x, y, vx, vy), gx, gy, cfg, 0.1, dt, 10)
+
+    @pytest.mark.parametrize("speed", [1e12, -1e12])
+    def test_far_overshoot(self, speed):
+        cfg = self.CFG
+        gx, gy = ramp_field(cfg)
+        x = np.array([0.1, 1.5, 2.7, 0.4])
+        y = np.array([1.0, 0.2, 3.8, 2.2])
+        vx = np.array([speed, 0.0, speed, 0.1])
+        vy = np.array([0.0, speed, -speed, 0.0])
+        for substeps in (1, 10):
+            assert_bitwise((x, y, vx, vy), gx, gy, cfg, 0.1, 0.01, substeps)
+
+    def test_only_failing_objects_take_the_loop(self, monkeypatch):
+        taken = []
+        exact = dynamics._advance_exact
+
+        def spy(p, v, *args):
+            taken.append(p.shape[1])
+            exact(p, v, *args)
+
+        monkeypatch.setattr(dynamics, "_advance_exact", spy)
+        cfg = SurfaceConfig(n=12, m=12, W=2.0, L=2.0, stroke=1.0, ref_col=6, ref_row=6)
+        gx, gy = ramp_field(cfg)
+        rng = np.random.default_rng(9)
+        x, y = rng.uniform(0.0, cfg.width, (2, 300))
+        vx, vy = rng.uniform(-2.0, 2.0, (2, 300))
+        assert_bitwise((x, y, vx, vy), gx, gy, cfg, 0.1, 0.01, 10)
+        assert len(taken) == 1 and 0 < taken[0] < 100
+
+    def test_many_objects_run_in_blocks(self):
+        cfg = self.CFG
+        gx, gy = ramp_field(cfg)
+        rng = np.random.default_rng(12)
+        count = dynamics._HELD_BLOCK // 4  # blocks of 4, 4 and 2 substeps
+        x = rng.uniform(0.0, cfg.width, count)
+        y = rng.uniform(0.0, cfg.length, count)
+        vx, vy = rng.uniform(-1.0, 1.0, (2, count))
+        assert_bitwise((x, y, vx, vy), gx, gy, cfg, 0.1, 0.01, 10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_grids_and_states(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+        m = data.draw(st.integers(1, 6), label="m")
+        size = st.floats(0.05, 3.0)
+        cfg = SurfaceConfig(n, m, data.draw(size), data.draw(size), 1.0, 1, 1)
+        accel = st.floats(-5.0, 5.0)
+        gx = np.array(data.draw(st.lists(accel, min_size=n * m, max_size=n * m)))
+        gy = np.array(data.draw(st.lists(accel, min_size=n * m, max_size=n * m)))
+        count = data.draw(st.integers(1, 8), label="objects")
+
+        def coordinate(cell, cells):
+            edges = [k * cell for k in range(cells)] + [cells * cell]
+            return st.one_of(st.floats(0.0, cells * cell), st.sampled_from(edges + [-0.0]))
+
+        speed = st.one_of(st.floats(-20.0, 20.0), st.sampled_from([0.0, -0.0, 1e12, -1e12]))
+        x = data.draw(st.lists(coordinate(cfg.W, n), min_size=count, max_size=count))
+        y = data.draw(st.lists(coordinate(cfg.L, m), min_size=count, max_size=count))
+        vx = data.draw(st.lists(speed, min_size=count, max_size=count))
+        vy = data.draw(st.lists(speed, min_size=count, max_size=count))
+        friction = data.draw(st.sampled_from([0.0, 0.1, 2.0]), label="friction")
+        dt = data.draw(st.sampled_from([1e-3, 0.01, 0.1]), label="dt")
+        substeps = data.draw(st.integers(1, 12), label="substeps")
+        assert_bitwise(
+            (x, y, vx, vy), gx.reshape(n, m), gy.reshape(n, m), cfg, friction, dt, substeps
+        )

@@ -46,6 +46,13 @@ LAGGED = {
     ),
 }
 
+# 200 seeded objects on a 12x12 surface with lagging actuators (tau 0.5 s),
+# wave mode: many cell crossings and wall approaches per tick.
+CROWD = (
+    "7a6988b0ac163eb27caf32e7e3756a68d5c81396c5cbb64cb2f99f4c2f2c954c",
+    "7b5893d2064513f7ce1c41aa7a801b5c1f03c608b944ba6a76349aedd889bffb",
+)
+
 # summary.json of `compare` on paper-s5x6, three modes, seeds 1..2.
 SUMMARY = "b21348f49f66caa57cdb2eaeec077d5c582d2bcffc2bb6432bb7688e9da735a9"
 
@@ -83,6 +90,19 @@ def test_canned_run(name, tmp_path):
 def test_lagged_hardware_split_run(mode, tmp_path):
     path = lagged_scenario(tmp_path, mode)
     assert run_hashes(path, tmp_path / "out") == LAGGED[mode]
+
+
+def test_crowd_run(tmp_path):
+    doc = {
+        "surface": {"n": 12, "m": 12, "W": 2.0, "L": 2.0, "l": 1.0, "ref": [6, 6]},
+        "physics": {"g": 0.0981, "b": 0.1, "tau": 0.5, "dt": 0.01},
+        "control": {"mode": "wave", "a": 0.5, "b": 0.5, "rate": 10.0},
+        "objects_random": {"count": 200, "seed": 5},
+        "t_max": 1200.0,
+    }
+    path = tmp_path / "crowd.json"
+    path.write_text(json.dumps(doc))
+    assert run_hashes(path, tmp_path / "out") == CROWD
 
 
 def test_compare_summary(tmp_path):
