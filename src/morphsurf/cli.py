@@ -54,10 +54,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compare":
             return _cmd_compare(args)
         return _cmd_validate(args)
-    except sio.ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
@@ -131,34 +128,27 @@ def _cmd_compare(args) -> int:
 
 def _cmd_validate(args) -> int:
     path: Path = args.path
-    if path.suffix == ".json":
-        doc = json.loads(path.read_text())
-        if "heights" in doc:
+    if path.suffix == ".json" and "heights" not in json.loads(path.read_text()):
+        sc = sio.load_scenario(path)
+        grid = control.command(*engine.initial_state(sc), sc.mode, sc.params, sc.cfg)[1]
+        report = validate_grid(grid, sc.cfg)
+    else:
+        if path.suffix == ".json":
             heights, w, l_, stroke = sio.load_grid_file(path)
-            cfg = SurfaceConfig(
-                n=heights.shape[0] - 1, m=heights.shape[1] - 1,
-                W=w, L=l_, stroke=stroke, ref_col=1, ref_row=1,
-            )
-            report = validate_grid(heights, cfg)
+        elif path.suffix == ".csv":
+            if args.cell_width is None or args.cell_length is None or args.stroke is None:
+                raise sio.ScenarioError(
+                    "raw CSV grids need --cell-width, --cell-length and --stroke"
+                )
+            heights = sio.read_heights_csv(path)
+            w, l_, stroke = args.cell_width, args.cell_length, args.stroke
         else:
-            sc = sio.load_scenario(path)
-            grid = control.command(*engine.initial_state(sc), sc.mode, sc.params, sc.cfg)[1]
-            report = validate_grid(grid, sc.cfg)
-    elif path.suffix == ".csv":
-        if args.cell_width is None or args.cell_length is None or args.stroke is None:
-            raise sio.ScenarioError(
-                "raw CSV grids need --cell-width, --cell-length and --stroke"
-            )
-        heights = sio.read_heights_csv(path)
+            raise sio.ScenarioError(f"cannot validate {path}: expected .json or .csv")
         cfg = SurfaceConfig(
             n=heights.shape[0] - 1, m=heights.shape[1] - 1,
-            W=args.cell_width, L=args.cell_length, stroke=args.stroke,
-            ref_col=1, ref_row=1,
+            W=w, L=l_, stroke=stroke, ref_col=1, ref_row=1,
         )
         report = validate_grid(heights, cfg)
-    else:
-        raise sio.ScenarioError(f"cannot validate {path}: expected .json or .csv")
-
     print(report.summary())
     return EXIT_OK if report.ok else EXIT_UNSETTLED
 

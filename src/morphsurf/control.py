@@ -18,6 +18,8 @@ from .surface import (
     ActuatorGrid,
     ControlInput,
     SurfaceConfig,
+    check_fields,
+    check_stroke_split,
     reconstruct_actuator_grid,
 )
 
@@ -53,6 +55,9 @@ class SingleCellGains:
     sat_x: float | None = None
     sat_y: float | None = None
 
+    def __post_init__(self):
+        check_fields(self)
+
     def validate(self, cfg: SurfaceConfig) -> None:
         if self.kx <= 0 or self.ky <= 0:
             raise ValueError("gains must be positive")
@@ -72,6 +77,10 @@ class ControllerParams:
     # Hardware-style tuning: put the whole stroke on whichever axis still
     # carries more error, per tick, instead of the fixed split.
     hardware_split: bool = False
+
+    def __post_init__(self):
+        check_fields(self)
+        check_stroke_split(self.frac_x, self.frac_y)
 
 
 def occupancy_sets(x: np.ndarray, y: np.ndarray, cfg: SurfaceConfig) -> OccupancySets:

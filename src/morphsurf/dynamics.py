@@ -8,7 +8,10 @@ to the surface.  The planar equations of motion are
     ay = -g * cos(pitch) * cos(roll) * sin(roll) - b * vy
 
 Integration is semi-implicit Euler (velocity first, then position) with
-elastic reflection at the exterior walls.
+elastic reflection at the exterior walls.  An object at x lies in column
+``floor(x / W)`` (0-based), capped at the last column, and likewise for rows:
+a point on a boundary belongs to the higher cell.  ``cell_index`` is that
+rule, for the dynamics, the controllers and the metrics alike.
 
 The field is held fixed over the substeps of a control tick, and an object
 rarely leaves its cell or reaches a wall within one tick.  So ``advance``
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surface import ActuatorGrid, CellOrientation, SurfaceConfig
+from .surface import ActuatorGrid, CellOrientation, SurfaceConfig, check_fields
 
 
 @dataclass
@@ -37,7 +40,9 @@ class ObjectState:
     y: float
     vx: float = 0.0
     vy: float = 0.0
-    mass: float = 1.0
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,7 @@ class PhysicsParams:
     dt: float = 1e-3
 
     def __post_init__(self):
+        check_fields(self)
         if self.gravity <= 0 or self.friction < 0 or self.tau < 0 or self.dt <= 0:
             raise ValueError("require gravity > 0, friction >= 0, tau >= 0, dt > 0")
 
@@ -63,26 +69,32 @@ def locate_cell(s: ObjectState, cfg: SurfaceConfig) -> tuple[int, int]:
     """1-based (column, row) of the cell containing the object.
 
     A position exactly on an interior cell boundary belongs to the
-    higher-index cell.
+    higher-index cell (``cell_index``).
     """
     if not (0.0 <= s.x <= cfg.width and 0.0 <= s.y <= cfg.length):
         raise ValueError(
             f"position ({s.x}, {s.y}) outside workspace "
             f"[0,{cfg.width}]x[0,{cfg.length}]"
         )
-    col = min(cfg.n, int(math.floor(s.x / cfg.W)) + 1)
-    row = min(cfg.m, int(math.floor(s.y / cfg.L)) + 1)
+    col = int(cell_index(s.x, cfg.W, cfg.n - 1)) + 1
+    row = int(cell_index(s.y, cfg.L, cfg.m - 1)) + 1
     return col, row
+
+
+def cell_index(pos, size, last):
+    """0-based index of the cell holding ``pos`` (inside the workspace) on an
+    axis of cells of ``size``: ``floor(pos / size)``, capped at the ``last``
+    cell.  A position exactly on a cell boundary belongs to the higher cell,
+    and the far wall to the last cell.  Arguments broadcast."""
+    return np.minimum(np.floor(pos / size).astype(np.intp), last)
 
 
 def cell_indices(
     x: np.ndarray, y: np.ndarray, cfg: SurfaceConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """0-based (column, row) index arrays of the cells holding positions
-    (x[k], y[k]) inside the workspace: locate_cell's rule, minus one."""
-    ci = np.minimum(np.floor(x / cfg.W).astype(int), cfg.n - 1)
-    cj = np.minimum(np.floor(y / cfg.L).astype(int), cfg.m - 1)
-    return ci, cj
+    (x[k], y[k]) inside the workspace."""
+    return cell_index(x, cfg.W, cfg.n - 1), cell_index(y, cfg.L, cfg.m - 1)
 
 
 def height_at(s: ObjectState, grid: ActuatorGrid, cfg: SurfaceConfig) -> float:
@@ -144,13 +156,13 @@ def advance(
     p[s-1] + v[s] * dt`` with that cell's ``g``.  The result is then checked
     in whole-array operations: an object passes if every position it reached
     lies inside the workspace and every position it started a substep from
-    lies in its starting cell; NaN fails both.  For a passing object the
-    recurrence is operation for operation what the per-substep loop
-    (``_advance_exact``: look the cell up, step, reflect) computes, because
-    that loop would gather the same ``g`` on every substep and its reflection
-    leaves positions inside the workspace untouched; numpy's elementwise
-    IEEE operations do not depend on the array's length or on the other
-    elements.  Up to the first substep at which any object fails, every
+    lies, by ``cell_index``, in its starting cell; NaN fails both.  For a
+    passing object the recurrence is operation for operation what the
+    per-substep loop (``_advance_exact``: look the cell up, step, reflect)
+    computes, because that loop would gather the same ``g`` on every
+    substep and its reflection leaves positions inside the workspace
+    untouched; numpy's elementwise IEEE operations do not depend on the
+    array's length or on the other elements.  Up to the first substep at which any object fails, every
     object's recurrence is exact, so the failing objects resume from there
     with the per-substep loop, and only they.  Calls longer than
     ``_HELD_BLOCK`` object-substeps run as several such recurrences, each from
@@ -177,20 +189,15 @@ def _advance_held(
 ) -> None:
     """advance for one block of substeps: the checked held-cell recurrence."""
     keep = 1.0 - friction * dt
-    inv, cap, ext = _axes(cfg)
+    size, last, ext = _axes(cfg)
     p = np.empty((substeps + 1, 2, x.size))  # positions, row s after s substeps
     v = np.empty((substeps + 1, 2, x.size))  # velocities, likewise
     p[0] = x, y
     v[0] = vx, vy
 
-    # Each object's starting cell and its bounds in cell units: [c, c + 1),
-    # or [c, inf) for the last cell of an axis.
-    c = _cells(p[0], inv, cap)
+    c = cell_index(p[0], size, last)  # each object's starting cell
     a = np.array((gx_cell[c[0], c[1]], gy_cell[c[0], c[1]]))
     a *= dt
-    lo = c.astype(float)
-    hi = lo + 1.0
-    hi[c == cap] = np.inf
 
     rows = list(v)
     for prev, cur in zip(rows, rows[1:]):
@@ -202,8 +209,7 @@ def _advance_held(
     # ok[s - 1]: the position after substep s is inside the workspace and,
     # unless it is the last, still in the starting cell.
     ok = (p[1:] >= 0.0) & (p[1:] <= ext)
-    held = p[1:-1] * inv
-    ok[:-1] &= (held >= lo) & (held < hi)
+    ok[:-1] &= cell_index(p[1:-1], size, last) == c
     x[:], y[:] = p[-1]
     vx[:], vy[:] = v[-1]
     if not ok.all():
@@ -219,21 +225,13 @@ def _advance_held(
 
 
 def _axes(cfg: SurfaceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-axis (2, 1) columns for stacked (x, y) rows: inverse cell size,
-    last cell index and workspace extent."""
+    """Per-axis (2, 1) columns for stacked (x, y) rows: cell size, last cell
+    index and workspace extent."""
     return (
-        np.array([[1.0 / cfg.W], [1.0 / cfg.L]]),
+        np.array([[cfg.W], [cfg.L]]),
         np.array([[cfg.n - 1], [cfg.m - 1]]),
         np.array([[cfg.width], [cfg.length]]),
     )
-
-
-def _cells(p: np.ndarray, inv: np.ndarray, cap: np.ndarray) -> np.ndarray:
-    """0-based cell indices of stacked (x, y) positions inside the workspace:
-    truncate the position in cell units, clamped to the last cell."""
-    c = (p * inv).astype(np.intp)
-    np.minimum(c, cap, out=c)
-    return c
 
 
 def _advance_exact(
@@ -248,9 +246,9 @@ def _advance_exact(
 ) -> None:
     """advance one substep at a time on stacked (2, k) positions and
     velocities, in place: look each cell up, step, reflect at the walls."""
-    inv, cap, ext = _axes(cfg)
+    size, last, ext = _axes(cfg)
     for _ in range(substeps):
-        c = _cells(p, inv, cap)
+        c = cell_index(p, size, last)
         a = np.array((gx_cell[c[0], c[1]], gy_cell[c[0], c[1]]))
         a *= dt
         v *= keep

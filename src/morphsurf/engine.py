@@ -9,28 +9,37 @@ tick.  Everything is deterministic given the scenario seed.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from . import control
 from .control import ControllerParams
 from .dynamics import ObjectState, PhysicsParams, advance, cell_indices, first_order_lag
-from .surface import SurfaceConfig
+from .surface import SurfaceConfig, check_fields, checked
 
 DEFAULT_CONTROL_RATE = 10.0  # Hz
-DEFAULT_SETTLE_SPEED = 1e-3  # m/s; "at rest" threshold for the stop rule
+SETTLE_SPEED = 1e-3  # m/s; "at rest" threshold for the stop rule
+# single_cell mode's reference cell is the whole surface, and a slow swing
+# is at rest at its turning points: there the stop rule also needs the first
+# object this close to the cell centre, as a fraction of the cell size.
+SINGLE_CELL_SETTLE = 0.01
 
 THREADS_ENV = "MORPHSURF_THREADS"
+
+_SCHEDULE_KINDS = (("float", "time"), ("int", "column"), ("int", "row"))
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything needed to reproduce one run."""
+    """Everything needed to reproduce one run; the reference schedule is
+    kept sorted by time."""
 
     cfg: SurfaceConfig
     physics: PhysicsParams
@@ -42,11 +51,13 @@ class Scenario:
     t_max: float = 300.0
     seed: int = 0
     reference_schedule: tuple[tuple[float, int, int], ...] = ()
-    settle_speed: float = DEFAULT_SETTLE_SPEED
 
     def __post_init__(self):
-        if not (0 < self.control_rate < math.inf and 0 < self.t_max < math.inf):
-            raise ValueError("control_rate and t_max must be positive and finite")
+        check_fields(self)
+        if not (self.control_rate > 0 and self.t_max > 0):
+            raise ValueError("control_rate and t_max must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.mode not in control.MODES:
             raise ValueError(f"unknown controller mode {self.mode!r}")
         count = len(self.objects) if self.objects is not None else self.random_count
@@ -59,14 +70,21 @@ class Scenario:
                     f"objects[{k}] at ({o.x}, {o.y}) lies outside the workspace "
                     f"[0, {cfg.width}] x [0, {cfg.length}]"
                 )
-        for when, col, row in self.reference_schedule:
+        schedule = []
+        for k, entry in enumerate(self.reference_schedule):
+            when, col, row = (
+                checked(value, kind, f"reference_schedule[{k}] {part}")
+                for value, (kind, part) in zip(entry, _SCHEDULE_KINDS, strict=True)
+            )
             if not (when >= 0.0 and 1 <= col <= cfg.n and 1 <= row <= cfg.m):
                 raise ValueError(
                     f"reference_schedule entry [{when}, {col}, {row}] needs a time "
                     f">= 0 and a cell of the {cfg.n}x{cfg.m} grid"
                 )
-        period = 1.0 / self.control_rate
-        substeps = round(period / self.physics.dt)
+            schedule.append((when, col, row))
+        schedule.sort(key=lambda entry: entry[0])
+        object.__setattr__(self, "reference_schedule", tuple(schedule))
+        period, substeps = self.control_period, self.substeps
         if substeps < 1 or abs(substeps * self.physics.dt - period) > 1e-6 * period:
             raise ValueError(
                 f"physics step {self.physics.dt} does not divide the control "
@@ -97,7 +115,6 @@ class SimTrace:
     dz_row: np.ndarray
     col_heights: np.ndarray
     row_heights: np.ndarray
-    masses: np.ndarray
 
     @property
     def n_objects(self) -> int:
@@ -133,19 +150,6 @@ def initial_state(sc: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     xs = rng.uniform(0.0, sc.cfg.width, sc.random_count)
     ys = rng.uniform(0.0, sc.cfg.length, sc.random_count)
     return xs, ys, np.zeros(sc.random_count), np.zeros(sc.random_count)
-
-
-def _reference_at(sc: Scenario, t: float) -> SurfaceConfig:
-    cfg = sc.cfg
-    for when, col, row in sc.reference_schedule:
-        if t >= when - 1e-12:
-            cfg = replace(sc.cfg, ref_col=col, ref_row=row)
-    return cfg
-
-
-def final_reference(sc: Scenario) -> SurfaceConfig:
-    """Surface config with the last scheduled reference applied."""
-    return _reference_at(sc, float("inf"))
 
 
 def _grid_orientation_terms(
@@ -186,27 +190,23 @@ def run(sc: Scenario) -> tuple[SimTrace, RunMetrics]:
     n_ticks = int(round(sc.t_max / period))
 
     x, y, vx, vy = initial_state(sc)
-    masses = np.array([o.mass for o in sc.objects]) if sc.objects else np.ones(x.size)
+    # The reference surface configs, built once, and the time each holds from.
+    ref_times = [-math.inf] + [when - 1e-12 for when, _, _ in sc.reference_schedule]
+    ref_cfgs = [cfg] + [replace(cfg, ref_col=c, ref_row=r) for _, c, r in sc.reference_schedule]
+    centred = sc.mode == "single_cell"
 
     grid_col = np.zeros(cfg.n + 1)  # actual (post-response) heights
     grid_row = np.zeros(cfg.m + 1)
-
-    rows_t: list[float] = []
-    rows_state: list[np.ndarray] = []
-    rows_dz_col: list[np.ndarray] = []
-    rows_dz_row: list[np.ndarray] = []
-    rows_grid_col: list[np.ndarray] = []
-    rows_grid_row: list[np.ndarray] = []
-
+    rows: list[tuple] = []  # one SimTrace row per tick, in field order
     settle_streak = 0
     converged = False
 
     for tick in range(n_ticks + 1):
         t = tick * period
-        ref_cfg = _reference_at(sc, t)
+        ref_cfg = ref_cfgs[bisect.bisect_right(ref_times, t) - 1]
 
         # Stop once containment + rest has held for one full control period.
-        if _settled(x, y, vx, vy, ref_cfg, sc.settle_speed):
+        if _settled(x, y, vx, vy, ref_cfg, centred):
             settle_streak += 1
         else:
             settle_streak = 0
@@ -216,12 +216,7 @@ def run(sc: Scenario) -> tuple[SimTrace, RunMetrics]:
         grid_col = first_order_lag(grid_col, np.asarray(commanded.col_heights), p.tau, period)
         grid_row = first_order_lag(grid_row, np.asarray(commanded.row_heights), p.tau, period)
 
-        rows_t.append(t)
-        rows_state.append(np.column_stack([x, y, vx, vy]))
-        rows_dz_col.append(np.asarray(u.dz_col, dtype=float))
-        rows_dz_row.append(np.asarray(u.dz_row, dtype=float))
-        rows_grid_col.append(grid_col)
-        rows_grid_row.append(grid_row)
+        rows.append((t, np.column_stack([x, y, vx, vy]), u.dz_col, u.dz_row, grid_col, grid_row))
 
         if settle_streak >= 2:
             converged = True
@@ -232,18 +227,10 @@ def run(sc: Scenario) -> tuple[SimTrace, RunMetrics]:
         gx, gy = _grid_orientation_terms(grid_col, grid_row, cfg, p.gravity)
         advance(x, y, vx, vy, gx, gy, cfg, p.friction, p.dt, substeps)
 
-    trace = SimTrace(
-        t=np.array(rows_t),
-        states=np.stack(rows_state),
-        dz_col=np.stack(rows_dz_col),
-        dz_row=np.stack(rows_dz_row),
-        col_heights=np.stack(rows_grid_col),
-        row_heights=np.stack(rows_grid_row),
-        masses=masses,
-    )
+    trace = SimTrace(*(np.array(column, dtype=float) for column in zip(*rows)))
     metrics = compute_metrics(
         trace,
-        final_reference(sc),
+        ref_cfgs[-1],
         settle=period,
         converged=converged,
         wall_clock=time.perf_counter() - start,
@@ -257,9 +244,17 @@ def _settled(
     vx: np.ndarray,
     vy: np.ndarray,
     cfg: SurfaceConfig,
-    speed_tol: float,
+    centred: bool,
 ) -> bool:
-    if (vx * vx + vy * vy > speed_tol * speed_tol).any():
+    """Every object in the reference cell and at rest; with ``centred``
+    (single_cell mode) the first object also within SINGLE_CELL_SETTLE of
+    the cell centre."""
+    if (vx * vx + vy * vy > SETTLE_SPEED * SETTLE_SPEED).any():
+        return False
+    if centred and not (
+        abs(x[0] - (cfg.ref_col - 0.5) * cfg.W) <= SINGLE_CELL_SETTLE * cfg.W
+        and abs(y[0] - (cfg.ref_row - 0.5) * cfg.L) <= SINGLE_CELL_SETTLE * cfg.L
+    ):
         return False
     return bool(_contained(x, y, cfg).all())
 
@@ -278,7 +273,11 @@ def convergence_time(
     cover at least the settle window; otherwise None.  Containment is
     checked at the trace cadence.
     """
-    arrivals = arrival_times(trace, cfg)
+    return _latest_arrival(arrival_times(trace, cfg), trace, settle)
+
+
+def _latest_arrival(arrivals: list, trace: SimTrace, settle: float) -> float | None:
+    """convergence_time from the objects' arrival times."""
     if any(a is None for a in arrivals):
         return None
     worst = max(arrivals)  # type: ignore[type-var]
@@ -311,10 +310,11 @@ def compute_metrics(
 ) -> RunMetrics:
     steps = np.diff(trace.states[:, :, :2], axis=0)
     lengths = np.sqrt((steps**2).sum(axis=2)).sum(axis=0)
+    arrivals = arrival_times(trace, cfg)
     return RunMetrics(
-        convergence_time=convergence_time(trace, cfg, settle),
+        convergence_time=_latest_arrival(arrivals, trace, settle),
         converged=converged,
-        arrival_times=arrival_times(trace, cfg),
+        arrival_times=arrivals,
         path_lengths=[float(v) for v in lengths],
         wall_clock=wall_clock,
     )
@@ -351,26 +351,18 @@ def batch(scenarios: list[Scenario], workers: int | None = None) -> list[BatchEn
                 raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
     workers = min(workers, len(scenarios))
 
-    results: list[BatchEntry] = []
     if workers <= 1:
-        for sc in scenarios:
-            results.append(_safe_entry(sc))
-        return results
-
+        return [_entry(sc, partial(_run_metrics_only, sc)) for sc in scenarios]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_run_metrics_only, sc) for sc in scenarios]
-        for sc, fut in zip(scenarios, futures):
-            try:
-                results.append(BatchEntry(sc, fut.result()))
-            except Exception as exc:  # noqa: BLE001 - reported, not raised
-                results.append(BatchEntry(sc, None, error=str(exc)))
-    return results
+        return [_entry(sc, fut.result) for sc, fut in zip(scenarios, futures)]
 
 
-def _safe_entry(sc: Scenario) -> BatchEntry:
+def _entry(sc: Scenario, metrics) -> BatchEntry:
+    """The batch slot of ``sc``, whose metrics the call ``metrics`` returns."""
     try:
-        return BatchEntry(sc, _run_metrics_only(sc))
-    except Exception as exc:  # noqa: BLE001
+        return BatchEntry(sc, metrics())
+    except Exception as exc:  # noqa: BLE001 - reported, not raised
         return BatchEntry(sc, None, error=str(exc))
 
 

@@ -1,28 +1,62 @@
 """Scenario files, trace/metrics serialization and grid files.
 
-Scenario files are JSON with fixed keys (unknown keys are rejected) and
-finite numbers (NaN and infinities are rejected, naming the field); units
-are SI throughout.  The scenario echoed into metrics files loads back as the
-same scenario.  Traces are CSV with one row per control tick and every
-float printed with full round-trip precision, so identical seeded runs
-produce byte-identical files.
+Scenario files are JSON with fixed keys (unknown keys are rejected); units
+are SI throughout.  The table ``FIELDS`` places each field of the scenario's
+types in the file; the loader and the scenario echoed into metrics files
+both follow it, so the echo loads back as the same scenario.  The types
+check their own fields (finite numbers; integral counts, cell indices and
+seeds: 2.7 and true are refused, not truncated), and the loader reports a
+refusal under the field's JSON path.  Traces are CSV with one row per
+control tick and every float printed with full round-trip precision, so
+identical seeded runs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import asdict
+import re
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 
 from .control import ControllerParams, SingleCellGains
 from .dynamics import ObjectState, PhysicsParams
-from .engine import DEFAULT_CONTROL_RATE, RunMetrics, Scenario, SimTrace
-from .surface import SurfaceConfig
+from .engine import RunMetrics, Scenario, SimTrace
+from .surface import FieldError, SurfaceConfig
 
 FLOAT_FMT = "%.17g"  # lossless float64 round-trip
+
+# One row per scenario-file field: (JSON path, type, attribute).  A field's
+# kind and default are its type's: the type refuses a value of another kind,
+# and an absent key keeps the default.  A list's entries are rows in order.
+FIELDS = (
+    ("surface.n", SurfaceConfig, "n"),
+    ("surface.m", SurfaceConfig, "m"),
+    ("surface.W", SurfaceConfig, "W"),
+    ("surface.L", SurfaceConfig, "L"),
+    ("surface.l", SurfaceConfig, "stroke"),
+    ("surface.ref[0]", SurfaceConfig, "ref_col"),
+    ("surface.ref[1]", SurfaceConfig, "ref_row"),
+    ("physics.g", PhysicsParams, "gravity"),
+    ("physics.b", PhysicsParams, "friction"),
+    ("physics.tau", PhysicsParams, "tau"),
+    ("physics.dt", PhysicsParams, "dt"),
+    ("control.mode", Scenario, "mode"),
+    ("control.a", ControllerParams, "frac_x"),
+    ("control.b", ControllerParams, "frac_y"),
+    ("control.rate", Scenario, "control_rate"),
+    ("control.hardware_split", ControllerParams, "hardware_split"),
+    ("control.gains.kx", SingleCellGains, "kx"),
+    ("control.gains.ky", SingleCellGains, "ky"),
+    ("control.gains.sat_x", SingleCellGains, "sat_x"),
+    ("control.gains.sat_y", SingleCellGains, "sat_y"),
+    ("t_max", Scenario, "t_max"),
+    ("seed", Scenario, "seed"),
+    ("objects_random.count", Scenario, "random_count"),
+)
+# The same for each entry of the "objects" list, whose keys are the names.
+OBJECT_FIELDS = tuple((key, ObjectState, key) for key in ("x", "y", "vx", "vy"))
 
 
 class ScenarioError(ValueError):
@@ -35,12 +69,47 @@ def _require_keys(d: dict, allowed: set[str], where: str) -> None:
         raise ScenarioError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _finite(value, field: str) -> float:
-    """``value`` as a float; NaN and infinities are refused, naming the field."""
-    number = float(value)
-    if not math.isfinite(number):
-        raise ScenarioError(f"{field} must be a finite number, got {value!r}")
-    return number
+def _flatten(node, path: str = "") -> dict:
+    """A JSON value as {path: leaf value}, the paths written as in FIELDS."""
+    if isinstance(node, dict):
+        parts = [(f"{path}.{key}" if path else key, value) for key, value in node.items()]
+    elif isinstance(node, list):
+        parts = [(f"{path}[{k}]", value) for k, value in enumerate(node)]
+    else:
+        return {path: node}
+    return {p: leaf for sub, value in parts for p, leaf in _flatten(value, sub).items()}
+
+
+def _build(cls, flat: dict, rows, prefix: str = "", **parts):
+    """``cls`` from the values ``flat`` holds for its rows, and ``parts``.  A
+    field without a default left out, or a value the type refuses, raises a
+    ScenarioError naming the field's JSON path."""
+    paths = {attr: prefix + path for path, owner, attr in rows if owner is cls}
+    for f in fields(cls):
+        if f.name in paths and paths[f.name] not in flat and f.default is MISSING:
+            raise ScenarioError(f"missing {paths[f.name]}")
+    try:
+        return cls(**{a: flat[p] for a, p in paths.items() if p in flat}, **parts)
+    except FieldError as exc:
+        raise ScenarioError(f"{paths.get(exc.field, exc.field)} {exc.reason}") from exc
+
+
+def _dump(rows, owners: dict) -> dict:
+    """The rows' fields of ``owners`` ({type: instance, or None to leave its
+    rows out}) as a JSON document; a list's rows come in order."""
+    doc: dict = {}
+    for path, cls, attr in rows:
+        if owners[cls] is None:
+            continue
+        keys = re.findall(r"\w+", path)
+        node = doc
+        for key, child in zip(keys, keys[1:]):
+            node = node.setdefault(key, [] if child.isdigit() else {})
+        if isinstance(node, list):
+            node.append(getattr(owners[cls], attr))
+        else:
+            node[keys[-1]] = getattr(owners[cls], attr)
+    return doc
 
 
 def load_scenario(path: str | Path, mode: str | None = None, seed: int | None = None) -> Scenario:
@@ -57,156 +126,61 @@ def scenario_from_dict(
 ) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
-    _require_keys(
-        doc,
-        {"surface", "physics", "control", "objects", "objects_random", "t_max",
-         "reference_schedule", "seed"},
-        "scenario",
-    )
+    if ("objects" in doc) == ("objects_random" in doc):
+        raise ScenarioError("a scenario gives either objects or objects_random")
     try:
-        surface = doc["surface"]
-        _require_keys(surface, {"n", "m", "W", "L", "l", "ref"}, "surface")
-        ref = surface["ref"]
-        cfg = SurfaceConfig(
-            n=int(surface["n"]),
-            m=int(surface["m"]),
-            W=_finite(surface["W"], "surface.W"),
-            L=_finite(surface["L"], "surface.L"),
-            stroke=_finite(surface["l"], "surface.l"),
-            ref_col=int(ref[0]),
-            ref_row=int(ref[1]),
-        )
-
-        phys = doc.get("physics", {})
-        _require_keys(phys, {"g", "b", "tau", "dt"}, "physics")
-        physics = PhysicsParams(
-            gravity=_finite(phys.get("g", 9.81), "physics.g"),
-            friction=_finite(phys.get("b", 0.1), "physics.b"),
-            tau=_finite(phys.get("tau", 0.0), "physics.tau"),
-            dt=_finite(phys.get("dt", 1e-3), "physics.dt"),
-        )
-
-        ctl = doc["control"]
-        _require_keys(
-            ctl, {"mode", "a", "b", "rate", "gains", "hardware_split"}, "control"
-        )
-        file_mode = str(ctl["mode"])
-        a = _finite(ctl.get("a", 0.5), "control.a")
-        b = _finite(ctl.get("b", 0.5), "control.b")
-        if abs(a + b - 1.0) > 1e-9:
-            raise ScenarioError(
-                f"control fractions must satisfy a + b = 1, got a={a} b={b}"
-            )
-        gains = None
-        if "gains" in ctl:
-            g = ctl["gains"]
-            _require_keys(g, {"kx", "ky", "sat_x", "sat_y"}, "control.gains")
-            sat = {
-                k: _finite(g[k], f"control.gains.{k}") if g.get(k) is not None else None
-                for k in ("sat_x", "sat_y")
-            }
-            gains = SingleCellGains(
-                kx=_finite(g["kx"], "control.gains.kx"),
-                ky=_finite(g["ky"], "control.gains.ky"),
-                **sat,
-            )
-        params = ControllerParams(
-            frac_x=a,
-            frac_y=b,
-            gains=gains,
-            hardware_split=bool(ctl.get("hardware_split", False)),
-        )
-        rate = _finite(ctl.get("rate", DEFAULT_CONTROL_RATE), "control.rate")
-
-        objects = None
-        random_count = 0
-        file_seed = int(doc.get("seed", 0))
-        if "objects" in doc and "objects_random" in doc:
-            raise ScenarioError("give either objects or objects_random, not both")
-        if "objects" in doc:
-            objects = []
-            for k, o in enumerate(doc["objects"]):
-                _require_keys(o, {"x", "y", "vx", "vy", "mass"}, f"objects[{k}]")
-                objects.append(
-                    ObjectState(
-                        x=_finite(o["x"], f"objects[{k}].x"),
-                        y=_finite(o["y"], f"objects[{k}].y"),
-                        vx=_finite(o.get("vx", 0.0), f"objects[{k}].vx"),
-                        vy=_finite(o.get("vy", 0.0), f"objects[{k}].vy"),
-                        mass=_finite(o.get("mass", 1.0), f"objects[{k}].mass"),
-                    )
+        listed = doc.get("objects", ())
+        flat = _flatten({k: v for k, v in doc.items() if k != "reference_schedule"})
+        known = {path for path, _, _ in FIELDS} | {"objects_random.seed"} | {
+            f"objects[{k}].{path}" for k in range(len(listed)) for path, _, _ in OBJECT_FIELDS
+        }
+        _require_keys(flat, known, "scenario")
+        if "objects_random.seed" in flat:
+            placement = flat.pop("objects_random.seed")
+            if flat.setdefault("seed", placement) != placement:
+                raise ScenarioError(
+                    f"seed {flat['seed']} and objects_random.seed {placement} differ"
                 )
-            objects = tuple(objects)
-        elif "objects_random" in doc:
-            r = doc["objects_random"]
-            _require_keys(r, {"count", "seed"}, "objects_random")
-            random_count = int(r["count"])
-            if "seed" in r:
-                placement_seed = int(r["seed"])
-                if "seed" in doc and placement_seed != file_seed:
-                    raise ScenarioError(
-                        f"seed {file_seed} and objects_random.seed {placement_seed} differ"
-                    )
-                file_seed = placement_seed
-        else:
-            raise ScenarioError("scenario needs objects or objects_random")
-
-        schedule = []
-        for k, entry in enumerate(doc.get("reference_schedule", [])):
-            if len(entry) != 3:
+        flat.update((k, v) for k, v in (("control.mode", mode), ("seed", seed)) if v is not None)
+        objects = None
+        if "objects" in doc:
+            objects = tuple(_build(ObjectState, flat, OBJECT_FIELDS, f"objects[{k}].")
+                            for k in range(len(listed)))
+        schedule = doc.get("reference_schedule", [])
+        for k, entry in enumerate(schedule):
+            if not isinstance(entry, list) or len(entry) != 3:
                 raise ScenarioError(
                     f"reference_schedule[{k}] must be [time, column, row]"
                 )
-            when, col, row = (
-                _finite(v, f"reference_schedule[{k}] {part}")
-                for v, part in zip(entry, ("time", "column", "row"))
-            )
-            schedule.append((when, int(col), int(row)))
-        schedule.sort(key=lambda e: e[0])
-
-        return Scenario(
-            cfg=cfg,
-            physics=physics,
-            mode=mode if mode is not None else file_mode,
-            params=params,
+        gains = None
+        if "gains" in doc.get("control", {}):
+            gains = _build(SingleCellGains, flat, FIELDS)
+        return _build(
+            Scenario, flat, FIELDS,
+            cfg=_build(SurfaceConfig, flat, FIELDS),
+            physics=_build(PhysicsParams, flat, FIELDS),
+            params=_build(ControllerParams, flat, FIELDS, gains=gains),
             objects=objects,
-            random_count=random_count,
-            control_rate=rate,
-            t_max=_finite(doc.get("t_max", 300.0), "t_max"),
-            seed=seed if seed is not None else file_seed,
-            reference_schedule=tuple(schedule),
+            reference_schedule=schedule,
         )
     except ScenarioError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid scenario: {exc}") from exc
 
 
 def scenario_echo(sc: Scenario) -> dict:
     """JSON-serializable scenario embedded in metrics files; scenario_from_dict
-    reads it back as ``sc`` (``settle_speed``, which files do not set, aside)."""
-    doc = {
-        "surface": {
-            "n": sc.cfg.n, "m": sc.cfg.m, "W": sc.cfg.W, "L": sc.cfg.L,
-            "l": sc.cfg.stroke, "ref": [sc.cfg.ref_col, sc.cfg.ref_row],
-        },
-        "physics": {
-            "g": sc.physics.gravity, "b": sc.physics.friction,
-            "tau": sc.physics.tau, "dt": sc.physics.dt,
-        },
-        "control": {
-            "mode": sc.mode, "a": sc.params.frac_x, "b": sc.params.frac_y,
-            "rate": sc.control_rate, "hardware_split": sc.params.hardware_split,
-        },
-        "t_max": sc.t_max,
-        "seed": sc.seed,
-    }
-    if sc.params.gains is not None:
-        doc["control"]["gains"] = asdict(sc.params.gains)
+    reads it back as ``sc``."""
+    doc = _dump(FIELDS, {
+        SurfaceConfig: sc.cfg, PhysicsParams: sc.physics, ControllerParams: sc.params,
+        SingleCellGains: sc.params.gains, Scenario: sc,
+    })
     if sc.objects is not None:
-        doc["objects"] = [asdict(o) for o in sc.objects]
+        del doc["objects_random"]
+        doc["objects"] = [_dump(OBJECT_FIELDS, {ObjectState: o}) for o in sc.objects]
     else:
-        doc["objects_random"] = {"count": sc.random_count, "seed": sc.seed}
+        doc["objects_random"]["seed"] = sc.seed
     if sc.reference_schedule:
         doc["reference_schedule"] = [list(e) for e in sc.reference_schedule]
     return doc
@@ -224,20 +198,17 @@ def trace_header(n_objects: int, n: int, m: int) -> list[str]:
 
 
 def write_trace_csv(trace: SimTrace, path: str | Path) -> None:
-    n = trace.dz_col.shape[1]
-    m = trace.dz_row.shape[1]
+    """One row per tick: the SimTrace fields in order, states flattened."""
     rows = len(trace.t)
-    header = trace_header(trace.n_objects, n, m)
+    header = trace_header(trace.n_objects, trace.dz_col.shape[1], trace.dz_row.shape[1])
+    table = np.column_stack([
+        trace.t, trace.states.reshape(rows, -1), trace.dz_col, trace.dz_row,
+        trace.col_heights, trace.row_heights,
+    ])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for r in range(rows):
-            vals = [trace.t[r]]
-            vals.extend(trace.states[r].reshape(-1))
-            vals.extend(trace.dz_col[r])
-            vals.extend(trace.dz_row[r])
-            vals.extend(trace.col_heights[r])
-            vals.extend(trace.row_heights[r])
-            fh.write(",".join(FLOAT_FMT % v for v in vals) + "\n")
+        for row in table:
+            fh.write(",".join(FLOAT_FMT % v for v in row.tolist()) + "\n")
 
 
 def read_trace_csv(path: str | Path, n: int, m: int) -> SimTrace:
@@ -247,29 +218,11 @@ def read_trace_csv(path: str | Path, n: int, m: int) -> SimTrace:
         data = np.array(
             [[float(v) for v in line.split(",")] for line in fh if line.strip()]
         )
-    n_obj = (len(header) - 1 - (n + m) - (n + 1 + m + 1)) // 4
-    if len(header) != 1 + 4 * n_obj + n + m + n + 1 + m + 1:
+    n_obj = (len(header) - len(trace_header(0, n, m))) // 4
+    if len(header) != len(trace_header(n_obj, n, m)):
         raise ScenarioError(f"{path}: column count does not match n={n}, m={m}")
-    t = data[:, 0]
-    pos = 1
-    states = data[:, pos : pos + 4 * n_obj].reshape(len(t), n_obj, 4)
-    pos += 4 * n_obj
-    dz_col = data[:, pos : pos + n]
-    pos += n
-    dz_row = data[:, pos : pos + m]
-    pos += m
-    col_heights = data[:, pos : pos + n + 1]
-    pos += n + 1
-    row_heights = data[:, pos : pos + m + 1]
-    return SimTrace(
-        t=t,
-        states=states,
-        dz_col=dz_col,
-        dz_row=dz_row,
-        col_heights=col_heights,
-        row_heights=row_heights,
-        masses=np.ones(n_obj),
-    )
+    t, states, *grids = np.split(data, np.cumsum([1, 4 * n_obj, n, m, n + 1]), axis=1)
+    return SimTrace(t[:, 0], states.reshape(len(t), n_obj, 4), *grids)
 
 
 def metrics_dict(metrics: RunMetrics, sc: Scenario) -> dict:

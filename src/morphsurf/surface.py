@@ -14,8 +14,9 @@ inter-cell orientation constraints hold by construction.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,6 +28,65 @@ ANGLE_TOL = 1e-9  # radians
 
 class InfeasibleControlError(ValueError):
     """Requested height differences push an actuator outside [0, stroke]."""
+
+
+class FieldError(ValueError):
+    """A field holds a value its annotation does not admit."""
+
+    def __init__(self, name: str, reason: str):
+        super().__init__(f"{name} {reason}")
+        self.field, self.reason = name, reason
+
+
+# The field annotations check_fields enforces: the types a value may have
+# (bools only for "bool"), their conversion, and the wording of a refusal.
+_REAL = (int, float, np.integer, np.floating)
+_KINDS = {
+    "float": (_REAL, float, "a finite number"),
+    "float | None": (_REAL, float, "a finite number or null"),
+    "int": ((int, np.integer), int, "an integer"),
+    "bool": ((bool, np.bool_), bool, "true or false"),
+    "str": (str, str, "a string"),
+}
+
+
+def checked(value, kind: str, name: str):
+    """``value`` converted to ``kind``, a key of ``_KINDS``.  A value of
+    another kind raises a FieldError naming ``name``: NaN or an infinity, a
+    bool in a number field, and a non-integral number (2.0 included) in an
+    integer field."""
+    types, convert, wording = _KINDS[kind]
+    if value is None and kind == "float | None":
+        return None
+    if isinstance(value, types) and isinstance(value, (bool, np.bool_)) == (kind == "bool"):
+        try:
+            if convert is not float or math.isfinite(value):
+                return convert(value)
+        except OverflowError:  # an integer beyond any float
+            pass
+    raise FieldError(name, f"must be {wording}, got {value!r}")
+
+
+def check_fields(obj) -> None:
+    """Store each field of the dataclass ``obj`` annotated with a kind of
+    ``_KINDS`` through ``checked``.  The annotations are read as strings."""
+    for name, kind in _checked_fields(type(obj)):
+        object.__setattr__(obj, name, checked(getattr(obj, name), kind, name))
+
+
+@functools.cache
+def _checked_fields(cls) -> tuple[tuple[str, str], ...]:
+    return tuple((f.name, f.type) for f in fields(cls) if f.type in _KINDS)
+
+
+def check_stroke_split(frac_x: float, frac_y: float) -> None:
+    """The stroke fractions each lie in [0, 1] and sum to 1."""
+    if not (0.0 <= frac_x <= 1.0 and 0.0 <= frac_y <= 1.0):
+        raise ValueError("stroke fractions must lie in [0, 1]")
+    if abs(frac_x + frac_y - 1.0) > 1e-9:
+        raise ValueError(
+            f"stroke fractions must satisfy a + b = 1, got {frac_x} + {frac_y}"
+        )
 
 
 @dataclass(frozen=True)
@@ -48,6 +108,7 @@ class SurfaceConfig:
     ref_row: int
 
     def __post_init__(self):
+        check_fields(self)
         if self.n < 1 or self.m < 1:
             raise ValueError(f"grid must be at least 1x1, got {self.n}x{self.m}")
         if self.W <= 0 or self.L <= 0 or self.stroke <= 0:
@@ -85,13 +146,7 @@ class ControlInput:
     frac_y: float
 
     def __post_init__(self):
-        if not (0.0 <= self.frac_x <= 1.0 and 0.0 <= self.frac_y <= 1.0):
-            raise ValueError("stroke fractions must lie in [0, 1]")
-        if abs(self.frac_x + self.frac_y - 1.0) > 1e-9:
-            raise ValueError(
-                f"stroke fractions must satisfy a + b = 1, got "
-                f"{self.frac_x} + {self.frac_y}"
-            )
+        check_stroke_split(self.frac_x, self.frac_y)
 
 
 @dataclass(frozen=True)

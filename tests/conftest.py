@@ -95,22 +95,20 @@ def step(objects, field, p, cfg):
     gx, gy = gravity_field(field, p.gravity)
     advance_reference(x, y, vx, vy, gx, gy, cfg, p.friction, p.dt)
     return [
-        ObjectState(float(x[k]), float(y[k]), float(vx[k]), float(vy[k]), o.mass)
-        for k, o in enumerate(objects)
+        ObjectState(float(x[k]), float(y[k]), float(vx[k]), float(vy[k]))
+        for k in range(len(objects))
     ]
 
 
 def advance_reference(x, y, vx, vy, gx_cell, gy_cell, cfg, friction, dt, substeps=1):
     """Oracle of ``dynamics.advance``: one substep at a time, each object's
-    cell looked up again before every substep, then the semi-implicit Euler
-    step and the reflection at the walls, on x and y separately."""
-    inv_w, inv_l = 1.0 / cfg.W, 1.0 / cfg.L
+    cell looked up again before every substep (floor(x / W), capped at the
+    last cell), then the semi-implicit Euler step and the reflection at the
+    walls, on x and y separately."""
     keep = 1.0 - friction * dt
     for _ in range(substeps):
-        ci = (x * inv_w).astype(np.intp)
-        np.minimum(ci, cfg.n - 1, out=ci)
-        cj = (y * inv_l).astype(np.intp)
-        np.minimum(cj, cfg.m - 1, out=cj)
+        ci = np.minimum(np.floor(x / cfg.W).astype(np.intp), cfg.n - 1)
+        cj = np.minimum(np.floor(y / cfg.L).astype(np.intp), cfg.m - 1)
         vx *= keep
         vx += gx_cell[ci, cj] * dt
         vy *= keep

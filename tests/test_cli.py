@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ def tiny_scenario(tmp_path, **overrides):
         "t_max": 200.0,
     }
     doc.update(overrides)
+    doc = {k: v for k, v in doc.items() if v is not None}  # None drops a key
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     return path
@@ -88,6 +91,15 @@ class TestHostileInput:
             ({"reference_schedule": [[-1.0, 1, 1]]}, "reference_schedule"),
             ({"reference_schedule": [[0.5, INF, 1]]}, "reference_schedule[0] column"),
             ({"t_max": NAN}, "t_max"),
+            ({"surface": {**SURFACE, "n": 2.7}}, "surface.n"),
+            ({"surface": {**SURFACE, "ref": [1.9, 1]}}, "surface.ref[0]"),
+            ({"objects": None, "objects_random": {"count": 2.5, "seed": 1}},
+             "objects_random.count"),
+            ({"reference_schedule": [[0.5, 1.5, 1]]}, "reference_schedule[0] column"),
+            ({"objects": [{"x": 1.0, "y": 3.0, "mass": 1.0}]}, "objects[0].mass"),
+            ({"control": {"mode": "wave", "hardware_split": "yes"}}, "control.hardware_split"),
+            ({"seed": True}, "seed"),
+            ({"t_max": 10**400}, "t_max"),
         ],
     )
     def test_refused_at_load(self, tmp_path, capsys, overrides, field):
@@ -121,7 +133,7 @@ def scenarios():
             objects = tuple(draw(st.lists(st.builds(
                 ObjectState,
                 st.floats(0.0, cfg.width), st.floats(0.0, cfg.length),
-                st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.1, 5.0),
+                st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
             ), min_size=1, max_size=4)))
             count = 0
         else:
@@ -150,6 +162,17 @@ def scenarios():
 
 
 class TestScenarioEcho:
+    def test_every_loaded_attribute_has_one_table_row(self):
+        rows = Counter((cls, attr) for _, cls, attr in sio.FIELDS + sio.OBJECT_FIELDS)
+        assert set(rows.values()) == {1}
+        types = (SurfaceConfig, PhysicsParams, ControllerParams, SingleCellGains,
+                 ObjectState, Scenario)
+        attributes = {(cls, f.name) for cls in types for f in dataclasses.fields(cls)}
+        built = {(Scenario, "cfg"), (Scenario, "physics"), (Scenario, "params"),
+                 (Scenario, "objects"), (Scenario, "reference_schedule"),
+                 (ControllerParams, "gains")}
+        assert set(rows) == attributes - built
+
     @settings(max_examples=200, deadline=None)
     @given(scenarios())
     def test_echo_reloads_as_the_same_scenario(self, sc):

@@ -20,7 +20,7 @@ from morphsurf import (
     surface_orientation_field,
 )
 from morphsurf import dynamics
-from morphsurf.dynamics import advance, first_order_lag
+from morphsurf.dynamics import advance, cell_indices, first_order_lag
 from conftest import (
     advance_reference,
     gravity_field,
@@ -461,3 +461,43 @@ class TestHeldCellRecurrence:
         assert_bitwise(
             (x, y, vx, vy), gx.reshape(n, m), gy.reshape(n, m), cfg, friction, dt, substeps
         )
+
+
+def gathered_cells(x, y, cfg):
+    """The 0-based cells advance takes each object's acceleration from: one
+    frictionless substep from rest, on a field that numbers the columns and
+    the rows, leaves the numbers times dt in the velocities."""
+    gx, gy = np.meshgrid(np.arange(1.0, cfg.n + 1), np.arange(1.0, cfg.m + 1), indexing="ij")
+    vx, vy = np.zeros(len(x)), np.zeros(len(x))
+    dt = 2.0**-30
+    advance(np.array(x), np.array(y), vx, vy, gx, gy, cfg, 0.0, dt, 1)
+    return np.abs(vx) / dt - 1, np.abs(vy) / dt - 1
+
+
+class TestOneCellRule:
+    """advance finds an object's cell by cell_indices's rule, floor(x / W)."""
+
+    def test_where_truncating_x_times_inverse_w_differs(self):
+        cfg = SurfaceConfig(n=8, m=1, W=2.853867904161509, L=2.0, stroke=1.0,
+                            ref_col=1, ref_row=1)
+        x, y = np.array([14.269339520807543]), np.array([1.0])
+        ci, _ = cell_indices(x, y, cfg)
+        assert ci[0] == 4
+        assert gathered_cells(x, y, cfg)[0][0] == ci[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.05, 5.0), st.floats(0.05, 5.0), st.integers(1, 10), st.integers(1, 10))
+    def test_on_cell_boundaries_and_their_neighbours(self, w, length, n, m):
+        cfg = SurfaceConfig(n=n, m=m, W=w, L=length, stroke=1.0, ref_col=1, ref_row=1)
+
+        def near_boundaries(size, cells, extent):
+            edges = np.arange(cells + 1) * size
+            near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+            return near[(near >= 0.0) & (near <= extent)]
+
+        x, y = np.meshgrid(near_boundaries(w, n, cfg.width),
+                           near_boundaries(length, m, cfg.length))
+        x, y = x.ravel(), y.ravel()
+        ci, cj = cell_indices(x, y, cfg)
+        gi, gj = gathered_cells(x, y, cfg)
+        assert np.array_equal(gi, ci) and np.array_equal(gj, cj)

@@ -7,12 +7,14 @@ from morphsurf import (
     ControllerParams,
     ObjectState,
     PhysicsParams,
+    SingleCellGains,
     SurfaceConfig,
     cell_orientation,
     reconstruct_actuator_grid,
 )
 from morphsurf.dynamics import first_order_lag
 from morphsurf.engine import (
+    SINGLE_CELL_SETTLE,
     BatchEntry,
     Scenario,
     SimTrace,
@@ -24,6 +26,7 @@ from morphsurf.engine import (
     run,
     seed_sweep,
 )
+from morphsurf.surface import FieldError
 
 from conftest import gravity_field, random_feasible_input
 
@@ -57,7 +60,6 @@ def synthetic_trace(t, xs, cfg):
         dz_row=np.zeros((rows, cfg.m)),
         col_heights=np.zeros((rows, cfg.n + 1)),
         row_heights=np.zeros((rows, cfg.m + 1)),
-        masses=np.ones(1),
     )
 
 
@@ -77,6 +79,80 @@ class TestScenarioValidation:
     def test_empty_object_list_refused(self):
         with pytest.raises(ValueError, match="at least one object"):
             small_scenario(objects=())
+
+
+NAN, INF = float("nan"), float("inf")
+NOT_FINITE = [NAN, INF, -INF, True, "1.0", None]
+NOT_INTEGER = [2.7, 2.0, True, NAN, INF, "2", None]
+
+
+def build(cls, **changes):
+    """An instance of one of the checked types, from valid arguments with
+    ``changes`` applied."""
+    base = {
+        SurfaceConfig: dict(n=3, m=2, W=2.0, L=2.0, stroke=1.0, ref_col=2, ref_row=1),
+        PhysicsParams: {},
+        ObjectState: dict(x=1.0, y=1.0),
+        ControllerParams: {},
+        SingleCellGains: dict(kx=0.25, ky=0.25),
+        Scenario: dict(cfg=CFG, physics=PHYS, mode="wave", objects=(ObjectState(1.0, 3.0),)),
+    }[cls]
+    return cls(**{**base, **changes})
+
+
+FIELD_CASES = (
+    [(SurfaceConfig, f, v) for f in ("W", "L", "stroke") for v in NOT_FINITE]
+    + [(SurfaceConfig, f, v) for f in ("n", "m", "ref_col", "ref_row") for v in NOT_INTEGER]
+    + [(PhysicsParams, f, v) for f in ("gravity", "friction", "tau", "dt") for v in NOT_FINITE]
+    + [(ObjectState, f, v) for f in ("x", "y", "vx", "vy") for v in NOT_FINITE]
+    + [(ControllerParams, f, v) for f in ("frac_x", "frac_y") for v in NOT_FINITE]
+    + [(ControllerParams, "hardware_split", v) for v in (1, 0.0, "yes", None)]
+    + [(SingleCellGains, f, v) for f in ("kx", "ky") for v in NOT_FINITE]
+    + [(SingleCellGains, f, v) for f in ("sat_x", "sat_y") for v in NOT_FINITE[:-1]]
+    + [(Scenario, f, v) for f in ("control_rate", "t_max") for v in NOT_FINITE]
+    + [(Scenario, f, v) for f in ("random_count", "seed") for v in NOT_INTEGER]
+    + [(Scenario, "mode", v) for v in (1, None, True)]
+)
+
+
+class TestFieldChecks:
+    """Each type refuses, when built, a value its field's annotation does
+    not admit, naming the field."""
+
+    @pytest.mark.parametrize("cls, name, value", FIELD_CASES)
+    def test_refused(self, cls, name, value):
+        with pytest.raises(FieldError, match=f"^{name} must be"):
+            build(cls, **{name: value})
+
+    def test_numbers_are_stored_as_their_kind(self):
+        cfg = build(SurfaceConfig, n=np.int64(3), W=2, stroke=np.float64(1.0))
+        assert (type(cfg.n), type(cfg.W), type(cfg.stroke)) == (int, float, float)
+        assert build(SingleCellGains, sat_x=None).sat_x is None
+        assert type(build(ObjectState, x=np.float32(1.5)).x) is float
+
+    def test_integer_beyond_the_float_range_is_not_finite(self):
+        with pytest.raises(FieldError, match="^t_max must be a finite number"):
+            build(Scenario, t_max=10**400)
+
+    @pytest.mark.parametrize("entry, part", [
+        ((0.5, 1.5, 1), "column"), ((0.5, 1, True), "row"), ((NAN, 1, 1), "time"),
+    ])
+    def test_schedule_entries(self, entry, part):
+        with pytest.raises(FieldError, match=rf"^reference_schedule\[0\] {part} must be"):
+            build(Scenario, reference_schedule=(entry,))
+
+    def test_schedule_is_kept_sorted_by_time(self):
+        sc = build(Scenario, reference_schedule=((9.0, 1, 1), (2, 3, 2), (5.0, 2, 2)))
+        assert sc.reference_schedule == ((2.0, 3, 2), (5.0, 2, 2), (9.0, 1, 1))
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            build(Scenario, seed=-1)
+
+    @pytest.mark.parametrize("a, b", [(0.7, 0.5), (1.5, -0.5)])
+    def test_stroke_split(self, a, b):
+        with pytest.raises(ValueError, match="stroke fractions"):
+            ControllerParams(frac_x=a, frac_y=b)
 
 
 class TestInitialObjects:
@@ -138,6 +214,23 @@ class TestRun:
         assert trace.t[-1] < sc.t_max
         x, y = trace.states[-1, 0, :2]
         assert math.hypot(x - cell.W / 2, y - cell.L / 2) < 0.01 * cell.W
+
+    def test_slow_frictionless_single_cell_stops_only_at_center(self):
+        # At low gravity the swing is slow enough to be "at rest" at its
+        # turning points; the run must not stop there.
+        cell = SurfaceConfig(n=1, m=1, W=2.0, L=2.0, stroke=1.0, ref_col=1, ref_row=1)
+        sc = Scenario(
+            cfg=cell,
+            physics=PhysicsParams(gravity=0.0981, friction=0.0),
+            mode="single_cell",
+            objects=(ObjectState(0.2, 1.7),),
+            t_max=700.0,
+        )
+        trace, metrics = run(sc)
+        assert metrics.converged
+        x, y = trace.states[-1, 0, :2]
+        assert abs(x - cell.W / 2) <= SINGLE_CELL_SETTLE * cell.W
+        assert abs(y - cell.L / 2) <= SINGLE_CELL_SETTLE * cell.L
 
     def test_metrics_consistent_with_trace(self):
         sc = small_scenario()

@@ -21,7 +21,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 CANNED = {
     "paper-s1x10": (
         "571ad9c55b70dfc55a73a179dc0490dcdbbf10f3d2a5ec2284b75b72e4dc773d",
-        "13b821fc88e7f41a1ec6dc890ed4581cee5cbc5dca732e01b36080df17797966",
+        "ab6a1b46fdceda469436d8bc57f5f896c8eb26178f866d7629124d700b54861c",
     ),
     "paper-s5x6": (
         "29d2af4e05cd589984b82c1849762aaac4afd37173e8f7d90c2ece99782ae16f",
@@ -29,7 +29,7 @@ CANNED = {
     ),
     "uturn": (
         "1122d055e053592bb8722d4d464e89145ca13e4c9b73b7e41f6197956c3e2002",
-        "81a2cccc9a9d1e9813756101e23323a1871d89d45e0e231162ef0f20858aa58d",
+        "450d8fb8d62beb1ddce84b7d9280b4aadd7a9a03710fe53127e4b8144f23bca6",
     ),
 }
 
