@@ -1,14 +1,19 @@
 """Surface controllers: distributed allocation, wave, static funnel, single-cell.
 
-All controllers map object observations to the n+m height differences of a
-ControlInput; the reference cell is always leveled to the lowest potential.
-The stroke split (frac_x, frac_y) decides how much of the actuator stroke
-serves each axis.
+The multi-cell controllers map object observations to the n+m height
+differences of a ControlInput by one rule, applied to each axis: every
+tilted line on one side of the reference line drops that side's share of
+the stroke (frac_x or frac_y times the stroke) divided by the number of
+tilted lines, toward the reference.  The funnel tilts every line,
+distributed allocation every occupied line, and the wave only the
+outermost occupied line on each side.  The reference cell is always
+leveled to the lowest potential.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,26 +24,10 @@ from .surface import (
     ControlInput,
     SurfaceConfig,
     check_fields,
-    check_stroke_split,
     reconstruct_actuator_grid,
 )
 
 MODES = ("distributed", "wave", "funnel", "single_cell")
-
-
-@dataclass(frozen=True)
-class OccupancySets:
-    """Occupied columns/rows split by their side of the reference cell.
-
-    cols_left/right hold occupied column indices strictly below/above the
-    reference column; rows_below/above likewise for rows.  The reference
-    column and row never appear.
-    """
-
-    cols_left: tuple[int, ...]
-    cols_right: tuple[int, ...]
-    rows_below: tuple[int, ...]
-    rows_above: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -80,71 +69,48 @@ class ControllerParams:
 
     def __post_init__(self):
         check_fields(self)
-        check_stroke_split(self.frac_x, self.frac_y)
+        if not (0.0 <= self.frac_x <= 1.0 and 0.0 <= self.frac_y <= 1.0):
+            raise ValueError("stroke fractions must lie in [0, 1]")
+        if abs(self.frac_x + self.frac_y - 1.0) > 1e-9:
+            raise ValueError(
+                f"stroke fractions must satisfy a + b = 1, got {self.frac_x} + {self.frac_y}"
+            )
 
 
-def occupancy_sets(x: np.ndarray, y: np.ndarray, cfg: SurfaceConfig) -> OccupancySets:
-    """Occupied columns/rows relative to the reference cell, for objects at
-    positions (x[k], y[k]).  Raises locate_cell's ValueError for the first
-    object outside the workspace."""
+def occupancy_sets(
+    x: np.ndarray, y: np.ndarray, cfg: SurfaceConfig
+) -> tuple[list[int], list[int]]:
+    """The sorted 0-based columns and rows occupied by objects at positions
+    (x[k], y[k]).  Raises locate_cell's ValueError for the first object
+    outside the workspace."""
     if x.size and not (
         x.min() >= 0.0 and x.max() <= cfg.width and y.min() >= 0.0 and y.max() <= cfg.length
     ):
         for px, py in zip(x.tolist(), y.tolist()):
             locate_cell(ObjectState(px, py), cfg)  # raises for the first one outside
     ci, cj = cell_indices(x, y, cfg)
-    cols = sorted(set(ci.tolist()))  # 0-based
-    rows = sorted(set(cj.tolist()))
-    ref_i, ref_j = cfg.ref_col - 1, cfg.ref_row - 1
-    return OccupancySets(
-        cols_left=tuple(c + 1 for c in cols if c < ref_i),
-        cols_right=tuple(c + 1 for c in cols if c > ref_i),
-        rows_below=tuple(r + 1 for r in rows if r < ref_j),
-        rows_above=tuple(r + 1 for r in rows if r > ref_j),
-    )
+    return sorted(set(ci.tolist())), sorted(set(cj.tolist()))
 
 
-def distributed_allocation(
-    s: OccupancySets, a: float, b: float, cfg: SurfaceConfig
-) -> ControlInput:
-    """Spread each side's stroke share evenly over its occupied columns/rows."""
-    dz_col = [0.0] * cfg.n
-    for col in s.cols_left:
-        dz_col[col - 1] = a * cfg.stroke / len(s.cols_left)
-    for col in s.cols_right:
-        dz_col[col - 1] = -a * cfg.stroke / len(s.cols_right)
-    dz_row = [0.0] * cfg.m
-    for row in s.rows_below:
-        dz_row[row - 1] = b * cfg.stroke / len(s.rows_below)
-    for row in s.rows_above:
-        dz_row[row - 1] = -b * cfg.stroke / len(s.rows_above)
-    return ControlInput(tuple(dz_col), tuple(dz_row), a, b)
+def axis_drops(
+    occupied: Sequence[int], count: int, ref: int, share: float, outermost: bool = False
+) -> tuple[float, ...]:
+    """The ``count`` drops of one axis whose 1-based reference line is ``ref``.
 
-
-def wave(s: OccupancySets, a: float, b: float, cfg: SurfaceConfig) -> ControlInput:
-    """Put each side's full stroke share on its outermost occupied column/row."""
-    dz_col = [0.0] * cfg.n
-    if s.cols_left:
-        dz_col[min(s.cols_left) - 1] = a * cfg.stroke
-    if s.cols_right:
-        dz_col[max(s.cols_right) - 1] = -a * cfg.stroke
-    dz_row = [0.0] * cfg.m
-    if s.rows_below:
-        dz_row[min(s.rows_below) - 1] = b * cfg.stroke
-    if s.rows_above:
-        dz_row[max(s.rows_above) - 1] = -b * cfg.stroke
-    return ControlInput(tuple(dz_col), tuple(dz_row), a, b)
-
-
-def static_funnel(a: float, b: float, cfg: SurfaceConfig) -> ControlInput:
-    """Time-invariant bowl: distributed allocation as if every column/row were occupied."""
-    full = OccupancySets(
-        cols_left=tuple(range(1, cfg.ref_col)),
-        cols_right=tuple(range(cfg.ref_col + 1, cfg.n + 1)),
-        rows_below=tuple(range(1, cfg.ref_row)),
-        rows_above=tuple(range(cfg.ref_row + 1, cfg.m + 1)),
-    )
-    return distributed_allocation(full, a, b, cfg)
+    On each side of the reference, the lines of ``occupied`` (sorted 0-based
+    indices) tilt, or only the outermost one if ``outermost``; each tilted
+    line drops ``share / k`` toward the reference, k being the number of
+    tilted lines on its side: positive below the reference, negative above.
+    """
+    drops = [0.0] * count
+    below = [i for i in occupied if i < ref - 1]
+    above = [i for i in occupied if i >= ref]
+    if outermost:
+        below, above = below[:1], above[-1:]
+    for side, signed in ((below, share), (above, -share)):
+        for i in side:
+            drops[i] = signed / len(side)
+    return tuple(drops)
 
 
 # Velocity weight (seconds) inside the single-cell law's saturated error, so
@@ -212,16 +178,20 @@ def control_input(
 ) -> ControlInput:
     """ControlInput commanded by the chosen multi-cell controller this tick."""
     if mode == "funnel":
-        # The funnel never reacts to the objects, so the per-tick hardware
-        # split does not apply either.
-        return static_funnel(params.frac_x, params.frac_y, cfg)
-    a, b = split_fractions(x, y, params, cfg)
-    sets = occupancy_sets(x, y, cfg)
-    if mode == "distributed":
-        return distributed_allocation(sets, a, b, cfg)
-    if mode == "wave":
-        return wave(sets, a, b, cfg)
-    raise ValueError(f"unknown controller mode {mode!r}")
+        # The funnel tilts every line and never reacts to the objects, so the
+        # per-tick hardware split does not apply either.
+        a, b = params.frac_x, params.frac_y
+        cols, rows = range(cfg.n), range(cfg.m)
+    elif mode in ("distributed", "wave"):
+        a, b = split_fractions(x, y, params, cfg)
+        cols, rows = occupancy_sets(x, y, cfg)
+    else:
+        raise ValueError(f"unknown controller mode {mode!r}")
+    wave = mode == "wave"
+    return ControlInput(
+        axis_drops(cols, cfg.n, cfg.ref_col, a * cfg.stroke, wave),
+        axis_drops(rows, cfg.m, cfg.ref_row, b * cfg.stroke, wave),
+    )
 
 
 def command(
@@ -236,12 +206,10 @@ def command(
     """Commanded (input, grid) pair for this tick, for objects with positions
     (x[k], y[k]) and velocities (vx[k], vy[k]).
 
-    Multi-cell modes compose occupancy sets, the chosen allocation and grid
-    reconstruction.  single_cell runs the saturated position-velocity
-    feedback law on a 1x1 surface, driving the first object to the cell
-    center; its grid tilts about the cell midlines instead of leveling the
-    reference actuators, and the stroke split carried in the input is a
-    placeholder.
+    Multi-cell modes compose control_input and grid reconstruction.
+    single_cell runs the saturated position-velocity feedback law on a 1x1
+    surface, driving the first object to the cell center; its grid tilts
+    about the cell midlines instead of leveling the reference actuators.
     """
     if mode == "single_cell":
         if cfg.n != 1 or cfg.m != 1:
@@ -260,6 +228,6 @@ def command(
             (quarter + dz1 / 2.0, quarter - dz1 / 2.0),
             (quarter + dz2 / 2.0, quarter - dz2 / 2.0),
         )
-        return ControlInput((dz1,), (dz2,), 0.5, 0.5), grid
+        return ControlInput((dz1,), (dz2,)), grid
     u = control_input(x, y, mode, params, cfg)
     return u, reconstruct_actuator_grid(u, cfg)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surface import ActuatorGrid, CellOrientation, SurfaceConfig, check_fields
+from .surface import ActuatorGrid, CellOrientation, FieldError, SurfaceConfig, check_fields
 
 
 @dataclass
@@ -58,6 +58,10 @@ class PhysicsParams:
         check_fields(self)
         if self.gravity <= 0 or self.friction < 0 or self.tau < 0 or self.dt <= 0:
             raise ValueError("require gravity > 0, friction >= 0, tau >= 0, dt > 0")
+        if self.friction * self.dt > 1.0:  # each step's factor 1 - b dt turns negative
+            raise FieldError(
+                "friction", f"must be at most 1 / dt = {1.0 / self.dt:g}, got {self.friction}"
+            )
 
 
 # Most object-substeps one held-cell recurrence records; advance splits longer

@@ -23,7 +23,7 @@ import numpy as np
 from .control import ControllerParams, SingleCellGains
 from .dynamics import ObjectState, PhysicsParams
 from .engine import RunMetrics, Scenario, SimTrace
-from .surface import FieldError, SurfaceConfig
+from .surface import FieldError, SurfaceConfig, checked
 
 FLOAT_FMT = "%.17g"  # lossless float64 round-trip
 
@@ -136,7 +136,7 @@ def scenario_from_dict(
         }
         _require_keys(flat, known, "scenario")
         if "objects_random.seed" in flat:
-            placement = flat.pop("objects_random.seed")
+            placement = checked(flat.pop("objects_random.seed"), "int", "objects_random.seed")
             if flat.setdefault("seed", placement) != placement:
                 raise ScenarioError(
                     f"seed {flat['seed']} and objects_random.seed {placement} differ"

@@ -79,16 +79,6 @@ def _checked_fields(cls) -> tuple[tuple[str, str], ...]:
     return tuple((f.name, f.type) for f in fields(cls) if f.type in _KINDS)
 
 
-def check_stroke_split(frac_x: float, frac_y: float) -> None:
-    """The stroke fractions each lie in [0, 1] and sum to 1."""
-    if not (0.0 <= frac_x <= 1.0 and 0.0 <= frac_y <= 1.0):
-        raise ValueError("stroke fractions must lie in [0, 1]")
-    if abs(frac_x + frac_y - 1.0) > 1e-9:
-        raise ValueError(
-            f"stroke fractions must satisfy a + b = 1, got {frac_x} + {frac_y}"
-        )
-
-
 @dataclass(frozen=True)
 class SurfaceConfig:
     """Grid dimensions, cell metrics and the reference (target) cell.
@@ -132,21 +122,15 @@ class SurfaceConfig:
 
 @dataclass(frozen=True)
 class ControlInput:
-    """The n+m independent height differences plus the per-axis stroke split.
+    """The n+m independent height differences of a surface.
 
     dz_col[I-1] is the drop across any cell of column I along +x
     (south-west corner minus south-east corner); dz_row[J-1] likewise along
-    +y.  frac_x + frac_y must equal 1: they split the stroke between the two
-    axes.
+    +y.
     """
 
     dz_col: tuple[float, ...]
     dz_row: tuple[float, ...]
-    frac_x: float
-    frac_y: float
-
-    def __post_init__(self):
-        check_stroke_split(self.frac_x, self.frac_y)
 
 
 @dataclass(frozen=True)
@@ -240,6 +224,15 @@ def rotation_matrix(o: CellOrientation) -> np.ndarray:
     )
 
 
+def _check_shape(u: ControlInput, cfg: SurfaceConfig) -> None:
+    """Refuse an input without one drop per column and per row of ``cfg``."""
+    if len(u.dz_col) != cfg.n or len(u.dz_row) != cfg.m:
+        raise ValueError(
+            f"control input ({len(u.dz_col)},{len(u.dz_row)}) does not match "
+            f"grid ({cfg.n},{cfg.m})"
+        )
+
+
 def surface_orientation_field(
     u: ControlInput, cfg: SurfaceConfig
 ) -> list[list[CellOrientation]]:
@@ -250,11 +243,7 @@ def surface_orientation_field(
     separable height representation reduces to every cell (I, J) seeing the
     same height differences (dz_col[I], dz_row[J]).
     """
-    if len(u.dz_col) != cfg.n or len(u.dz_row) != cfg.m:
-        raise ValueError(
-            f"control input ({len(u.dz_col)},{len(u.dz_row)}) does not match "
-            f"grid ({cfg.n},{cfg.m})"
-        )
+    _check_shape(u, cfg)
     return [
         [cell_orientation(u.dz_col[i], u.dz_row[j], cfg) for j in range(cfg.m)]
         for i in range(cfg.n)
@@ -270,11 +259,7 @@ def reconstruct_actuator_grid(u: ControlInput, cfg: SurfaceConfig) -> ActuatorGr
     row analogue).  Raises InfeasibleControlError if any height would leave
     [0, stroke].
     """
-    if len(u.dz_col) != cfg.n or len(u.dz_row) != cfg.m:
-        raise ValueError(
-            f"control input ({len(u.dz_col)},{len(u.dz_row)}) does not match "
-            f"grid ({cfg.n},{cfg.m})"
-        )
+    _check_shape(u, cfg)
     col = _component_heights(u.dz_col, cfg.ref_col)
     row = _component_heights(u.dz_row, cfg.ref_row)
 

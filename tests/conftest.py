@@ -1,10 +1,13 @@
 """Shared generators and oracles for randomized kinematics/dynamics tests."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from morphsurf import ControlInput, ObjectState, SurfaceConfig
+from morphsurf import ControlInput, ObjectState, SurfaceConfig, reconstruct_actuator_grid
+from morphsurf.control import split_fractions
+from morphsurf.dynamics import cell_indices, locate_cell
 
 
 def random_config(rng, max_n=8, max_m=8) -> SurfaceConfig:
@@ -42,7 +45,7 @@ def random_feasible_input(rng, cfg: SurfaceConfig) -> ControlInput:
     above = _side_split(rng, cfg.m - cfg.ref_row, b * cfg.stroke * rng.uniform(0, 1))
     dz_row[: cfg.ref_row - 1] = below
     dz_row[cfg.ref_row :] = -above
-    return ControlInput(tuple(dz_col), tuple(dz_row), a, b)
+    return ControlInput(tuple(dz_col), tuple(dz_row))
 
 
 def slaved_energy(x, y, vx, vy, col, row, cfg, gravity):
@@ -134,3 +137,89 @@ def reflect_reference(pos, vel, hi):
     above = pos > hi
     pos[above] = 2.0 * hi - pos[above]
     vel[above] = -vel[above]
+
+
+@dataclass(frozen=True)
+class OccupancySets:
+    """Occupied 1-based columns/rows split by their side of the reference
+    cell; the reference column and row never appear."""
+
+    cols_left: tuple[int, ...]
+    cols_right: tuple[int, ...]
+    rows_below: tuple[int, ...]
+    rows_above: tuple[int, ...]
+
+
+def occupancy_reference(x, y, cfg: SurfaceConfig) -> OccupancySets:
+    """The occupied columns/rows on each side of the reference cell, for
+    objects at positions (x[k], y[k])."""
+    for px, py in zip(x.tolist(), y.tolist()):
+        locate_cell(ObjectState(px, py), cfg)  # raises for the first one outside
+    ci, cj = cell_indices(x, y, cfg)
+    cols = sorted(set(ci.tolist()))  # 0-based
+    rows = sorted(set(cj.tolist()))
+    ref_i, ref_j = cfg.ref_col - 1, cfg.ref_row - 1
+    return OccupancySets(
+        cols_left=tuple(c + 1 for c in cols if c < ref_i),
+        cols_right=tuple(c + 1 for c in cols if c > ref_i),
+        rows_below=tuple(r + 1 for r in rows if r < ref_j),
+        rows_above=tuple(r + 1 for r in rows if r > ref_j),
+    )
+
+
+def distributed_reference(s: OccupancySets, a, b, cfg: SurfaceConfig):
+    """Each side's stroke share spread evenly over its occupied columns/rows,
+    as (dz_col, dz_row)."""
+    dz_col = [0.0] * cfg.n
+    for col in s.cols_left:
+        dz_col[col - 1] = a * cfg.stroke / len(s.cols_left)
+    for col in s.cols_right:
+        dz_col[col - 1] = -a * cfg.stroke / len(s.cols_right)
+    dz_row = [0.0] * cfg.m
+    for row in s.rows_below:
+        dz_row[row - 1] = b * cfg.stroke / len(s.rows_below)
+    for row in s.rows_above:
+        dz_row[row - 1] = -b * cfg.stroke / len(s.rows_above)
+    return tuple(dz_col), tuple(dz_row)
+
+
+def wave_reference(s: OccupancySets, a, b, cfg: SurfaceConfig):
+    """Each side's full stroke share on its outermost occupied column/row,
+    as (dz_col, dz_row)."""
+    dz_col = [0.0] * cfg.n
+    if s.cols_left:
+        dz_col[min(s.cols_left) - 1] = a * cfg.stroke
+    if s.cols_right:
+        dz_col[max(s.cols_right) - 1] = -a * cfg.stroke
+    dz_row = [0.0] * cfg.m
+    if s.rows_below:
+        dz_row[min(s.rows_below) - 1] = b * cfg.stroke
+    if s.rows_above:
+        dz_row[max(s.rows_above) - 1] = -b * cfg.stroke
+    return tuple(dz_col), tuple(dz_row)
+
+
+def funnel_reference(a, b, cfg: SurfaceConfig):
+    """The time-invariant bowl: distributed allocation as if every column and
+    row were occupied, as (dz_col, dz_row)."""
+    full = OccupancySets(
+        cols_left=tuple(range(1, cfg.ref_col)),
+        cols_right=tuple(range(cfg.ref_col + 1, cfg.n + 1)),
+        rows_below=tuple(range(1, cfg.ref_row)),
+        rows_above=tuple(range(cfg.ref_row + 1, cfg.m + 1)),
+    )
+    return distributed_reference(full, a, b, cfg)
+
+
+def allocation_reference(x, y, mode, params, cfg: SurfaceConfig):
+    """Oracle of ``control.command`` in the multi-cell modes: the commanded
+    ControlInput and its ActuatorGrid, each controller writing its rule out
+    for both sides of both axes."""
+    if mode == "funnel":
+        dz = funnel_reference(params.frac_x, params.frac_y, cfg)
+    else:
+        a, b = split_fractions(x, y, params, cfg)
+        allocate = {"distributed": distributed_reference, "wave": wave_reference}[mode]
+        dz = allocate(occupancy_reference(x, y, cfg), a, b, cfg)
+    u = ControlInput(*dz)
+    return u, reconstruct_actuator_grid(u, cfg)

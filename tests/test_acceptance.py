@@ -23,8 +23,6 @@ from morphsurf import (
     SurfaceConfig,
     acceleration,
     cell_orientation,
-    distributed_allocation,
-    static_funnel,
     steady_speed,
     surface_orientation_field,
     reconstruct_actuator_grid,
@@ -32,7 +30,7 @@ from morphsurf import (
 )
 from morphsurf import scenario as sio
 from morphsurf.cli import EXIT_OK, EXIT_UNSETTLED, main
-from morphsurf.control import occupancy_sets, single_cell_feedback
+from morphsurf.control import control_input, single_cell_feedback
 from morphsurf.dynamics import advance
 from morphsurf.engine import Scenario, batch, run, seed_sweep
 
@@ -327,9 +325,8 @@ class TestC6FunnelEquivalence:
             for j in range(1, cfg.m + 1)
         ]
         x, y, _, _ = object_arrays(objects)
-        sets = occupancy_sets(x, y, cfg)
-        u_dist = distributed_allocation(sets, 0.5, 0.5, cfg)
-        u_funnel = static_funnel(0.5, 0.5, cfg)
+        u_dist = control_input(x, y, "distributed", ControllerParams(), cfg)
+        u_funnel = control_input(x, y, "funnel", ControllerParams(), cfg)
         ok = u_dist.dz_col == u_funnel.dz_col and u_dist.dz_row == u_funnel.dz_row
         assert report("6 funnel-equivalence", ok)
 

@@ -100,6 +100,9 @@ class TestHostileInput:
             ({"control": {"mode": "wave", "hardware_split": "yes"}}, "control.hardware_split"),
             ({"seed": True}, "seed"),
             ({"t_max": 10**400}, "t_max"),
+            ({"physics": {**PHYSICS, "b": 300.0, "dt": 0.01}}, "physics.b"),
+            ({"objects": None, "objects_random": {"count": 2, "seed": 2.5}},
+             "objects_random.seed"),
         ],
     )
     def test_refused_at_load(self, tmp_path, capsys, overrides, field):

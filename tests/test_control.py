@@ -1,27 +1,22 @@
-import math
-
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morphsurf import (
     ControllerParams,
     ObjectState,
-    OccupancySets,
     PhysicsParams,
     SingleCellGains,
     SurfaceConfig,
     acceleration,
-    distributed_allocation,
     locate_cell,
     planar_completion,
     single_cell_feedback,
-    static_funnel,
-    wave,
 )
 from morphsurf import control
-from morphsurf.control import SINGLE_CELL_KD
+from morphsurf.control import SINGLE_CELL_KD, axis_drops
 from morphsurf.dynamics import cell_indices
-from conftest import object_arrays
+from conftest import allocation_reference, object_arrays
 
 # The running example: S(5,4) with reference cell (3,1) and stroke 100.
 CFG = SurfaceConfig(n=5, m=4, W=2.0, L=2.0, stroke=100.0, ref_col=3, ref_row=1)
@@ -48,38 +43,31 @@ def control_tick(objects, mode, params, cfg):
     return control.command(*objects, mode, params, cfg)[1]
 
 
+# One object in each column and each row off the reference: full occupancy.
 EXAMPLE_CELLS = [(1, 2), (2, 4), (5, 3), (4, 1)]
-EXAMPLE_SETS = OccupancySets((1, 2), (4, 5), (), (2, 3, 4))
+HOME = objects_in_cells([(3, 1)], CFG)  # every object in the reference cell
 
 
 class TestOccupancySets:
     def test_empty_surface(self):
-        s = occupancy_sets(object_arrays([]), CFG)
-        assert s == OccupancySets((), (), (), ())
+        assert occupancy_sets(object_arrays([]), CFG) == ([], [])
 
     def test_all_in_reference(self):
         s = occupancy_sets(objects_in_cells([(3, 1), (3, 1)], CFG), CFG)
-        assert s == OccupancySets((), (), (), ())
+        assert s == ([2], [0])
 
     def test_example_surface(self):
         s = occupancy_sets(objects_in_cells(EXAMPLE_CELLS, CFG), CFG)
-        assert s == EXAMPLE_SETS
+        assert s == ([0, 1, 3, 4], [0, 1, 2, 3])
 
     def test_single_neighbor(self):
         s = occupancy_sets(objects_in_cells([(3, 2)], CFG), CFG)
-        assert s == OccupancySets((), (), (), (2,))
+        assert s == ([2], [1])
 
     @staticmethod
     def sets_by_locate_cell(xs, ys, cfg):
         cells = [locate_cell(ObjectState(a, b), cfg) for a, b in zip(xs, ys)]
-        cols = {c for c, _ in cells}
-        rows = {r for _, r in cells}
-        return OccupancySets(
-            tuple(sorted(c for c in cols if c < cfg.ref_col)),
-            tuple(sorted(c for c in cols if c > cfg.ref_col)),
-            tuple(sorted(r for r in rows if r < cfg.ref_row)),
-            tuple(sorted(r for r in rows if r > cfg.ref_row)),
-        )
+        return sorted({c - 1 for c, _ in cells}), sorted({r - 1 for _, r in cells})
 
     @pytest.mark.parametrize("cfg", [
         CFG,
@@ -88,13 +76,6 @@ class TestOccupancySets:
         SurfaceConfig(1, 1, 0.3, 0.3, 1.0, 1, 1),
     ])
     def test_boundaries_and_far_walls_match_locate_cell(self, cfg):
-        def edges(count, size, extent):
-            # every boundary k * size, the far wall, and their float neighbours
-            pts = [k * size for k in range(count + 1)] + [extent, -0.0]
-            pts += [np.nextafter(p, -np.inf) for p in pts]
-            pts += [np.nextafter(p, np.inf) for p in pts]
-            return [p for p in pts if 0.0 <= p <= extent]
-
         grid = np.meshgrid(edges(cfg.n, cfg.W, cfg.width), edges(cfg.m, cfg.L, cfg.length))
         xs, ys = (a.ravel().tolist() for a in grid)
         assert 0.0 <= min(xs) and max(xs) == cfg.width and max(ys) == cfg.length
@@ -127,21 +108,41 @@ class TestOccupancySets:
         assert str(got.value) == str(expected.value)
 
 
+def edges(count, size, extent):
+    """Every boundary k * size, the far wall, and their float neighbours,
+    inside [0, extent]."""
+    pts = [k * size for k in range(count + 1)] + [extent, -0.0]
+    pts += [np.nextafter(p, -np.inf) for p in pts]
+    pts += [np.nextafter(p, np.inf) for p in pts]
+    return [p for p in pts if 0.0 <= p <= extent]
+
+
+class TestAxisDrops:
+    def test_each_side_shares_its_stroke(self):
+        assert axis_drops([0, 1, 3, 4], 5, 3, 50.0) == (25.0, 25.0, 0.0, -25.0, -25.0)
+        assert axis_drops([1, 2, 4], 5, 4, 30.0) == (0.0, 15.0, 15.0, 0.0, -30.0)
+
+    def test_reference_line_stays_level(self):
+        assert axis_drops([2], 5, 3, 50.0) == (0.0,) * 5
+        assert axis_drops(range(1), 1, 1, 1.0) == (0.0,)
+
+
 class TestDistributedAllocation:
     def test_example_values(self):
-        u = distributed_allocation(EXAMPLE_SETS, 0.5, 0.5, CFG)
+        u = control_input(objects_in_cells(EXAMPLE_CELLS, CFG), "distributed",
+                          ControllerParams(), CFG)
         np.testing.assert_allclose(u.dz_col, [25, 25, 0, -25, -25])
         np.testing.assert_allclose(u.dz_row, [0, -50 / 3, -50 / 3, -50 / 3])
 
     def test_empty_sets_level_surface(self):
-        u = distributed_allocation(OccupancySets((), (), (), ()), 0.5, 0.5, CFG)
+        u = control_input(HOME, "distributed", ControllerParams(), CFG)
         assert all(v == 0 for v in u.dz_col)
         assert all(v == 0 for v in u.dz_row)
 
     def test_full_occupancy_equals_funnel(self):
-        full = OccupancySets((1, 2), (4, 5), (), (2, 3, 4))
-        u = distributed_allocation(full, 0.5, 0.5, CFG)
-        f = static_funnel(0.5, 0.5, CFG)
+        full = objects_in_cells(EXAMPLE_CELLS, CFG)
+        u = control_input(full, "distributed", ControllerParams(), CFG)
+        f = control_input(full, "funnel", ControllerParams(), CFG)
         assert u.dz_col == f.dz_col
         assert u.dz_row == f.dz_row
 
@@ -155,33 +156,37 @@ class TestDistributedAllocation:
                 (int(rng.integers(1, n + 1)), int(rng.integers(1, m + 1)))
                 for _ in range(6)
             ]
-            s = occupancy_sets(objects_in_cells(cells, cfg), cfg)
+            objects = objects_in_cells(cells, cfg)
+            cols, rows = occupancy_sets(objects, cfg)
             a = float(rng.uniform(0, 1))
-            u = distributed_allocation(s, a, 1 - a, cfg)
-            if s.cols_left:
-                total = sum(u.dz_col[c - 1] for c in s.cols_left)
-                assert total == pytest.approx(a * cfg.stroke)
-            if s.cols_right:
-                total = sum(u.dz_col[c - 1] for c in s.cols_right)
-                assert total == pytest.approx(-a * cfg.stroke)
-            if s.rows_above:
-                total = sum(u.dz_row[r - 1] for r in s.rows_above)
+            u = control_input(objects, "distributed", ControllerParams(a, 1 - a), cfg)
+            left = [c for c in cols if c < cfg.ref_col - 1]
+            right = [c for c in cols if c > cfg.ref_col - 1]
+            above = [r for r in rows if r > cfg.ref_row - 1]
+            if left:
+                assert sum(u.dz_col[c] for c in left) == pytest.approx(a * cfg.stroke)
+            if right:
+                assert sum(u.dz_col[c] for c in right) == pytest.approx(-a * cfg.stroke)
+            if above:
+                total = sum(u.dz_row[r] for r in above)
                 assert total == pytest.approx(-(1 - a) * cfg.stroke)
 
 
 class TestWave:
     def test_example_values(self):
-        u = wave(EXAMPLE_SETS, 0.5, 0.5, CFG)
+        u = control_input(objects_in_cells(EXAMPLE_CELLS, CFG), "wave",
+                          ControllerParams(), CFG)
         np.testing.assert_allclose(u.dz_col, [50, 0, 0, 0, -50])
         np.testing.assert_allclose(u.dz_row, [0, 0, 0, -50])
 
     def test_empty_sets(self):
-        u = wave(OccupancySets((), (), (), ()), 0.5, 0.5, CFG)
+        u = control_input(HOME, "wave", ControllerParams(), CFG)
         assert all(v == 0 for v in u.dz_col)
         assert all(v == 0 for v in u.dz_row)
 
     def test_singleton_far_corner(self):
-        u = wave(occupancy_sets(objects_in_cells([(5, 4)], CFG), CFG), 0.4, 0.6, CFG)
+        u = control_input(objects_in_cells([(5, 4)], CFG), "wave",
+                          ControllerParams(0.4, 0.6), CFG)
         nz_col = [v for v in u.dz_col if v != 0]
         nz_row = [v for v in u.dz_row if v != 0]
         assert nz_col == [-0.4 * CFG.stroke]
@@ -193,31 +198,80 @@ class TestWave:
             cells = [
                 (int(rng.integers(1, 6)), int(rng.integers(1, 5))) for _ in range(8)
             ]
-            s = occupancy_sets(objects_in_cells(cells, CFG), CFG)
-            u = wave(s, 0.5, 0.5, CFG)
+            u = control_input(objects_in_cells(cells, CFG), "wave", ControllerParams(), CFG)
             pos = [v for v in u.dz_col if v > 0]
             neg = [v for v in u.dz_col if v < 0]
             assert len(pos) <= 1 and len(neg) <= 1
             assert all(abs(v) == 0.5 * CFG.stroke for v in pos + neg)
 
 
+def funnel(a, cfg):
+    """The funnel's input for stroke split (a, 1 - a); it reads no object."""
+    return control_input(object_arrays([]), "funnel", ControllerParams(a, 1.0 - a), cfg)
+
+
 class TestStaticFunnel:
     def test_example_values(self):
-        u = static_funnel(0.5, 0.5, CFG)
+        u = funnel(0.5, CFG)
         np.testing.assert_allclose(u.dz_col, [25, 25, 0, -25, -25])
         np.testing.assert_allclose(u.dz_row, [0, -50 / 3, -50 / 3, -50 / 3])
 
     def test_single_cell_is_level(self):
-        cfg = SurfaceConfig(1, 1, 2.0, 2.0, 1.0, 1, 1)
-        u = static_funnel(0.5, 0.5, cfg)
+        u = funnel(0.5, SurfaceConfig(1, 1, 2.0, 2.0, 1.0, 1, 1))
         assert u.dz_col == (0.0,)
         assert u.dz_row == (0.0,)
 
     def test_single_track(self):
-        cfg = SurfaceConfig(1, 10, 2.0, 2.0, 1.0, 1, 10)
-        u = static_funnel(0.0, 1.0, cfg)
+        u = funnel(0.0, SurfaceConfig(1, 10, 2.0, 2.0, 1.0, 1, 10))
         np.testing.assert_allclose(u.dz_row[:9], [1.0 / 9] * 9)
         assert u.dz_row[9] == 0.0
+
+
+@st.composite
+def allocation_cases(draw):
+    """A surface from 1x1 to 12x12 with the reference anywhere, 1-30 objects
+    (some on cell boundaries and the far walls), a mode and a stroke split."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    size = st.floats(0.1, 5.0)
+    cfg = SurfaceConfig(n, m, draw(size), draw(size), draw(size),
+                        draw(st.integers(1, n)), draw(st.integers(1, m)))
+
+    def coordinate(count, size, extent):
+        return st.floats(0.0, extent) | st.sampled_from(edges(count, size, extent))
+
+    points = draw(st.lists(
+        st.tuples(coordinate(n, cfg.W, cfg.width), coordinate(m, cfg.L, cfg.length)),
+        min_size=1, max_size=30,
+    ))
+    x, y = (np.array(c, dtype=float) for c in zip(*points))
+    a = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    params = ControllerParams(a, 1.0 - a, hardware_split=draw(st.booleans()))
+    return x, y, draw(st.sampled_from(["distributed", "wave", "funnel"])), params, cfg
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestAllocationOracle:
+    """The one per-axis rule gives bit for bit what each controller written
+    out for both sides of both axes gives (``conftest.allocation_reference``),
+    signed zeros included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(allocation_cases())
+    def test_command_matches_the_reference(self, case):
+        x, y, mode, params, cfg = case
+        want_u, want_grid = allocation_reference(x, y, mode, params, cfg)
+        u = control.control_input(x, y, mode, params, cfg)
+        got_u, got_grid = control.command(x, y, np.zeros_like(x), np.zeros_like(y),
+                                          mode, params, cfg)
+        for got in (u, got_u):
+            assert same_bits(got.dz_col, want_u.dz_col)
+            assert same_bits(got.dz_row, want_u.dz_row)
+        assert same_bits(got_grid.col_heights, want_grid.col_heights)
+        assert same_bits(got_grid.row_heights, want_grid.row_heights)
 
 
 class TestSingleCellFeedback:

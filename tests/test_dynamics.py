@@ -258,9 +258,7 @@ class TestMirrorSymmetry:
         u = random_feasible_input(rng, cfg)
 
         mirrored_cfg = SurfaceConfig(4, 3, 2.0, 2.0, 1.0, 4 + 1 - 2, 2)
-        u_m = ControlInput(
-            tuple(-d for d in reversed(u.dz_col)), u.dz_row, u.frac_x, u.frac_y
-        )
+        u_m = ControlInput(tuple(-d for d in reversed(u.dz_col)), u.dz_row)
 
         gx, gy = gravity_field(surface_orientation_field(u, cfg), P.gravity)
         gxm, gym = gravity_field(

@@ -104,6 +104,7 @@ FIELD_CASES = (
     [(SurfaceConfig, f, v) for f in ("W", "L", "stroke") for v in NOT_FINITE]
     + [(SurfaceConfig, f, v) for f in ("n", "m", "ref_col", "ref_row") for v in NOT_INTEGER]
     + [(PhysicsParams, f, v) for f in ("gravity", "friction", "tau", "dt") for v in NOT_FINITE]
+    + [(PhysicsParams, "friction", 1001.0)]  # friction * dt > 1 at the default dt
     + [(ObjectState, f, v) for f in ("x", "y", "vx", "vy") for v in NOT_FINITE]
     + [(ControllerParams, f, v) for f in ("frac_x", "frac_y") for v in NOT_FINITE]
     + [(ControllerParams, "hardware_split", v) for v in (1, 0.0, "yes", None)]
@@ -267,9 +268,7 @@ class TestActuatorLag:
 
         actual = np.zeros(CFG.n + 1)
         for r in range(len(trace.t)):
-            u = ControlInput(
-                tuple(trace.dz_col[r]), tuple(trace.dz_row[r]), 0.5, 0.5
-            )
+            u = ControlInput(tuple(trace.dz_col[r]), tuple(trace.dz_row[r]))
             commanded = np.asarray(reconstruct_actuator_grid(u, CFG).col_heights)
             expected = actual + (commanded - actual) * (1 - decay)
             np.testing.assert_allclose(trace.col_heights[r], expected, atol=1e-12)

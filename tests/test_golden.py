@@ -46,11 +46,30 @@ LAGGED = {
     ),
 }
 
+# paper-s5x6 in the other two multi-cell modes, which the canned wave run
+# does not reach.
+MODES = {
+    "distributed": (
+        "422ef87c1f92f621d1f744c8207a8f283e05ac813bd470d96a062643c705182f",
+        "fddb3c32e2975828eaee9fcb5624f1a30166ee9a883f17644576a69f9293db23",
+    ),
+    "funnel": (
+        "dac6db8222aa5222c68cec5d45900a7fd70c85fb74f08b922828c35af483fde0",
+        "323f14161aa0d47a608215c97507985af4beb55325aef4d2015849018537aeac",
+    ),
+}
+
 # 200 seeded objects on a 12x12 surface with lagging actuators (tau 0.5 s),
 # wave mode: many cell crossings and wall approaches per tick.
 CROWD = (
     "7a6988b0ac163eb27caf32e7e3756a68d5c81396c5cbb64cb2f99f4c2f2c954c",
     "7b5893d2064513f7ce1c41aa7a801b5c1f03c608b944ba6a76349aedd889bffb",
+)
+
+# The same crowd under distributed allocation.
+CROWD_DISTRIBUTED = (
+    "ef2cc235fcb7b0cea1fb57f7cafb5c171935962de9929dfd2704bca63dee3a68",
+    "503b60914a37b41d4a414a2736cf1caef005167d2e5b347f985f498bf004d7f0",
 )
 
 # summary.json of `compare` on paper-s5x6, three modes, seeds 1..2.
@@ -71,12 +90,13 @@ def run_hashes(path: Path, out: Path) -> tuple[str, str]:
     )
 
 
-def lagged_scenario(tmp_path: Path, mode: str) -> Path:
+def s5x6_scenario(tmp_path: Path, mode: str, lagged: bool) -> Path:
     doc = json.loads((SCENARIOS / "paper-s5x6.json").read_text())
-    doc["physics"]["tau"] = 0.3
     doc["control"]["mode"] = mode
-    doc["control"]["hardware_split"] = True
-    path = tmp_path / f"lagged-{mode}.json"
+    if lagged:
+        doc["physics"]["tau"] = 0.3
+        doc["control"]["hardware_split"] = True
+    path = tmp_path / f"s5x6-{mode}.json"
     path.write_text(json.dumps(doc))
     return path
 
@@ -88,21 +108,35 @@ def test_canned_run(name, tmp_path):
 
 @pytest.mark.parametrize("mode", sorted(LAGGED))
 def test_lagged_hardware_split_run(mode, tmp_path):
-    path = lagged_scenario(tmp_path, mode)
+    path = s5x6_scenario(tmp_path, mode, lagged=True)
     assert run_hashes(path, tmp_path / "out") == LAGGED[mode]
 
 
-def test_crowd_run(tmp_path):
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_mode_run(mode, tmp_path):
+    path = s5x6_scenario(tmp_path, mode, lagged=False)
+    assert run_hashes(path, tmp_path / "out") == MODES[mode]
+
+
+def crowd_hashes(tmp_path: Path, mode: str) -> tuple[str, str]:
     doc = {
         "surface": {"n": 12, "m": 12, "W": 2.0, "L": 2.0, "l": 1.0, "ref": [6, 6]},
         "physics": {"g": 0.0981, "b": 0.1, "tau": 0.5, "dt": 0.01},
-        "control": {"mode": "wave", "a": 0.5, "b": 0.5, "rate": 10.0},
+        "control": {"mode": mode, "a": 0.5, "b": 0.5, "rate": 10.0},
         "objects_random": {"count": 200, "seed": 5},
         "t_max": 1200.0,
     }
     path = tmp_path / "crowd.json"
     path.write_text(json.dumps(doc))
-    assert run_hashes(path, tmp_path / "out") == CROWD
+    return run_hashes(path, tmp_path / "out")
+
+
+def test_crowd_run(tmp_path):
+    assert crowd_hashes(tmp_path, "wave") == CROWD
+
+
+def test_crowd_distributed_run(tmp_path):
+    assert crowd_hashes(tmp_path, "distributed") == CROWD_DISTRIBUTED
 
 
 def test_compare_summary(tmp_path):

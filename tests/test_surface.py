@@ -73,7 +73,7 @@ class TestRotationMatrix:
 
 class TestOrientationField:
     def test_flat_everywhere(self):
-        u = ControlInput((0.0,) * 5, (0.0,) * 4, 0.5, 0.5)
+        u = ControlInput((0.0,) * 5, (0.0,) * 4)
         field = surface_orientation_field(u, CFG)
         for col in field:
             for o in col:
@@ -81,7 +81,7 @@ class TestOrientationField:
 
     def test_equal_pitch_gives_equal_roll(self):
         cfg = SurfaceConfig(2, 3, 2.0, 2.0, 1.0, 1, 1)
-        u = ControlInput((0.2, 0.2), (0.0, -0.1, -0.2), 0.5, 0.5)
+        u = ControlInput((0.2, 0.2), (0.0, -0.1, -0.2))
         field = surface_orientation_field(u, cfg)
         for j in range(cfg.m):
             assert field[0][j].roll == pytest.approx(field[1][j].roll, abs=1e-15)
@@ -91,9 +91,7 @@ class TestOrientationField:
         # arctan((cos40/cos20) tan(roll of column 1)).
         cfg = SurfaceConfig(2, 2, 2.0, 2.0, 1.0, 1, 1)
         t20, t40 = math.radians(20), math.radians(40)
-        u = ControlInput(
-            (cfg.W * math.tan(t20), cfg.W * math.tan(t40)), (0.3, -0.4), 0.5, 0.5
-        )
+        u = ControlInput((cfg.W * math.tan(t20), cfg.W * math.tan(t40)), (0.3, -0.4))
         field = surface_orientation_field(u, cfg)
         scale = math.cos(t40) / math.cos(t20)
         for j in range(2):
@@ -106,7 +104,7 @@ class TestOrientationField:
         t20, t40 = math.radians(20), math.radians(40)
         dz_col = (cfg.W * math.tan(t20), cfg.W * math.tan(t40))
         dz_row = (0.3, -0.4)
-        u = ControlInput(dz_col, dz_row, 0.5, 0.5)
+        u = ControlInput(dz_col, dz_row)
         field = surface_orientation_field(u, cfg)
 
         col = np.array([0.0, -dz_col[0], -dz_col[0] - dz_col[1]])
@@ -121,26 +119,26 @@ class TestOrientationField:
                 assert field[i][j].roll == pytest.approx(o.roll, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        u = ControlInput((0.0,) * 4, (0.0,) * 4, 0.5, 0.5)
+        u = ControlInput((0.0,) * 4, (0.0,) * 4)
         with pytest.raises(ValueError):
             surface_orientation_field(u, CFG)
 
 
 class TestReconstruct:
     def test_all_zero(self):
-        u = ControlInput((0.0,) * 5, (0.0,) * 4, 0.5, 0.5)
+        u = ControlInput((0.0,) * 5, (0.0,) * 4)
         g = reconstruct_actuator_grid(u, CFG)
         assert np.all(g.heights() == 0)
 
     def test_two_cell_slope(self):
         cfg = SurfaceConfig(2, 1, 2.0, 2.0, 100.0, 1, 1)
-        u = ControlInput((0.0, -50.0), (0.0,), 0.5, 0.5)
+        u = ControlInput((0.0, -50.0), (0.0,))
         g = reconstruct_actuator_grid(u, cfg)
         np.testing.assert_allclose(g.col_heights, [0.0, 0.0, 50.0])
 
     def test_symmetric_bowl(self):
         cfg = SurfaceConfig(5, 1, 2.0, 2.0, 100.0, 3, 1)
-        u = ControlInput((25.0, 25.0, 0.0, -25.0, -25.0), (0.0,), 0.5, 0.5)
+        u = ControlInput((25.0, 25.0, 0.0, -25.0, -25.0), (0.0,))
         g = reconstruct_actuator_grid(u, cfg)
         np.testing.assert_allclose(g.col_heights, [50, 25, 0, 0, 25, 50])
         diffs = np.asarray(g.col_heights[:-1]) - np.asarray(g.col_heights[1:])
@@ -164,7 +162,7 @@ class TestReconstruct:
 
     def test_infeasible_names_actuator(self):
         cfg = SurfaceConfig(2, 1, 2.0, 2.0, 1.0, 1, 1)
-        u = ControlInput((0.0, 2.0), (0.0,), 1.0, 0.0)
+        u = ControlInput((0.0, 2.0), (0.0,))
         with pytest.raises(InfeasibleControlError, match=r"actuator \(3,"):
             reconstruct_actuator_grid(u, cfg)
 
@@ -202,7 +200,7 @@ class TestValidateGrid:
 
     def test_perturbed_corner_flags_sharing_cells(self):
         g = reconstruct_actuator_grid(
-            ControlInput((0.1, 0.1, 0.0, -0.1, -0.1), (0.0, -0.1, -0.1, -0.1), 0.5, 0.5),
+            ControlInput((0.1, 0.1, 0.0, -0.1, -0.1), (0.0, -0.1, -0.1, -0.1)),
             CFG,
         )
         h = g.heights()
