@@ -86,14 +86,15 @@ def _cmd_compare(args) -> int:
             "the scenario lists its objects, so every seed would run the same "
             "simulation: give one seed, or place the objects with objects_random"
         )
+    jobs = {
+        mode: [sio.load_scenario(args.scenario, mode=mode, seed=s) for s in seeds]
+        for mode in modes
+    }
     args.out.mkdir(parents=True, exist_ok=True)
 
     summary: dict[str, dict] = {}
     for mode in modes:
-        jobs = [
-            sio.load_scenario(args.scenario, mode=mode, seed=s) for s in seeds
-        ]
-        entries = engine.batch(jobs)
+        entries = engine.batch(jobs[mode])
         per_seed = []
         times = []
         for seed, entry in zip(seeds, entries):

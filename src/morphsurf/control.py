@@ -22,6 +22,7 @@ from .dynamics import ObjectState, cell_indices, locate_cell
 from .surface import (
     ActuatorGrid,
     ControlInput,
+    FieldError,
     SurfaceConfig,
     check_fields,
     reconstruct_actuator_grid,
@@ -48,12 +49,12 @@ class SingleCellGains:
         check_fields(self)
 
     def validate(self, cfg: SurfaceConfig) -> None:
-        if self.kx <= 0 or self.ky <= 0:
-            raise ValueError("gains must be positive")
-        if self.kx > cfg.stroke / (2 * cfg.W) + 1e-12:
-            raise ValueError(f"kx {self.kx} exceeds stroke/(2W)")
-        if self.ky > cfg.stroke / (2 * cfg.L) + 1e-12:
-            raise ValueError(f"ky {self.ky} exceeds stroke/(2L)")
+        """Refuse a gain that is not positive or exceeds its cap on ``cfg``."""
+        caps = (("kx", self.kx, cfg.stroke / (2 * cfg.W), "stroke/(2W)"),
+                ("ky", self.ky, cfg.stroke / (2 * cfg.L), "stroke/(2L)"))
+        for name, gain, cap, rule in caps:
+            if not 0 < gain <= cap + 1e-12:
+                raise FieldError(name, f"must lie in (0, {rule}] = (0, {cap:g}], got {gain}")
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,10 @@ rule, for the dynamics, the controllers and the metrics alike.
 The field is held fixed over the substeps of a control tick, and an object
 rarely leaves its cell or reaches a wall within one tick.  So ``advance``
 runs a tick as one array recurrence with each object's acceleration taken
-from its starting cell, checks afterwards that no object left that cell or
-the workspace, and finishes only the objects that did with the exact
-per-substep loop, from the first substep at which one failed.  The result
-is bit-for-bit the per-substep loop's.
+from its starting cell, and checks afterwards that no object left that cell
+or the workspace.  At the first substep where one did, it reflects that
+substep and restarts the recurrence from there, with the cells looked up
+again.  The result is bit-for-bit the per-substep loop's.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ class PhysicsParams:
             )
 
 
-# Most object-substeps one held-cell recurrence records; advance splits longer
-# calls into blocks, each starting from freshly looked-up cells.
+# Most object-substeps one held-cell recurrence records; a longer call runs
+# several, each starting from freshly looked-up cells.
 _HELD_BLOCK = 1 << 15
 
 
@@ -154,113 +154,63 @@ def advance(
     up from the cell it currently occupies.  Wall hits reflect the position
     about the wall and negate the normal velocity (no energy loss).
 
-    All substeps of the call run as one held-cell recurrence on (x, y)
-    stacked: each object's cell is found once, from its starting position,
-    and substep s computes ``v[s] = v[s-1] * keep + g * dt`` and ``p[s] =
-    p[s-1] + v[s] * dt`` with that cell's ``g``.  The result is then checked
-    in whole-array operations: an object passes if every position it reached
-    lies inside the workspace and every position it started a substep from
-    lies, by ``cell_index``, in its starting cell; NaN fails both.  For a
-    passing object the recurrence is operation for operation what the
-    per-substep loop (``_advance_exact``: look the cell up, step, reflect)
-    computes, because that loop would gather the same ``g`` on every
-    substep and its reflection leaves positions inside the workspace
-    untouched; numpy's elementwise IEEE operations do not depend on the
-    array's length or on the other elements.  Up to the first substep at which any object fails, every
-    object's recurrence is exact, so the failing objects resume from there
-    with the per-substep loop, and only they.  Calls longer than
-    ``_HELD_BLOCK`` object-substeps run as several such recurrences, each from
-    the cells the objects then occupy, as the loop would look them up.
+    The substeps run as a loop of held-cell recurrences on (x, y) stacked.
+    Each recurrence looks every object's cell up once and computes, for
+    substep s, ``v[s] = v[s-1] * keep + g * dt`` and ``p[s] = p[s-1] + v[s] *
+    dt`` with that cell's ``g``.  It is then checked in whole-array
+    operations: row s passes if every position in it lies inside the
+    workspace and, unless it is the recurrence's last row, in its object's
+    starting cell by ``cell_index``; NaN fails.  Before the first failing row
+    r, every object computed what the per-substep loop (look the cell up,
+    step, reflect) computes, because that loop would gather the same ``g``
+    and its reflection leaves positions inside the workspace untouched;
+    numpy's elementwise IEEE operations do not depend on the other elements.
+    So row r is reflected, as the loop reflects it, and the next recurrence
+    starts from there with the cells looked up again.  A quiet call runs one
+    recurrence and no reflection.  A recurrence records at most
+    ``_HELD_BLOCK`` object-substeps; a longer call continues from the last
+    row as from an event.  The result is bit-for-bit the per-substep loop's.
     """
-    # Blocks of substeps bound the recorded states to O(objects) memory.
-    block = max(1, _HELD_BLOCK // max(x.size, 1))
-    for done in range(0, substeps, block):
-        _advance_held(x, y, vx, vy, gx_cell, gy_cell, cfg, friction, dt,
-                      min(block, substeps - done))
-
-
-def _advance_held(
-    x: np.ndarray,
-    y: np.ndarray,
-    vx: np.ndarray,
-    vy: np.ndarray,
-    gx_cell: np.ndarray,
-    gy_cell: np.ndarray,
-    cfg: SurfaceConfig,
-    friction: float,
-    dt: float,
-    substeps: int,
-) -> None:
-    """advance for one block of substeps: the checked held-cell recurrence."""
     keep = 1.0 - friction * dt
-    size, last, ext = _axes(cfg)
-    p = np.empty((substeps + 1, 2, x.size))  # positions, row s after s substeps
-    v = np.empty((substeps + 1, 2, x.size))  # velocities, likewise
-    p[0] = x, y
-    v[0] = vx, vy
-
-    c = cell_index(p[0], size, last)  # each object's starting cell
-    a = np.array((gx_cell[c[0], c[1]], gy_cell[c[0], c[1]]))
-    a *= dt
-
-    rows = list(v)
-    for prev, cur in zip(rows, rows[1:]):
-        np.multiply(prev, keep, out=cur)
-        cur += a
-    np.multiply(v[1:], dt, out=p[1:])
-    np.add.accumulate(p, axis=0, out=p)  # p[s] = p[s-1] + v[s] * dt, in order
-
-    # ok[s - 1]: the position after substep s is inside the workspace and,
-    # unless it is the last, still in the starting cell.
-    ok = (p[1:] >= 0.0) & (p[1:] <= ext)
-    ok[:-1] &= cell_index(p[1:-1], size, last) == c
-    x[:], y[:] = p[-1]
-    vx[:], vy[:] = v[-1]
-    if not ok.all():
-        ok = ok.all(axis=1)
-        redo = np.flatnonzero(~ok.all(axis=0))
-        # Before the first substep that fails for any object, every object
-        # followed the loop exactly; the failing ones resume from there.
-        k = int(np.argmin(ok.all(axis=1)))
-        pk, vk = p[k][:, redo], v[k][:, redo]
-        _advance_exact(pk, vk, gx_cell, gy_cell, cfg, keep, dt, substeps - k)
-        x[redo], y[redo] = pk
-        vx[redo], vy[redo] = vk
-
-
-def _axes(cfg: SurfaceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-axis (2, 1) columns for stacked (x, y) rows: cell size, last cell
-    index and workspace extent."""
-    return (
+    size, last, ext = (
         np.array([[cfg.W], [cfg.L]]),
         np.array([[cfg.n - 1], [cfg.m - 1]]),
         np.array([[cfg.width], [cfg.length]]),
     )
-
-
-def _advance_exact(
-    p: np.ndarray,
-    v: np.ndarray,
-    gx_cell: np.ndarray,
-    gy_cell: np.ndarray,
-    cfg: SurfaceConfig,
-    keep: float,
-    dt: float,
-    substeps: int,
-) -> None:
-    """advance one substep at a time on stacked (2, k) positions and
-    velocities, in place: look each cell up, step, reflect at the walls."""
-    size, last, ext = _axes(cfg)
-    for _ in range(substeps):
-        c = cell_index(p, size, last)
+    block = min(substeps, max(1, _HELD_BLOCK // max(x.size, 1)))
+    p = np.empty((block + 1, 2, x.size))  # positions, row s after s substeps
+    v = np.empty((block + 1, 2, x.size))  # velocities, likewise
+    p[0] = x, y
+    v[0] = vx, vy
+    r = 0  # the row the last recurrence stopped at
+    while substeps:
+        if r:
+            p[0], v[0] = p[r], v[r]
+        k = min(substeps, block)
+        pk, vk = p[:k + 1], v[:k + 1]
+        c = cell_index(pk[0], size, last)  # each object's starting cell
         a = np.array((gx_cell[c[0], c[1]], gy_cell[c[0], c[1]]))
         a *= dt
-        v *= keep
-        v += a
-        p += v * dt
-        if not ((p >= 0.0) & (p <= ext)).all():
-            _reflect(p[0], v[0], cfg.width)
-            _reflect(p[1], v[1], cfg.length)
+        rows = list(vk)
+        for prev, cur in zip(rows, rows[1:]):
+            np.multiply(prev, keep, out=cur)
+            cur += a
+        np.multiply(vk[1:], dt, out=pk[1:])
+        np.add.accumulate(pk, axis=0, out=pk)  # p[s] = p[s-1] + v[s] * dt, in order
+
+        # ok[s - 1]: row s is inside the workspace and, unless it is the
+        # last, still in the starting cell.
+        ok = (pk[1:] >= 0.0) & (pk[1:] <= ext)
+        ok[:-1] &= cell_index(pk[1:-1], size, last) == c
+        if ok.all():
+            r = k
+        else:
+            r = int(np.argmin(ok.all(axis=(1, 2)))) + 1
+            _reflect(p[r, 0], v[r, 0], cfg.width)
+            _reflect(p[r, 1], v[r, 1], cfg.length)
+        substeps -= r
+    x[:], y[:] = p[r]
+    vx[:], vy[:] = v[r]
 
 
 def _reflect(pos: np.ndarray, vel: np.ndarray, hi: float) -> None:

@@ -22,7 +22,7 @@ import numpy as np
 from . import control
 from .control import ControllerParams
 from .dynamics import ObjectState, PhysicsParams, advance, cell_indices, first_order_lag
-from .surface import SurfaceConfig, check_fields, checked
+from .surface import FieldError, SurfaceConfig, check_fields, checked
 
 DEFAULT_CONTROL_RATE = 10.0  # Hz
 SETTLE_SPEED = 1e-3  # m/s; "at rest" threshold for the stop rule
@@ -57,13 +57,18 @@ class Scenario:
         if not (self.control_rate > 0 and self.t_max > 0):
             raise ValueError("control_rate and t_max must be positive")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise FieldError("seed", f"must be >= 0, got {self.seed}")
         if self.mode not in control.MODES:
             raise ValueError(f"unknown controller mode {self.mode!r}")
+        cfg = self.cfg
+        if self.mode == "single_cell":
+            if (cfg.n, cfg.m) != (1, 1):
+                raise FieldError("mode", f"single_cell needs a 1x1 surface, got {cfg.n}x{cfg.m}")
+            if self.params.gains is not None:
+                self.params.gains.validate(cfg)
         count = len(self.objects) if self.objects is not None else self.random_count
         if count < 1:
             raise ValueError("scenario needs at least one object, explicit or random")
-        cfg = self.cfg
         for k, o in enumerate(self.objects or ()):
             if not (0.0 <= o.x <= cfg.width and 0.0 <= o.y <= cfg.length):
                 raise ValueError(

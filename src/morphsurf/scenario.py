@@ -82,14 +82,16 @@ def _flatten(node, path: str = "") -> dict:
 
 def _build(cls, flat: dict, rows, prefix: str = "", **parts):
     """``cls`` from the values ``flat`` holds for its rows, and ``parts``.  A
-    field without a default left out, or a value the type refuses, raises a
-    ScenarioError naming the field's JSON path."""
-    paths = {attr: prefix + path for path, owner, attr in rows if owner is cls}
+    field without a default left out, or a value refused by ``cls`` (which
+    may check ``parts`` against each other), raises a ScenarioError naming
+    the field's JSON path; no two rows name the same attribute."""
+    paths = {attr: prefix + path for path, _, attr in rows}
+    own = [attr for _, owner, attr in rows if owner is cls]
     for f in fields(cls):
-        if f.name in paths and paths[f.name] not in flat and f.default is MISSING:
+        if f.name in own and paths[f.name] not in flat and f.default is MISSING:
             raise ScenarioError(f"missing {paths[f.name]}")
     try:
-        return cls(**{a: flat[p] for a, p in paths.items() if p in flat}, **parts)
+        return cls(**{a: flat[paths[a]] for a in own if paths[a] in flat}, **parts)
     except FieldError as exc:
         raise ScenarioError(f"{paths.get(exc.field, exc.field)} {exc.reason}") from exc
 
@@ -135,13 +137,18 @@ def scenario_from_dict(
             f"objects[{k}].{path}" for k in range(len(listed)) for path, _, _ in OBJECT_FIELDS
         }
         _require_keys(flat, known, "scenario")
-        if "objects_random.seed" in flat:
-            placement = checked(flat.pop("objects_random.seed"), "int", "objects_random.seed")
-            if flat.setdefault("seed", placement) != placement:
+        if "objects_random.seed" in flat and "seed" in flat:
+            placement = checked(flat["objects_random.seed"], "int", "objects_random.seed")
+            if flat["seed"] != placement:
                 raise ScenarioError(
                     f"seed {flat['seed']} and objects_random.seed {placement} differ"
                 )
         flat.update((k, v) for k, v in (("control.mode", mode), ("seed", seed)) if v is not None)
+        # The seed is read, and refused, under the key that gave it.
+        rows = FIELDS if "seed" in flat else tuple(
+            ("objects_random.seed" if attr == "seed" else path, cls, attr)
+            for path, cls, attr in FIELDS
+        )
         objects = None
         if "objects" in doc:
             objects = tuple(_build(ObjectState, flat, OBJECT_FIELDS, f"objects[{k}].")
@@ -156,7 +163,7 @@ def scenario_from_dict(
         if "gains" in doc.get("control", {}):
             gains = _build(SingleCellGains, flat, FIELDS)
         return _build(
-            Scenario, flat, FIELDS,
+            Scenario, flat, rows,
             cfg=_build(SurfaceConfig, flat, FIELDS),
             physics=_build(PhysicsParams, flat, FIELDS),
             params=_build(ControllerParams, flat, FIELDS, gains=gains),
@@ -243,15 +250,18 @@ def write_metrics_json(metrics: RunMetrics, sc: Scenario, path: str | Path) -> N
 def parse_seed_list(listing: str) -> list[int]:
     """Parse seed listings like "1..20" or "1,4,9" (ranges are inclusive)."""
     seeds: list[int] = []
-    for part in listing.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..")
-            seeds.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            seeds.append(int(part))
+    try:
+        for part in listing.split(","):
+            part = part.strip()
+            if ".." in part:
+                lo, hi = part.split("..")
+                seeds.extend(range(int(lo), int(hi) + 1))
+            elif part:
+                seeds.append(int(part))
+    except ValueError as exc:
+        raise ScenarioError(f"--seeds {listing!r}: {exc}") from exc
     if not seeds:
-        raise ScenarioError(f"empty seed list {listing!r}")
+        raise ScenarioError(f"--seeds {listing!r}: empty seed list")
     return seeds
 
 

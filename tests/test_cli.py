@@ -73,6 +73,7 @@ class TestRunCommand:
 NAN, INF = float("nan"), float("inf")
 SURFACE = {"n": 3, "m": 2, "W": 2.0, "L": 2.0, "l": 1.0, "ref": [2, 1]}
 PHYSICS = {"g": 0.0981, "b": 0.1, "tau": 0.0, "dt": 0.005}
+CELL = {"n": 1, "m": 1, "W": 2.0, "L": 2.0, "l": 1.0, "ref": [1, 1]}  # gains capped at 0.25
 
 
 class TestHostileInput:
@@ -103,6 +104,12 @@ class TestHostileInput:
             ({"physics": {**PHYSICS, "b": 300.0, "dt": 0.01}}, "physics.b"),
             ({"objects": None, "objects_random": {"count": 2, "seed": 2.5}},
              "objects_random.seed"),
+            ({"objects": None, "objects_random": {"count": 20, "seed": -3}},
+             "objects_random.seed"),
+            ({"control": {"mode": "single_cell", "rate": 10.0}}, "control.mode"),
+            ({"surface": CELL, "objects": [{"x": 1.0, "y": 1.0}],
+              "control": {"mode": "single_cell", "rate": 10.0, "gains": {"kx": 5.0, "ky": 0.25}}},
+             "control.gains.kx"),
         ],
     )
     def test_refused_at_load(self, tmp_path, capsys, overrides, field):
@@ -112,6 +119,31 @@ class TestHostileInput:
         out = tmp_path / "out"
         assert main(["run", str(path), "-o", str(out)]) == EXIT_INVALID
         assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({}, "control.mode"),
+            ({"surface": CELL, "objects": [{"x": 1.0, "y": 1.0}],
+              "control": {"mode": "wave", "rate": 10.0, "gains": {"kx": 5.0, "ky": 0.25}}},
+             "control.gains.kx"),
+        ],
+    )
+    def test_compare_refuses_a_mode_at_load(self, tmp_path, capsys, overrides, field):
+        path = tiny_scenario(tmp_path, **overrides)
+        out = tmp_path / "cmp"
+        argv = ["compare", str(path), "--modes", "wave,single_cell", "-o", str(out)]
+        assert main(argv) == EXIT_INVALID
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_compare_names_a_bad_seed_listing(self, tmp_path, capsys):
+        path = tiny_scenario(tmp_path, objects=None, objects_random={"count": 2, "seed": 1})
+        out = tmp_path / "cmp"
+        argv = ["compare", str(path), "--seeds", "1..x", "-o", str(out)]
+        assert main(argv) == EXIT_INVALID
+        assert "--seeds '1..x'" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -127,10 +159,12 @@ def scenarios():
             draw(st.integers(1, n)), draw(st.integers(1, m)),
         )
         a = draw(st.floats(0.0, 1.0))
+        share = st.floats(0.01, 1.0)  # of the gain's cap
         gains = draw(st.none() | st.builds(
-            SingleCellGains, st.floats(0.01, 1.0), st.floats(0.01, 1.0),
-            st.none() | size, st.none() | size,
+            SingleCellGains, share.map(lambda f: f * cfg.stroke / (2 * cfg.W)),
+            share.map(lambda f: f * cfg.stroke / (2 * cfg.L)), st.none() | size, st.none() | size,
         ))
+        modes = ["wave", "distributed", "funnel"] + (["single_cell"] if n == m == 1 else [])
         seed = draw(st.integers(0, 2**31))
         if draw(st.booleans()):
             objects = tuple(draw(st.lists(st.builds(
@@ -151,7 +185,7 @@ def scenarios():
                 draw(st.floats(0.01, 20.0)), draw(st.floats(0.0, 1.0)),
                 draw(st.floats(0.0, 2.0)), 0.1 / rate,
             ),
-            mode=draw(st.sampled_from(["wave", "distributed", "funnel", "single_cell"])),
+            mode=draw(st.sampled_from(modes)),
             params=ControllerParams(a, 1.0 - a, gains, draw(st.booleans())),
             objects=objects,
             random_count=count,
@@ -168,6 +202,8 @@ class TestScenarioEcho:
     def test_every_loaded_attribute_has_one_table_row(self):
         rows = Counter((cls, attr) for _, cls, attr in sio.FIELDS + sio.OBJECT_FIELDS)
         assert set(rows.values()) == {1}
+        # the loader names a refused field by its attribute name alone
+        assert len({attr for _, _, attr in sio.FIELDS}) == len(sio.FIELDS)
         types = (SurfaceConfig, PhysicsParams, ControllerParams, SingleCellGains,
                  ObjectState, Scenario)
         attributes = {(cls, f.name) for cls in types for f in dataclasses.fields(cls)}
@@ -368,3 +404,6 @@ class TestCannedScenarios:
         assert sio.parse_seed_list("1..3,7") == [1, 2, 3, 7]
         with pytest.raises(sio.ScenarioError):
             sio.parse_seed_list("")
+        for bad in ("1..x", "1..2..3", "two"):
+            with pytest.raises(sio.ScenarioError, match=f"--seeds '{bad}'"):
+                sio.parse_seed_list(bad)

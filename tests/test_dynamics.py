@@ -405,22 +405,52 @@ class TestHeldCellRecurrence:
         for substeps in (1, 10):
             assert_bitwise((x, y, vx, vy), gx, gy, cfg, 0.1, 0.01, substeps)
 
-    def test_only_failing_objects_take_the_loop(self, monkeypatch):
-        taken = []
-        exact = dynamics._advance_exact
-
-        def spy(p, v, *args):
-            taken.append(p.shape[1])
-            exact(p, v, *args)
-
-        monkeypatch.setattr(dynamics, "_advance_exact", spy)
-        cfg = SurfaceConfig(n=12, m=12, W=2.0, L=2.0, stroke=1.0, ref_col=6, ref_row=6)
+    def test_quiet_call_runs_one_recurrence(self, events):
+        cfg = self.CFG
         gx, gy = ramp_field(cfg)
-        rng = np.random.default_rng(9)
-        x, y = rng.uniform(0.0, cfg.width, (2, 300))
-        vx, vy = rng.uniform(-2.0, 2.0, (2, 300))
-        assert_bitwise((x, y, vx, vy), gx, gy, cfg, 0.1, 0.01, 10)
-        assert len(taken) == 1 and 0 < taken[0] < 100
+        x, y = np.array([0.35, 1.05, 2.45]), np.array([0.65, 1.95, 3.25])  # cell centres
+        zero = np.zeros(3)
+        assert_bitwise((x, y, zero, zero), gx, gy, cfg, 0.1, 0.01, 10)
+        assert events == {"recurrences": 1, "reflections": 0}
+
+    def test_restarts_at_each_crossing(self, events):
+        # One object crosses into the next column in substep 3, the other
+        # in substep 7: three recurrences, each restart reflecting one row.
+        cfg = self.CFG
+        zero = np.zeros((cfg.n, cfg.m))
+        dt, v = 0.01, 0.5
+        x = np.array([cfg.W - 2.5 * v * dt, 2 * cfg.W - 6.5 * v * dt])
+        y = np.array([0.6, 0.6])
+        assert_bitwise((x, y, [v, v], [0.0, 0.0]), zero, zero, cfg, 0.0, dt, 10)
+        assert events == {"recurrences": 3, "reflections": 4}
+
+    def test_held_against_the_walls(self, events):
+        # The corner cell slopes into both walls, so the object at rest in
+        # its corner bounces off them on every other substep.
+        cfg = self.CFG
+        gx, gy = np.zeros((cfg.n, cfg.m)), np.zeros((cfg.n, cfg.m))
+        gx[0, -1], gy[0, -1] = -5.0, 5.0
+        assert_bitwise(([0.0], [cfg.length], [0.0], [0.0]), gx, gy, cfg, 0.1, 0.01, 20)
+        assert events == {"recurrences": 11, "reflections": 20}
+
+    @pytest.mark.parametrize("friction", [0.0, 0.1])
+    def test_back_and_forth_across_a_boundary(self, events, friction):
+        cfg = self.CFG
+        gx, gy = np.zeros((cfg.n, cfg.m)), np.zeros((cfg.n, cfg.m))
+        gx[0], gx[1] = 1.0, -1.0  # both columns slope toward x = W
+        assert_bitwise(([cfg.W], [0.6], [0.0], [0.0]), gx, gy, cfg, friction, 0.01, 20)
+        assert events["recurrences"] >= 10
+
+    def test_no_substeps_change_nothing(self):
+        cfg = self.CFG
+        gx, gy = ramp_field(cfg)
+        state = [np.array([0.0, -0.0, cfg.width]), np.array([-0.0, 1.0, 0.0]),
+                 np.array([-0.0, 1e12, 0.0]), np.array([0.0, -0.0, -3.0])]
+        before = [a.copy() for a in state]
+        advance(*state, gx, gy, cfg, 0.1, 0.01, 0)
+        for got, want in zip(state, before):
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        assert_bitwise(before, gx, gy, cfg, 0.1, 0.01, 0)
 
     def test_many_objects_run_in_blocks(self):
         cfg = self.CFG
@@ -435,30 +465,62 @@ class TestHeldCellRecurrence:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_random_grids_and_states(self, data):
-        n = data.draw(st.integers(1, 6), label="n")
-        m = data.draw(st.integers(1, 6), label="m")
-        size = st.floats(0.05, 3.0)
-        cfg = SurfaceConfig(n, m, data.draw(size), data.draw(size), 1.0, 1, 1)
-        accel = st.floats(-5.0, 5.0)
-        gx = np.array(data.draw(st.lists(accel, min_size=n * m, max_size=n * m)))
-        gy = np.array(data.draw(st.lists(accel, min_size=n * m, max_size=n * m)))
-        count = data.draw(st.integers(1, 8), label="objects")
+        assert_bitwise(*random_case(data))
 
-        def coordinate(cell, cells):
-            edges = [k * cell for k in range(cells)] + [cells * cell]
-            return st.one_of(st.floats(0.0, cells * cell), st.sampled_from(edges + [-0.0]))
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_grids_and_states_in_short_recurrences(self, data):
+        # At most 8 object-substeps per recurrence, so restarts land on the
+        # ends of recurrences too.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "_HELD_BLOCK", 8)
+            assert_bitwise(*random_case(data))
 
-        speed = st.one_of(st.floats(-20.0, 20.0), st.sampled_from([0.0, -0.0, 1e12, -1e12]))
-        x = data.draw(st.lists(coordinate(cfg.W, n), min_size=count, max_size=count))
-        y = data.draw(st.lists(coordinate(cfg.L, m), min_size=count, max_size=count))
-        vx = data.draw(st.lists(speed, min_size=count, max_size=count))
-        vy = data.draw(st.lists(speed, min_size=count, max_size=count))
-        friction = data.draw(st.sampled_from([0.0, 0.1, 2.0]), label="friction")
-        dt = data.draw(st.sampled_from([1e-3, 0.01, 0.1]), label="dt")
-        substeps = data.draw(st.integers(1, 12), label="substeps")
-        assert_bitwise(
-            (x, y, vx, vy), gx.reshape(n, m), gy.reshape(n, m), cfg, friction, dt, substeps
-        )
+
+@pytest.fixture
+def events(monkeypatch):
+    """Counts what advance does: its recurrences (each looks the starting
+    cells up once) and its _reflect calls (two for each reflected row)."""
+    seen = {"recurrences": 0, "reflections": 0}
+    lookup, reflect = dynamics.cell_index, dynamics._reflect
+
+    def spy_lookup(pos, *args):
+        seen["recurrences"] += pos.ndim == 2  # the check passes (rows, 2, N)
+        return lookup(pos, *args)
+
+    def spy_reflect(*args):
+        seen["reflections"] += 1
+        reflect(*args)
+
+    monkeypatch.setattr(dynamics, "cell_index", spy_lookup)
+    monkeypatch.setattr(dynamics, "_reflect", spy_reflect)
+    return seen
+
+
+def random_case(data):
+    """assert_bitwise's arguments for a random grid, field and state."""
+    n = data.draw(st.integers(1, 6), label="n")
+    m = data.draw(st.integers(1, 6), label="m")
+    size = st.floats(0.05, 3.0)
+    cfg = SurfaceConfig(n, m, data.draw(size), data.draw(size), 1.0, 1, 1)
+    accel = st.floats(-5.0, 5.0)
+    gx = np.array(data.draw(st.lists(accel, min_size=n * m, max_size=n * m)))
+    gy = np.array(data.draw(st.lists(accel, min_size=n * m, max_size=n * m)))
+    count = data.draw(st.integers(1, 8), label="objects")
+
+    def coordinate(cell, cells):
+        edges = [k * cell for k in range(cells)] + [cells * cell]
+        return st.one_of(st.floats(0.0, cells * cell), st.sampled_from(edges + [-0.0]))
+
+    speed = st.one_of(st.floats(-20.0, 20.0), st.sampled_from([0.0, -0.0, 1e12, -1e12]))
+    x = data.draw(st.lists(coordinate(cfg.W, n), min_size=count, max_size=count))
+    y = data.draw(st.lists(coordinate(cfg.L, m), min_size=count, max_size=count))
+    vx = data.draw(st.lists(speed, min_size=count, max_size=count))
+    vy = data.draw(st.lists(speed, min_size=count, max_size=count))
+    friction = data.draw(st.sampled_from([0.0, 0.1, 2.0]), label="friction")
+    dt = data.draw(st.sampled_from([1e-3, 0.01, 0.1]), label="dt")
+    substeps = data.draw(st.integers(1, 12), label="substeps")
+    return (x, y, vx, vy), gx.reshape(n, m), gy.reshape(n, m), cfg, friction, dt, substeps
 
 
 def gathered_cells(x, y, cfg):

@@ -150,6 +150,18 @@ class TestFieldChecks:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             build(Scenario, seed=-1)
 
+    def test_single_cell_needs_one_cell_and_capped_gains(self):
+        with pytest.raises(FieldError, match="^mode single_cell needs a 1x1 surface, got 3x2"):
+            small_scenario("single_cell")
+        cell = SurfaceConfig(n=1, m=1, W=2.0, L=4.0, stroke=1.0, ref_col=1, ref_row=1)
+        for gains, name in [((0.3, 0.1), "kx"), ((0.25, 0.2), "ky"), ((0.0, 0.1), "kx")]:
+            params = ControllerParams(gains=SingleCellGains(*gains))
+            with pytest.raises(FieldError, match=f"^{name} must lie in"):
+                small_scenario("single_cell", cfg=cell, params=params,
+                               objects=(ObjectState(1.0, 1.0),))
+        small_scenario("single_cell", cfg=cell, objects=(ObjectState(1.0, 1.0),),
+                       params=ControllerParams(gains=SingleCellGains(0.25, 0.125)))
+
     @pytest.mark.parametrize("a, b", [(0.7, 0.5), (1.5, -0.5)])
     def test_stroke_split(self, a, b):
         with pytest.raises(ValueError, match="stroke fractions"):
