@@ -21,7 +21,7 @@ import numpy as np
 
 from . import control
 from .control import ControllerParams
-from .dynamics import ObjectState, PhysicsParams, advance, cell_indices, first_order_lag
+from .dynamics import ObjectState, PhysicsParams, advance, cell_index, first_order_lag
 from .surface import FieldError, SurfaceConfig, check_fields, checked
 
 DEFAULT_CONTROL_RATE = 10.0  # Hz
@@ -32,6 +32,10 @@ SETTLE_SPEED = 1e-3  # m/s; "at rest" threshold for the stop rule
 SINGLE_CELL_SETTLE = 0.01
 
 THREADS_ENV = "MORPHSURF_THREADS"
+
+# Bytes of trace a run reserves before it first has to grow it.  Pages of
+# the rows a run never reaches are never touched, so never resident.
+_TRACE_RESERVE = 1 << 28
 
 _SCHEDULE_KINDS = (("float", "time"), ("int", "column"), ("int", "row"))
 
@@ -111,7 +115,9 @@ class SimTrace:
 
     states has shape (rows, objects, 4) storing x, y, vx, vy.  dz_col/dz_row
     are the commanded height differences active from each row's time until
-    the next row; col/row_heights are the actual (post-response) grid.
+    the next row; col/row_heights are the actual (post-response) grid.  A run
+    returns each field as the slice of the written rows of the arrays it
+    reserved up front and filled in place, one row per tick.
     """
 
     t: np.ndarray
@@ -202,7 +208,13 @@ def run(sc: Scenario) -> tuple[SimTrace, RunMetrics]:
 
     grid_col = np.zeros(cfg.n + 1)  # actual (post-response) heights
     grid_row = np.zeros(cfg.m + 1)
-    rows: list[tuple] = []  # one SimTrace row per tick, in field order
+    # One SimTrace row per tick, in field order, written in place into arrays
+    # reserved up front; a run that outgrows them doubles them.
+    row_shapes = ((), (x.size, 4), (cfg.n,), (cfg.m,), (cfg.n + 1,), (cfg.m + 1,))
+    row_bytes = 8 * sum(math.prod(shape) for shape in row_shapes)
+    capacity = min(n_ticks + 1, max(1, _TRACE_RESERVE // row_bytes))
+    columns = [np.empty((capacity, *shape)) for shape in row_shapes]
+    t_col, states, dz_col, dz_row, col_heights, row_heights = columns
     settle_streak = 0
     converged = False
 
@@ -217,11 +229,26 @@ def run(sc: Scenario) -> tuple[SimTrace, RunMetrics]:
             settle_streak = 0
 
         u, commanded = control.command(x, y, vx, vy, sc.mode, sc.params, ref_cfg)
-        # Each lag step makes new arrays, so the rows below need no copies.
         grid_col = first_order_lag(grid_col, np.asarray(commanded.col_heights), p.tau, period)
         grid_row = first_order_lag(grid_row, np.asarray(commanded.row_heights), p.tau, period)
 
-        rows.append((t, np.column_stack([x, y, vx, vy]), u.dz_col, u.dz_row, grid_col, grid_row))
+        if tick == capacity:
+            capacity = min(2 * capacity, n_ticks + 1)
+            grown = [np.empty((capacity, *column.shape[1:])) for column in columns]
+            for new, old in zip(grown, columns):
+                new[:tick] = old
+            columns = grown
+            t_col, states, dz_col, dz_row, col_heights, row_heights = columns
+        t_col[tick] = t
+        row = states[tick]
+        row[:, 0] = x
+        row[:, 1] = y
+        row[:, 2] = vx
+        row[:, 3] = vy
+        dz_col[tick] = u.dz_col
+        dz_row[tick] = u.dz_row
+        col_heights[tick] = grid_col
+        row_heights[tick] = grid_row
 
         if settle_streak >= 2:
             converged = True
@@ -232,7 +259,7 @@ def run(sc: Scenario) -> tuple[SimTrace, RunMetrics]:
         gx, gy = _grid_orientation_terms(grid_col, grid_row, cfg, p.gravity)
         advance(x, y, vx, vy, gx, gy, cfg, p.friction, p.dt, substeps)
 
-    trace = SimTrace(*(np.array(column, dtype=float) for column in zip(*rows)))
+    trace = SimTrace(*(column[: tick + 1] for column in columns))
     metrics = compute_metrics(
         trace,
         ref_cfgs[-1],
@@ -265,8 +292,11 @@ def _settled(
 
 
 def _contained(x: np.ndarray, y: np.ndarray, cfg: SurfaceConfig) -> np.ndarray:
-    ci, cj = cell_indices(x, y, cfg)
-    return (ci == cfg.ref_col - 1) & (cj == cfg.ref_row - 1)
+    """Whether each position lies in the reference cell; each axis is reduced
+    to bools before the other's cell indices are made."""
+    inside = cell_index(x, cfg.W, cfg.n - 1) == cfg.ref_col - 1
+    inside &= cell_index(y, cfg.L, cfg.m - 1) == cfg.ref_row - 1
+    return inside
 
 
 def convergence_time(
@@ -306,6 +336,23 @@ def arrival_times(trace: SimTrace, cfg: SurfaceConfig) -> list[float | None]:
     return out
 
 
+def _path_lengths(trace: SimTrace) -> np.ndarray:
+    """Per-object sum of the straight steps between trace rows.
+
+    The arithmetic of sqrt((diff(states[:, :, :2], axis=0)**2).sum(axis=2))
+    summed over axis 0, with two (rows - 1, objects) temporaries in place of
+    four (rows - 1, objects, 2) ones.
+    """
+    x, y = trace.states[:, :, 0], trace.states[:, :, 1]
+    dx = x[1:] - x[:-1]
+    dx *= dx
+    dy = y[1:] - y[:-1]
+    dy *= dy
+    dx += dy
+    np.sqrt(dx, out=dx)
+    return dx.sum(axis=0)
+
+
 def compute_metrics(
     trace: SimTrace,
     cfg: SurfaceConfig,
@@ -313,8 +360,7 @@ def compute_metrics(
     converged: bool,
     wall_clock: float,
 ) -> RunMetrics:
-    steps = np.diff(trace.states[:, :, :2], axis=0)
-    lengths = np.sqrt((steps**2).sum(axis=2)).sum(axis=0)
+    lengths = _path_lengths(trace)  # its temporaries are freed on return
     arrivals = arrival_times(trace, cfg)
     return RunMetrics(
         convergence_time=_latest_arrival(arrivals, trace, settle),

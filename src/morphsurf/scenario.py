@@ -212,10 +212,11 @@ def write_trace_csv(trace: SimTrace, path: str | Path) -> None:
         trace.t, trace.states.reshape(rows, -1), trace.dz_col, trace.dz_row,
         trace.col_heights, trace.row_heights,
     ])
+    line = ",".join([FLOAT_FMT] * table.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in table:
-            fh.write(",".join(FLOAT_FMT % v for v in row.tolist()) + "\n")
+            fh.write(line % tuple(row.tolist()))
 
 
 def read_trace_csv(path: str | Path, n: int, m: int) -> SimTrace:
@@ -248,7 +249,8 @@ def write_metrics_json(metrics: RunMetrics, sc: Scenario, path: str | Path) -> N
 
 
 def parse_seed_list(listing: str) -> list[int]:
-    """Parse seed listings like "1..20" or "1,4,9" (ranges are inclusive)."""
+    """Parse seed listings like "1..20" or "1,4,9" (ranges are inclusive);
+    every seed must be >= 0."""
     seeds: list[int] = []
     try:
         for part in listing.split(","):
@@ -262,6 +264,8 @@ def parse_seed_list(listing: str) -> list[int]:
         raise ScenarioError(f"--seeds {listing!r}: {exc}") from exc
     if not seeds:
         raise ScenarioError(f"--seeds {listing!r}: empty seed list")
+    if min(seeds) < 0:
+        raise ScenarioError(f"--seeds {listing!r}: seeds must be >= 0, got {min(seeds)}")
     return seeds
 
 

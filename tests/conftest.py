@@ -223,3 +223,28 @@ def allocation_reference(x, y, mode, params, cfg: SurfaceConfig):
         dz = allocate(occupancy_reference(x, y, cfg), a, b, cfg)
     u = ControlInput(*dz)
     return u, reconstruct_actuator_grid(u, cfg)
+
+
+def path_lengths_reference(trace):
+    """Oracle of the metrics' path lengths: the length of every step between
+    trace rows from np.diff over (rows - 1, objects, 2), summed per object."""
+    steps = np.diff(trace.states[:, :, :2], axis=0)
+    return np.sqrt((steps**2).sum(axis=2)).sum(axis=0)
+
+
+def arrival_times_reference(trace, cfg: SurfaceConfig):
+    """Oracle of ``engine.arrival_times``: both axes' cell indices at once,
+    then per object the time after its last row outside the reference cell
+    (0.0 if never outside, None if outside on the last row)."""
+    ci, cj = cell_indices(trace.states[:, :, 0], trace.states[:, :, 1], cfg)
+    inside = (ci == cfg.ref_col - 1) & (cj == cfg.ref_row - 1)
+    out = []
+    for column in inside.T:
+        outside = np.nonzero(~column)[0]
+        if outside.size == 0:
+            out.append(0.0)
+        elif outside[-1] == len(trace.t) - 1:
+            out.append(None)
+        else:
+            out.append(float(trace.t[outside[-1] + 1]))
+    return out

@@ -146,6 +146,13 @@ class TestHostileInput:
         assert "--seeds '1..x'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_an_unbounded_t_max_runs_and_settles(self, tmp_path):
+        doc = json.loads((SCENARIOS / "paper-s5x6.json").read_text())
+        doc["t_max"] = 1e300
+        path = tmp_path / "forever.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == EXIT_OK
+
 
 def scenarios():
     """Scenarios as the loader builds them, settle speed left at its default."""
@@ -404,6 +411,6 @@ class TestCannedScenarios:
         assert sio.parse_seed_list("1..3,7") == [1, 2, 3, 7]
         with pytest.raises(sio.ScenarioError):
             sio.parse_seed_list("")
-        for bad in ("1..x", "1..2..3", "two"):
+        for bad in ("1..x", "1..2..3", "two", "-3", "-2..1", "4,-1"):
             with pytest.raises(sio.ScenarioError, match=f"--seeds '{bad}'"):
                 sio.parse_seed_list(bad)

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from morphsurf import (
     cell_orientation,
     reconstruct_actuator_grid,
 )
+from morphsurf import engine
 from morphsurf.dynamics import first_order_lag
 from morphsurf.engine import (
     SINGLE_CELL_SETTLE,
@@ -21,14 +25,24 @@ from morphsurf.engine import (
     _grid_orientation_terms,
     arrival_times,
     batch,
+    compute_metrics,
     convergence_time,
     initial_state,
     run,
     seed_sweep,
 )
+from morphsurf.scenario import load_scenario
 from morphsurf.surface import FieldError
 
-from conftest import gravity_field, random_feasible_input
+from conftest import (
+    arrival_times_reference,
+    gravity_field,
+    path_lengths_reference,
+    random_config,
+    random_feasible_input,
+)
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 CFG = SurfaceConfig(n=3, m=2, W=2.0, L=2.0, stroke=1.0, ref_col=2, ref_row=1)
 PHYS = PhysicsParams(gravity=0.0981, friction=0.1, tau=0.0, dt=0.005)
@@ -250,6 +264,77 @@ class TestRun:
         trace, metrics = run(sc)
         recomputed = convergence_time(trace, CFG, settle=sc.control_period)
         assert recomputed == metrics.convergence_time
+
+
+def recorded_scenario(name: str) -> Scenario:
+    """A canned scenario, or "lagged": paper-s5x6 with tau 0.3 s."""
+    if name == "lagged":
+        sc = load_scenario(SCENARIOS / "paper-s5x6.json")
+        return dataclasses.replace(sc, physics=dataclasses.replace(sc.physics, tau=0.3))
+    return load_scenario(SCENARIOS / f"{name}.json")
+
+
+def random_trace(rng, cfg, rows, objects):
+    """A trace whose objects wander the workspace, some on cell boundaries,
+    and then each stay in the reference cell from a random row on."""
+    states = rng.uniform(0.0, 1.0, (rows, objects, 4))
+    states[:, :, 0] *= cfg.width
+    states[:, :, 1] *= cfg.length
+    for axis, size, cells in ((0, cfg.W, cfg.n), (1, cfg.L, cfg.m)):
+        on_line = rng.random((rows, objects)) < 0.2
+        states[:, :, axis][on_line] = rng.integers(0, cells + 1, on_line.sum()) * size
+    for k, first in enumerate(rng.integers(0, rows + 1, objects)):
+        states[first:, k, 0] = (cfg.ref_col - rng.uniform(0.0, 1.0, rows - first)) * cfg.W
+        states[first:, k, 1] = (cfg.ref_row - 1 + rng.uniform(0.0, 1.0, rows - first)) * cfg.L
+    return SimTrace(
+        t=np.arange(rows) * 0.1,
+        states=states,
+        dz_col=np.zeros((rows, cfg.n)),
+        dz_row=np.zeros((rows, cfg.m)),
+        col_heights=np.zeros((rows, cfg.n + 1)),
+        row_heights=np.zeros((rows, cfg.m + 1)),
+    )
+
+
+class TestTraceRecording:
+    """run reserves the trace up front and writes each tick's row in place;
+    compute_metrics keeps its temporaries small."""
+
+    @pytest.mark.parametrize("name", ["paper-s1x10", "paper-s5x6", "uturn", "lagged"])
+    def test_a_small_reserve_grows_to_the_same_trace(self, name, monkeypatch):
+        sc = recorded_scenario(name)
+        want = run(sc)[0]
+        monkeypatch.setattr(engine, "_TRACE_RESERVE", 1 << 10)
+        got = run(sc)[0]
+        for f in dataclasses.fields(SimTrace):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert a.shape == b.shape, f.name
+            assert a.tobytes() == b.tobytes(), f.name
+
+    def test_metrics_match_the_first_formulas_bitwise(self):
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            cfg = random_config(rng)
+            trace = random_trace(
+                rng, cfg, int(rng.integers(1, 40)), int(rng.integers(1, 12))
+            )
+            metrics = compute_metrics(trace, cfg, settle=0.1, converged=False, wall_clock=0.0)
+            want = path_lengths_reference(trace)
+            assert np.array(metrics.path_lengths).tobytes() == want.tobytes()
+            assert metrics.arrival_times == arrival_times_reference(trace, cfg)
+
+    def test_metrics_temporaries_stay_under_0_6_of_the_states(self):
+        cfg = SurfaceConfig(n=12, m=12, W=2.0, L=2.0, stroke=1.0, ref_col=6, ref_row=6)
+        trace = random_trace(np.random.default_rng(5), cfg, rows=2000, objects=200)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            compute_metrics(trace, cfg, settle=0.1, converged=False, wall_clock=0.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6 * trace.states.nbytes
 
 
 class TestReferenceSchedule:
