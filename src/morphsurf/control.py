@@ -140,9 +140,21 @@ def single_cell_feedback(
     Returns (dz1, dz2, (Z1, Z2, Z3, Z4)).  Negative feedback: an error east
     of the target (e_x > 0) lowers the west side so the object slides back.
     The velocity term sits inside the saturation, so |dz1| <= kx * sat_x
-    still bounds the heights.
+    still bounds the heights.  Refuses gains over their cap on ``cfg``.
     """
     gains.validate(cfg)
+    return _single_cell_law(e_x, e_y, gains, cfg, v_x, v_y)
+
+
+def _single_cell_law(
+    e_x: float,
+    e_y: float,
+    gains: SingleCellGains,
+    cfg: SurfaceConfig,
+    v_x: float,
+    v_y: float,
+) -> tuple[float, float, tuple[float, float, float, float]]:
+    """single_cell_feedback for gains already checked against ``cfg``."""
     sat_x = gains.sat_x if gains.sat_x is not None else cfg.W
     sat_y = gains.sat_y if gains.sat_y is not None else cfg.L
     dz1 = -gains.kx * _saturate(e_x + SINGLE_CELL_KD * v_x, sat_x)
@@ -211,19 +223,18 @@ def command(
     single_cell runs the saturated position-velocity feedback law on a 1x1
     surface, driving the first object to the cell center; its grid tilts
     about the cell midlines instead of leveling the reference actuators.
+    It takes the surface, gains and objects as a Scenario accepts them (a
+    1x1 surface, gains within their caps, at least one object): Scenario
+    refuses the others once, at load, so no tick checks them again.
     """
     if mode == "single_cell":
-        if cfg.n != 1 or cfg.m != 1:
-            raise ValueError("single_cell mode requires a 1x1 surface")
-        if not x.size:
-            raise ValueError("single_cell mode needs an object to regulate")
         gains = params.gains
         if gains is None:
             gains = SingleCellGains(
                 kx=cfg.stroke / (2 * cfg.W), ky=cfg.stroke / (2 * cfg.L)
             )
         e_x, e_y = float(x[0]) - cfg.W / 2.0, float(y[0]) - cfg.L / 2.0
-        dz1, dz2, _ = single_cell_feedback(e_x, e_y, gains, cfg, float(vx[0]), float(vy[0]))
+        dz1, dz2, _ = _single_cell_law(e_x, e_y, gains, cfg, float(vx[0]), float(vy[0]))
         quarter = cfg.stroke / 4.0
         grid = ActuatorGrid(
             (quarter + dz1 / 2.0, quarter - dz1 / 2.0),

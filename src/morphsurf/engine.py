@@ -37,6 +37,10 @@ THREADS_ENV = "MORPHSURF_THREADS"
 # the rows a run never reaches are never touched, so never resident.
 _TRACE_RESERVE = 1 << 28
 
+# Trace rows the metrics read at a time; their temporaries are a few arrays
+# of this many rows, however long the trace.
+_METRIC_ROWS = 1024
+
 _SCHEDULE_KINDS = (("float", "time"), ("int", "column"), ("int", "row"))
 
 
@@ -322,35 +326,84 @@ def _latest_arrival(arrivals: list, trace: SimTrace, settle: float) -> float | N
 
 
 def arrival_times(trace: SimTrace, cfg: SurfaceConfig) -> list[float | None]:
-    """Per-object earliest time after which it never leaves the reference cell."""
+    """Per-object earliest time after which it never leaves the reference cell.
+
+    Each object's last row outside the cell is looked for in blocks of
+    _METRIC_ROWS rows from the end of the trace back, until every object
+    has one or the trace is read.
+    """
+    states = trace.states
+    rows, objects = states.shape[:2]
+    last_out = np.full(objects, -1)
+    for hi in range(rows, 0, -_METRIC_ROWS):
+        block = states[max(0, hi - _METRIC_ROWS) : hi]
+        outside = ~_contained(block[:, :, 0], block[:, :, 1], cfg)
+        found = outside.any(axis=0) & (last_out < 0)
+        last_out[found] = hi - 1 - outside[::-1].argmax(axis=0)[found]
+        if (last_out >= 0).all():
+            break
     out: list[float | None] = []
-    for inside in _contained(trace.states[:, :, 0], trace.states[:, :, 1], cfg).T:
-        if inside.all():
+    for k in last_out.tolist():
+        if k < 0:
             out.append(0.0)
-            continue
-        last_out = int(np.nonzero(~inside)[0][-1])
-        if last_out == len(trace.t) - 1:
+        elif k == rows - 1:
             out.append(None)
         else:
-            out.append(float(trace.t[last_out + 1]))
+            out.append(float(trace.t[k + 1]))
     return out
 
 
 def _path_lengths(trace: SimTrace) -> np.ndarray:
     """Per-object sum of the straight steps between trace rows.
 
-    The arithmetic of sqrt((diff(states[:, :, :2], axis=0)**2).sum(axis=2))
-    summed over axis 0, with two (rows - 1, objects) temporaries in place of
-    four (rows - 1, objects, 2) ones.
+    The arithmetic and summation order of
+    sqrt((diff(states[:, :, :2], axis=0)**2).sum(axis=2)).sum(axis=0), read
+    in blocks of _METRIC_ROWS rows.  numpy adds the rows of a (steps,
+    objects) array one after another, so each block's steps are summed
+    under the running total, which heads the array.  One object's steps form
+    a 1-D array, which numpy sums pairwise instead (_pairwise_steps).
     """
-    x, y = trace.states[:, :, 0], trace.states[:, :, 1]
-    dx = x[1:] - x[:-1]
-    dx *= dx
-    dy = y[1:] - y[:-1]
-    dy *= dy
-    dx += dy
-    np.sqrt(dx, out=dx)
-    return dx.sum(axis=0)
+    states = trace.states
+    rows, objects = states.shape[:2]
+    total = np.zeros(objects)
+    if rows < 2:
+        return total
+    if objects == 1:
+        total[0] += _pairwise_steps(states[:, 0, :2], 0, rows - 1)
+        return total
+    scratch = np.empty((min(_METRIC_ROWS, rows - 1), objects))
+    block = np.empty((len(scratch) + 1, objects))
+    for lo in range(0, rows - 1, _METRIC_ROWS):
+        steps = min(_METRIC_ROWS, rows - 1 - lo)
+        block[0] = total
+        _step_lengths(states[lo : lo + steps + 1, :, :2], block[1 : steps + 1], scratch[:steps])
+        block[: steps + 1].sum(axis=0, out=total)
+    return total
+
+
+def _step_lengths(xy: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """sqrt(dx*dx + dy*dy) of the steps between the rows of ``xy`` (rows,
+    objects, 2), into ``out`` (rows - 1, objects)."""
+    x, y = xy[..., 0], xy[..., 1]
+    np.subtract(x[1:], x[:-1], out=out)
+    out *= out
+    np.subtract(y[1:], y[:-1], out=scratch)
+    scratch *= scratch
+    out += scratch
+    return np.sqrt(out, out=out)
+
+
+def _pairwise_steps(xy: np.ndarray, lo: int, hi: int) -> float:
+    """Sum of one object's step lengths lo..hi-1, from its (rows, 2)
+    positions ``xy``, in numpy's pairwise order.  numpy splits a range of
+    more than 128 steps at half its length rounded down to a multiple of 8
+    and sums the halves alike; here the same splits are made until a range
+    has at most max(_METRIC_ROWS, 128) steps, and numpy sums that range."""
+    n = hi - lo
+    if n > max(_METRIC_ROWS, 128):
+        half = n // 2 - n // 2 % 8
+        return _pairwise_steps(xy, lo, lo + half) + _pairwise_steps(xy, lo + half, hi)
+    return float(_step_lengths(xy[lo : hi + 1], np.empty(n), np.empty(n)).sum())
 
 
 def compute_metrics(
@@ -360,7 +413,7 @@ def compute_metrics(
     converged: bool,
     wall_clock: float,
 ) -> RunMetrics:
-    lengths = _path_lengths(trace)  # its temporaries are freed on return
+    lengths = _path_lengths(trace)
     arrivals = arrival_times(trace, cfg)
     return RunMetrics(
         convergence_time=_latest_arrival(arrivals, trace, settle),
@@ -372,6 +425,13 @@ def compute_metrics(
 
 
 def _run_metrics_only(sc: Scenario) -> RunMetrics:
+    """The metrics of ``run(sc)``; the trace is built and dropped.
+
+    Metrics computed online, without a trace, would serve batch and compare
+    as well, but perfbench reads the traces engine.run returns to check and
+    count every run, so such a path waits for benchmark rules that do
+    without them (ROADMAP items 1 and 4).
+    """
     return run(sc)[1]
 
 

@@ -26,6 +26,9 @@ from .engine import RunMetrics, Scenario, SimTrace
 from .surface import FieldError, SurfaceConfig, checked
 
 FLOAT_FMT = "%.17g"  # lossless float64 round-trip
+# Trace rows write_trace_csv formats at a time: a block's floats, formatted
+# as one string, take several times their bytes.
+_CSV_ROWS = 64
 
 # One row per scenario-file field: (JSON path, type, attribute).  A field's
 # kind and default are its type's: the type refuses a value of another kind,
@@ -205,18 +208,23 @@ def trace_header(n_objects: int, n: int, m: int) -> list[str]:
 
 
 def write_trace_csv(trace: SimTrace, path: str | Path) -> None:
-    """One row per tick: the SimTrace fields in order, states flattened."""
+    """One row per tick: the SimTrace fields in order, states flattened.
+
+    The rows are gathered and formatted _CSV_ROWS at a time, so no copy of
+    the whole trace is made.
+    """
     rows = len(trace.t)
+    fields = (trace.t[:, None], trace.states.reshape(rows, -1), trace.dz_col, trace.dz_row,
+              trace.col_heights, trace.row_heights)
     header = trace_header(trace.n_objects, trace.dz_col.shape[1], trace.dz_row.shape[1])
-    table = np.column_stack([
-        trace.t, trace.states.reshape(rows, -1), trace.dz_col, trace.dz_row,
-        trace.col_heights, trace.row_heights,
-    ])
-    line = ",".join([FLOAT_FMT] * table.shape[1]) + "\n"
+    line = ",".join([FLOAT_FMT] * len(header)) + "\n"
+    table = np.empty((min(rows, _CSV_ROWS), len(header)))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in table:
-            fh.write(line % tuple(row.tolist()))
+        for lo in range(0, rows, _CSV_ROWS):
+            block = table[: min(_CSV_ROWS, rows - lo)]
+            np.concatenate([f[lo : lo + _CSV_ROWS] for f in fields], axis=1, out=block)
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_trace_csv(path: str | Path, n: int, m: int) -> SimTrace:

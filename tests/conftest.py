@@ -8,6 +8,7 @@ import numpy as np
 from morphsurf import ControlInput, ObjectState, SurfaceConfig, reconstruct_actuator_grid
 from morphsurf.control import split_fractions
 from morphsurf.dynamics import cell_indices, locate_cell
+from morphsurf.scenario import FLOAT_FMT, trace_header
 
 
 def random_config(rng, max_n=8, max_m=8) -> SurfaceConfig:
@@ -248,3 +249,19 @@ def arrival_times_reference(trace, cfg: SurfaceConfig):
         else:
             out.append(float(trace.t[outside[-1] + 1]))
     return out
+
+
+def write_trace_csv_reference(trace, path):
+    """Oracle of ``scenario.write_trace_csv``: the header, then the whole
+    trace copied into one table and formatted one row at a time."""
+    rows = len(trace.t)
+    header = trace_header(trace.n_objects, trace.dz_col.shape[1], trace.dz_row.shape[1])
+    table = np.column_stack([
+        trace.t, trace.states.reshape(rows, -1), trace.dz_col, trace.dz_row,
+        trace.col_heights, trace.row_heights,
+    ])
+    line = ",".join([FLOAT_FMT] * table.shape[1]) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in table:
+            fh.write(line % tuple(row.tolist()))

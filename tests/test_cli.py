@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -11,8 +12,10 @@ from morphsurf import scenario as sio
 from morphsurf.cli import EXIT_INVALID, EXIT_OK, EXIT_UNSETTLED, main
 from morphsurf.control import ControllerParams, SingleCellGains
 from morphsurf.dynamics import ObjectState, PhysicsParams
-from morphsurf.engine import Scenario, convergence_time, run
+from morphsurf.engine import Scenario, SimTrace, convergence_time, run
 from morphsurf.surface import SurfaceConfig
+
+from conftest import write_trace_csv_reference
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -280,6 +283,62 @@ class TestTraceRoundTrip:
         main(["run", str(path), "-o", str(out1)])
         main(["run", str(path), "-o", str(out2)])
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
+
+
+def random_trace(rng, rows, objects, n, m):
+    """A SimTrace whose every field holds values from 1e-300 to 1e300 in
+    size, of either sign, a tenth of them signed zeros."""
+    def values(*shape):
+        v = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        zero = rng.random(shape) < 0.1
+        v[zero] = rng.choice([0.0, -0.0], int(zero.sum()))
+        return v
+
+    return SimTrace(values(rows), values(rows, objects, 4), values(rows, n), values(rows, m),
+                    values(rows, n + 1), values(rows, m + 1))
+
+
+class TestTraceCsv:
+    """write_trace_csv formats the trace in blocks of _CSV_ROWS rows, to the
+    bytes of the row-by-row oracle write_trace_csv_reference."""
+
+    @pytest.mark.parametrize("name", ["paper-s1x10", "paper-s5x6", "uturn"])
+    def test_canned_traces_match_the_row_by_row_writer(self, name, tmp_path):
+        trace = run(sio.load_scenario(SCENARIOS / f"{name}.json"))[0]
+        sio.write_trace_csv(trace, tmp_path / "got.csv")
+        write_trace_csv_reference(trace, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_random_traces_match_under_small_blocks(self, block, tmp_path, monkeypatch):
+        monkeypatch.setattr(sio, "_CSV_ROWS", block)
+        rng = np.random.default_rng(block)
+        for _ in range(30):
+            rows, objects, n, m = (int(rng.integers(1, k)) for k in (40, 6, 5, 5))
+            trace = random_trace(rng, rows, objects, n, m)
+            sio.write_trace_csv(trace, tmp_path / "got.csv")
+            write_trace_csv_reference(trace, tmp_path / "want.csv")
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_writing_copies_one_block_not_the_trace(self, tmp_path):
+        # a block's floats as a list and a tuple of Python floats (40 bytes
+        # each), its table, repeated format string and text (at most 24
+        # characters a float): under 96 bytes a value, plus the file's
+        # buffers.  The 6000-row trace holds 8 bytes a value, five times
+        # the bound.
+        rng = np.random.default_rng(3)
+        shapes = ((), (1, 4), (1,), (1,), (2,), (2,))
+        trace = SimTrace(*(rng.uniform(0.0, 2.0, (6000, *shape)) for shape in shapes))
+        width = len(sio.trace_header(1, 1, 1))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            sio.write_trace_csv(trace, tmp_path / "trace.csv")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 96 * sio._CSV_ROWS * width + (1 << 15)
 
 
 class TestCompareCommand:

@@ -342,11 +342,6 @@ class TestControlTick:
         later = control_tick(objects_in_cells([(1, 1)], CFG), "funnel", params, CFG)
         assert first == later
 
-    def test_single_cell_requires_1x1(self):
-        with pytest.raises(ValueError):
-            control_tick(objects_in_cells([(1, 1)], CFG), "single_cell",
-                         ControllerParams(), CFG)
-
 
 class TestDirectionCorrectness:
     def test_single_object_accelerates_toward_reference(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from morphsurf import (
     cell_orientation,
     reconstruct_actuator_grid,
 )
-from morphsurf import engine
+from morphsurf import control, dynamics, engine
 from morphsurf.dynamics import first_order_lag
 from morphsurf.engine import (
     SINGLE_CELL_SETTLE,
@@ -176,6 +177,18 @@ class TestFieldChecks:
         small_scenario("single_cell", cfg=cell, objects=(ObjectState(1.0, 1.0),),
                        params=ControllerParams(gains=SingleCellGains(0.25, 0.125)))
 
+    def test_single_cell_gains_are_checked_at_load_only(self, monkeypatch):
+        cell = SurfaceConfig(n=1, m=1, W=2.0, L=2.0, stroke=1.0, ref_col=1, ref_row=1)
+        sc = small_scenario("single_cell", cfg=cell, objects=(ObjectState(0.5, 1.5),),
+                            params=ControllerParams(gains=SingleCellGains(0.25, 0.25)),
+                            t_max=5.0)
+        checks = []
+        validate = SingleCellGains.validate
+        monkeypatch.setattr(SingleCellGains, "validate",
+                            lambda gains, cfg: checks.append(cfg) or validate(gains, cfg))
+        trace = run(sc)[0]
+        assert len(trace.t) > 1 and checks == []
+
     @pytest.mark.parametrize("a, b", [(0.7, 0.5), (1.5, -0.5)])
     def test_stroke_split(self, a, b):
         with pytest.raises(ValueError, match="stroke fractions"):
@@ -298,7 +311,7 @@ def random_trace(rng, cfg, rows, objects):
 
 class TestTraceRecording:
     """run reserves the trace up front and writes each tick's row in place;
-    compute_metrics keeps its temporaries small."""
+    compute_metrics reads it in blocks of _METRIC_ROWS rows."""
 
     @pytest.mark.parametrize("name", ["paper-s1x10", "paper-s5x6", "uturn", "lagged"])
     def test_a_small_reserve_grows_to_the_same_trace(self, name, monkeypatch):
@@ -323,7 +336,27 @@ class TestTraceRecording:
             assert np.array(metrics.path_lengths).tobytes() == want.tobytes()
             assert metrics.arrival_times == arrival_times_reference(trace, cfg)
 
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_metrics_across_block_boundaries(self, block, monkeypatch):
+        # a running total and each object's last row outside carried from
+        # block to block; one object's steps are summed pairwise, which
+        # differs from summing in order once there are 8 or more of them
+        monkeypatch.setattr(engine, "_METRIC_ROWS", block)
+        rng = np.random.default_rng(block)
+        for k in range(60):
+            cfg = random_config(rng)
+            objects = 1 if k % 3 == 0 else int(rng.integers(2, 12))
+            rows = int(rng.integers(9 if objects == 1 else 1, 301))
+            trace = random_trace(rng, cfg, rows, objects)
+            metrics = compute_metrics(trace, cfg, settle=0.1, converged=False, wall_clock=0.0)
+            want = path_lengths_reference(trace)
+            assert np.array(metrics.path_lengths).tobytes() == want.tobytes()
+            assert metrics.arrival_times == arrival_times_reference(trace, cfg)
+
     def test_metrics_temporaries_stay_under_0_6_of_the_states(self):
+        # at most three (_METRIC_ROWS, objects) arrays at once: the path
+        # lengths' block and scratch, or one axis's quotients and cell
+        # indices; however many rows the trace has
         cfg = SurfaceConfig(n=12, m=12, W=2.0, L=2.0, stroke=1.0, ref_col=6, ref_row=6)
         trace = random_trace(np.random.default_rng(5), cfg, rows=2000, objects=200)
         tracemalloc.start()
@@ -334,7 +367,41 @@ class TestTraceRecording:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 0.6 * trace.states.nbytes
+        assert peak <= 3 * engine._METRIC_ROWS * trace.n_objects * 8
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Route every morphsurf module's binding of ``fn`` through a wrapper
+    that appends to the returned list once per call."""
+    calls: list = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "morphsurf" or name.startswith("morphsurf."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestPerTickCalls:
+    @pytest.mark.parametrize("name", ["paper-s1x10", "paper-s5x6", "uturn"])
+    def test_one_command_per_row_and_one_field_and_advance_per_tick(self, name, monkeypatch):
+        """The counts `perfbench/run.py --trace 1` requires of every run
+        (`perfbench/layers.py` `Tracer.exact_counts` against the trace):
+        one `control.command` call per trace row, and one
+        `engine._grid_orientation_terms` and one `dynamics.advance` call per
+        tick, the last row excepted.  A change that skips these calls is
+        reported incorrect by the benchmark until its rules change."""
+        commands = count_calls(monkeypatch, control.command)
+        fields = count_calls(monkeypatch, engine._grid_orientation_terms)
+        advances = count_calls(monkeypatch, dynamics.advance)
+        trace = run(recorded_scenario(name))[0]
+        rows = len(trace.t)
+        assert (len(commands), len(fields), len(advances)) == (rows, rows - 1, rows - 1)
 
 
 class TestReferenceSchedule:
