@@ -6,6 +6,7 @@ from morphsurf import (
     ControllerParams,
     ObjectState,
     PhysicsParams,
+    Scenario,
     SingleCellGains,
     SurfaceConfig,
     acceleration,
@@ -341,6 +342,12 @@ class TestControlTick:
         first = control_tick(objects_in_cells(EXAMPLE_CELLS, CFG), "funnel", params, CFG)
         later = control_tick(objects_in_cells([(1, 1)], CFG), "funnel", params, CFG)
         assert first == later
+
+    def test_single_cell_requires_1x1(self):
+        # refused once, when the Scenario whose ticks would run it loads
+        with pytest.raises(ValueError, match="single_cell needs a 1x1 surface, got 5x4"):
+            Scenario(cfg=CFG, physics=PhysicsParams(), mode="single_cell",
+                     objects=(ObjectState(5.0, 1.0),), t_max=1.0)
 
 
 class TestDirectionCorrectness:
