@@ -9,11 +9,7 @@ from .control import (
 from .dynamics import (
     ObjectState,
     PhysicsParams,
-    acceleration,
-    actuator_response,
-    height_at,
     locate_cell,
-    steady_speed,
 )
 from .engine import (
     RunMetrics,
@@ -35,8 +31,6 @@ from .surface import (
     dof_count,
     planar_completion,
     reconstruct_actuator_grid,
-    rotation_matrix,
-    surface_orientation_field,
     validate_grid,
 )
 
@@ -54,22 +48,16 @@ __all__ = [
     "SimTrace",
     "SingleCellGains",
     "SurfaceConfig",
-    "acceleration",
-    "actuator_response",
     "batch",
     "cell_orientation",
     "convergence_time",
     "dof_count",
-    "height_at",
     "locate_cell",
     "occupancy_sets",
     "planar_completion",
     "reconstruct_actuator_grid",
-    "rotation_matrix",
     "run",
     "seed_sweep",
     "single_cell_feedback",
-    "steady_speed",
-    "surface_orientation_field",
     "validate_grid",
 ]

@@ -129,8 +129,9 @@ def _cmd_compare(args) -> int:
 
 def _cmd_validate(args) -> int:
     path: Path = args.path
-    if path.suffix == ".json" and "heights" not in json.loads(path.read_text()):
-        sc = sio.load_scenario(path)
+    doc = sio.read_json_object(path) if path.suffix == ".json" else None
+    if doc is not None and "heights" not in doc:
+        sc = sio.scenario_from_dict(doc)
         grid = control.command(*engine.initial_state(sc), sc.mode, sc.params, sc.cfg)[1]
         report = validate_grid(grid, sc.cfg)
     else:

@@ -143,22 +143,34 @@ def single_cell_feedback(
     still bounds the heights.  Refuses gains over their cap on ``cfg``.
     """
     gains.validate(cfg)
-    return _single_cell_law(e_x, e_y, gains, cfg, v_x, v_y)
+    return _single_cell_law(e_x, e_y, v_x, v_y, _gain_terms(gains, cfg), cfg)
+
+
+def _gain_terms(
+    gains: SingleCellGains | None, cfg: SurfaceConfig
+) -> tuple[float, float, float, float]:
+    """(kx, ky, sat_x, sat_y) of ``gains`` on ``cfg``.  No gains stand for the
+    gains at their caps, stroke/(2W) and stroke/(2L), saturating at W and L."""
+    if gains is None:
+        return cfg.stroke / (2 * cfg.W), cfg.stroke / (2 * cfg.L), cfg.W, cfg.L
+    sat_x = gains.sat_x if gains.sat_x is not None else cfg.W
+    sat_y = gains.sat_y if gains.sat_y is not None else cfg.L
+    return gains.kx, gains.ky, sat_x, sat_y
 
 
 def _single_cell_law(
     e_x: float,
     e_y: float,
-    gains: SingleCellGains,
-    cfg: SurfaceConfig,
     v_x: float,
     v_y: float,
+    terms: tuple[float, float, float, float],
+    cfg: SurfaceConfig,
 ) -> tuple[float, float, tuple[float, float, float, float]]:
-    """single_cell_feedback for gains already checked against ``cfg``."""
-    sat_x = gains.sat_x if gains.sat_x is not None else cfg.W
-    sat_y = gains.sat_y if gains.sat_y is not None else cfg.L
-    dz1 = -gains.kx * _saturate(e_x + SINGLE_CELL_KD * v_x, sat_x)
-    dz2 = -gains.ky * _saturate(e_y + SINGLE_CELL_KD * v_y, sat_y)
+    """single_cell_feedback for the ``_gain_terms`` of gains already checked
+    against ``cfg``."""
+    kx, ky, sat_x, sat_y = terms
+    dz1 = -kx * _saturate(e_x + SINGLE_CELL_KD * v_x, sat_x)
+    dz2 = -ky * _saturate(e_y + SINGLE_CELL_KD * v_y, sat_y)
     half = cfg.stroke / 2.0
     z1 = half + dz1 / 2.0 + dz2 / 2.0
     z2 = half - dz1 / 2.0 + dz2 / 2.0
@@ -228,13 +240,9 @@ def command(
     refuses the others once, at load, so no tick checks them again.
     """
     if mode == "single_cell":
-        gains = params.gains
-        if gains is None:
-            gains = SingleCellGains(
-                kx=cfg.stroke / (2 * cfg.W), ky=cfg.stroke / (2 * cfg.L)
-            )
         e_x, e_y = float(x[0]) - cfg.W / 2.0, float(y[0]) - cfg.L / 2.0
-        dz1, dz2, _ = _single_cell_law(e_x, e_y, gains, cfg, float(vx[0]), float(vy[0]))
+        terms = _gain_terms(params.gains, cfg)
+        dz1, dz2, _ = _single_cell_law(e_x, e_y, float(vx[0]), float(vy[0]), terms, cfg)
         quarter = cfg.stroke / 4.0
         grid = ActuatorGrid(
             (quarter + dz1 / 2.0, quarter - dz1 / 2.0),

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surface import ActuatorGrid, CellOrientation, FieldError, SurfaceConfig, check_fields
+from .surface import FieldError, SurfaceConfig, check_fields
 
 
 @dataclass
@@ -99,41 +99,6 @@ def cell_indices(
     """0-based (column, row) index arrays of the cells holding positions
     (x[k], y[k]) inside the workspace."""
     return cell_index(x, cfg.W, cfg.n - 1), cell_index(y, cfg.L, cfg.m - 1)
-
-
-def height_at(s: ObjectState, grid: ActuatorGrid, cfg: SurfaceConfig) -> float:
-    """Surface height under the object; exact since each cell is planar."""
-    col, row = locate_cell(s, cfg)
-    z1 = grid.col_heights[col - 1] + grid.row_heights[row - 1]
-    z2 = grid.col_heights[col] + grid.row_heights[row - 1]
-    z4 = grid.col_heights[col - 1] + grid.row_heights[row]
-    fx = (s.x - (col - 1) * cfg.W) / cfg.W
-    fy = (s.y - (row - 1) * cfg.L) / cfg.L
-    return z1 + fx * (z2 - z1) + fy * (z4 - z1)
-
-
-def acceleration(
-    o: CellOrientation, vx: float, vy: float, p: PhysicsParams
-) -> tuple[float, float]:
-    """Planar acceleration of an object on a cell with orientation ``o``."""
-    ct, st = math.cos(o.pitch), math.sin(o.pitch)
-    cp, sp = math.cos(o.roll), math.sin(o.roll)
-    ax = p.gravity * ct * cp * cp * st - p.friction * vx
-    ay = -p.gravity * ct * cp * sp - p.friction * vy
-    return ax, ay
-
-
-def steady_speed(o: CellOrientation, p: PhysicsParams) -> float:
-    """Terminal speed along x on a constant pure-pitch slope: (g/b) Ct Cp St."""
-    if p.friction <= 0:
-        raise ValueError("no finite terminal speed without friction")
-    return (
-        p.gravity
-        / p.friction
-        * math.cos(o.pitch)
-        * math.cos(o.roll)
-        * math.sin(o.pitch)
-    )
 
 
 def advance(
@@ -244,7 +209,3 @@ def first_order_lag(z, z_com, tau: float, dt: float):
         return z_com
     return z + (z_com - z) * (1.0 - math.exp(-dt / tau))
 
-
-def actuator_response(z: float, z_com: float, p: PhysicsParams) -> float:
-    """Actuator height after one ``p.dt`` of first-order motor response."""
-    return first_order_lag(z, z_com, p.tau, p.dt)

@@ -425,13 +425,8 @@ def compute_metrics(
 
 
 def _run_metrics_only(sc: Scenario) -> RunMetrics:
-    """The metrics of ``run(sc)``; the trace is built and dropped.
-
-    Metrics computed online, without a trace, would serve batch and compare
-    as well, but perfbench reads the traces engine.run returns to check and
-    count every run, so such a path waits for benchmark rules that do
-    without them (ROADMAP items 1 and 4).
-    """
+    """The metrics of ``run(sc)``: a process pool sends back only these,
+    not the trace."""
     return run(sc)[1]
 
 

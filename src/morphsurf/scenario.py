@@ -119,11 +119,18 @@ def _dump(rows, owners: dict) -> dict:
 
 def load_scenario(path: str | Path, mode: str | None = None, seed: int | None = None) -> Scenario:
     """Parse a scenario file; mode/seed arguments override the file values."""
+    return scenario_from_dict(read_json_object(path), mode=mode, seed=seed)
+
+
+def read_json_object(path: str | Path) -> dict:
+    """The JSON object a scenario or grid file holds; anything else is refused."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
-    return scenario_from_dict(doc, mode=mode, seed=seed)
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{path}: must hold a JSON object")
+    return doc
 
 
 def scenario_from_dict(
@@ -280,32 +287,34 @@ def parse_seed_list(listing: str) -> list[int]:
 def load_grid_file(path: str | Path) -> tuple[np.ndarray, float, float, float]:
     """Load a raw-heights grid JSON: {"W":..,"L":..,"l":..,"heights":[[..]]}.
 
-    heights is indexed [column][row] with n+1 rows of m+1 entries.
+    heights is indexed [column][row] with n+1 rows of m+1 entries, each a
+    finite number; a refused entry is named as heights[i][j].
     """
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
+    doc = read_json_object(path)
     _require_keys(doc, {"W", "L", "l", "heights"}, "grid file")
     try:
-        heights = np.array(doc["heights"], dtype=float)
+        heights = np.array([_finite_row(row, i) for i, row in enumerate(doc["heights"])])
         if heights.ndim != 2:
             raise ScenarioError("heights must be a 2-D array")
-        return heights, float(doc["W"]), float(doc["L"]), float(doc["l"])
+        return heights, *(checked(doc[key], "float", key) for key in ("W", "L", "l"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid grid file: {exc}") from exc
 
 
+def _finite_row(values, i: int) -> list[float]:
+    """Row ``i`` of a height matrix; any entry not a finite number is refused."""
+    return [checked(v, "float", f"heights[{i}][{j}]") for j, v in enumerate(values)]
+
+
 def read_heights_csv(path: str | Path) -> np.ndarray:
-    """Raw (n+1) x (m+1) height matrix from a headerless CSV, [column][row]."""
+    """Raw (n+1) x (m+1) height matrix from a headerless CSV, [column][row],
+    of finite numbers; a refused entry is named as heights[i][j]."""
     try:
-        rows = []
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append([float(v) for v in line.split(",")])
-        heights = np.array(rows, dtype=float)
+            rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
+        heights = np.array([_finite_row(row, i) for i, row in enumerate(rows)])
+    except FieldError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
     except ValueError as exc:
         raise ScenarioError(f"{path}: not a numeric CSV ({exc})") from exc
     if heights.ndim != 2 or heights.size == 0:

@@ -207,49 +207,6 @@ def cell_orientation(dz1: float, dz2: float, cfg: SurfaceConfig) -> CellOrientat
     return CellOrientation(pitch, roll)
 
 
-def rotation_matrix(o: CellOrientation) -> np.ndarray:
-    """Rotation from the cell-fixed frame to the inertial frame (yaw = 0).
-
-    Columns are the cell-frame basis vectors expressed in inertial
-    coordinates.
-    """
-    ct, st = math.cos(o.pitch), math.sin(o.pitch)
-    cp, sp = math.cos(o.roll), math.sin(o.roll)
-    return np.array(
-        [
-            [ct, st * sp, cp * st],
-            [0.0, cp, -sp],
-            [-st, ct * sp, ct * cp],
-        ]
-    )
-
-
-def _check_shape(u: ControlInput, cfg: SurfaceConfig) -> None:
-    """Refuse an input without one drop per column and per row of ``cfg``."""
-    if len(u.dz_col) != cfg.n or len(u.dz_row) != cfg.m:
-        raise ValueError(
-            f"control input ({len(u.dz_col)},{len(u.dz_row)}) does not match "
-            f"grid ({cfg.n},{cfg.m})"
-        )
-
-
-def surface_orientation_field(
-    u: ControlInput, cfg: SurfaceConfig
-) -> list[list[CellOrientation]]:
-    """Orientation of every cell, indexed [I-1][J-1].
-
-    Each column shares one pitch angle; rolls along a row follow the
-    nonholonomic relation tan(roll)/cos(pitch) = const, which with the
-    separable height representation reduces to every cell (I, J) seeing the
-    same height differences (dz_col[I], dz_row[J]).
-    """
-    _check_shape(u, cfg)
-    return [
-        [cell_orientation(u.dz_col[i], u.dz_row[j], cfg) for j in range(cfg.m)]
-        for i in range(cfg.n)
-    ]
-
-
 def reconstruct_actuator_grid(u: ControlInput, cfg: SurfaceConfig) -> ActuatorGrid:
     """Actuator heights realizing the requested height differences.
 
@@ -259,7 +216,11 @@ def reconstruct_actuator_grid(u: ControlInput, cfg: SurfaceConfig) -> ActuatorGr
     row analogue).  Raises InfeasibleControlError if any height would leave
     [0, stroke].
     """
-    _check_shape(u, cfg)
+    if len(u.dz_col) != cfg.n or len(u.dz_row) != cfg.m:
+        raise ValueError(
+            f"control input ({len(u.dz_col)},{len(u.dz_row)}) does not match "
+            f"grid ({cfg.n},{cfg.m})"
+        )
     col = _component_heights(u.dz_col, cfg.ref_col)
     row = _component_heights(u.dz_row, cfg.ref_row)
 
@@ -314,7 +275,7 @@ def validate_grid(
 
     for i in range(cfg.n + 1):
         for j in range(cfg.m + 1):
-            if h[i, j] < -tol or h[i, j] > cfg.stroke + tol:
+            if not -tol <= h[i, j] <= cfg.stroke + tol:  # NaN too
                 report.bounds.append(((i + 1, j + 1), float(h[i, j])))
 
     # Per-cell orientations from the corner heights.

@@ -5,7 +5,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from morphsurf import ControlInput, ObjectState, SurfaceConfig, reconstruct_actuator_grid
+from morphsurf import (
+    ControlInput,
+    ObjectState,
+    SurfaceConfig,
+    cell_orientation,
+    reconstruct_actuator_grid,
+)
 from morphsurf.control import split_fractions
 from morphsurf.dynamics import cell_indices, locate_cell
 from morphsurf.scenario import FLOAT_FMT, trace_header
@@ -73,6 +79,23 @@ def object_arrays(objects):
         np.array([getattr(o, k) for o in objects], dtype=float)
         for k in ("x", "y", "vx", "vy")
     )
+
+
+def orientation_field(u: ControlInput, cfg: SurfaceConfig):
+    """CellOrientation of every cell of the surface commanded by ``u``,
+    indexed [I-1][J-1], one cell at a time.  On the separable surface every
+    cell (I, J) sees the drops (dz_col[I], dz_row[J]), so each column shares
+    one pitch and the rolls along a row follow the nonholonomic relation."""
+    return [
+        [cell_orientation(u.dz_col[i], u.dz_row[j], cfg) for j in range(cfg.m)]
+        for i in range(cfg.n)
+    ]
+
+
+def steady_speed(o, p):
+    """Closed-form terminal speed along x on a constant slope of orientation
+    ``o`` with friction: (g/b) Ct Cp St."""
+    return p.gravity / p.friction * math.cos(o.pitch) * math.cos(o.roll) * math.sin(o.pitch)
 
 
 def gravity_field(field, gravity):

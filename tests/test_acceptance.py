@@ -12,7 +12,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from morphsurf import (
     CellOrientation,
@@ -21,10 +20,7 @@ from morphsurf import (
     PhysicsParams,
     SingleCellGains,
     SurfaceConfig,
-    acceleration,
     cell_orientation,
-    steady_speed,
-    surface_orientation_field,
     reconstruct_actuator_grid,
     validate_grid,
 )
@@ -32,14 +28,16 @@ from morphsurf import scenario as sio
 from morphsurf.cli import EXIT_OK, EXIT_UNSETTLED, main
 from morphsurf.control import control_input, single_cell_feedback
 from morphsurf.dynamics import advance
-from morphsurf.engine import Scenario, batch, run, seed_sweep
+from morphsurf.engine import batch, run, seed_sweep
 
 from conftest import (
     gravity_field,
     object_arrays,
+    orientation_field,
     random_config,
     random_feasible_input,
     slaved_energy,
+    steady_speed,
     step,
 )
 
@@ -101,7 +99,7 @@ class TestC2DofRank:
                 cfg = SurfaceConfig(n, m, 2.0, 2.0, 1.0,
                                     int(rng.integers(1, n + 1)),
                                     int(rng.integers(1, m + 1)))
-                field = surface_orientation_field(
+                field = orientation_field(
                     random_feasible_input(rng, cfg), cfg
                 )
                 angles = np.concatenate([
@@ -167,7 +165,7 @@ class TestC3DynamicsOracles:
             g = reconstruct_actuator_grid(u, cfg)
             col = np.asarray(g.col_heights)
             row = np.asarray(g.row_heights)
-            gx, gy = gravity_field(surface_orientation_field(u, cfg), p.gravity)
+            gx, gy = gravity_field(orientation_field(u, cfg), p.gravity)
             k = 3
             x = rng.uniform(0, cfg.width, k)
             y = rng.uniform(0, cfg.length, k)
@@ -335,9 +333,10 @@ def _single_cell_closed_loop(friction, n_states, seed, t_final):
     """Closed loop of the saturated position-velocity feedback law at the
     10 Hz control rate.
 
-    Control and cell kinematics come from the package; the test only owns
-    the (unit-tested elsewhere) semi-implicit substep loop, vectorized over
-    independent single-cell plants.
+    The control law and the cell orientation come from the package, and
+    gravity along the cell from the oracle ``gravity_field``; the test only
+    owns the (unit-tested elsewhere) semi-implicit substep loop, vectorized
+    over independent single-cell plants.
     """
     cfg = SurfaceConfig(1, 1, 2.0, 2.0, 1.0, 1, 1)
     gains = SingleCellGains(kx=cfg.stroke / (2 * cfg.W), ky=cfg.stroke / (2 * cfg.L))
@@ -360,8 +359,8 @@ def _single_cell_closed_loop(friction, n_states, seed, t_final):
             dz1, dz2, _ = single_cell_feedback(
                 x[i] - xr, y[i] - yr, gains, cfg, vx[i], vy[i]
             )
-            o = cell_orientation(dz1, dz2, cfg)
-            gx[i], gy[i] = acceleration(o, 0.0, 0.0, p)
+            cell_gx, cell_gy = gravity_field([[cell_orientation(dz1, dz2, cfg)]], p.gravity)
+            gx[i], gy[i] = cell_gx[0, 0], cell_gy[0, 0]
         for _ in range(substeps):
             vx += (gx - p.friction * vx) * dt
             vy += (gy - p.friction * vy) * dt

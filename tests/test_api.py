@@ -1,4 +1,22 @@
+import ast
+from pathlib import Path
+
 import morphsurf
+
+SRC = Path(morphsurf.__file__).parent
+
+# Top-level functions and classes that no other code in src/ names and that
+# stay as the library's entry points: the paper's kinematic constraints, the
+# single-cell law on its own, and the trace and sweep helpers.  (Each must
+# be unnamed in src/: convergence_time is not listed, since RunMetrics has an
+# attribute of that name.)
+PUBLIC_ENTRY_POINTS = (
+    "dof_count",
+    "planar_completion",
+    "read_trace_csv",
+    "seed_sweep",
+    "single_cell_feedback",
+)
 
 
 def test_star_import_provides_every_exported_name():
@@ -9,3 +27,26 @@ def test_star_import_provides_every_exported_name():
 
 def test_exports_are_sorted():
     assert morphsurf.__all__ == sorted(morphsurf.__all__)
+
+
+def test_every_definition_is_used_in_src_or_an_entry_point():
+    """A top-level function or class of src/morphsurf (``__init__.py``
+    aside) is named, as a Name or an Attribute, by code outside its own
+    definition, or it is listed in PUBLIC_ENTRY_POINTS."""
+    defined, named = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            own = getattr(top, "name", None)  # functions and classes
+            if own is not None:
+                defined.append((path.stem, own))
+            named |= {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(top)
+                if isinstance(node, (ast.Name, ast.Attribute))
+            } - {own}
+    unused = [f"{module}.{name}" for module, name in defined
+              if name not in named and name not in PUBLIC_ENTRY_POINTS]
+    assert unused == []
+    assert set(PUBLIC_ENTRY_POINTS) <= {name for _, name in defined} - named

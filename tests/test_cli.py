@@ -457,6 +457,38 @@ class TestValidateCommand:
         bad.write_text("{not json")
         assert main(["validate", str(bad)]) == EXIT_INVALID
 
+    @pytest.mark.parametrize(
+        "name, text, refusal",
+        [
+            ("grid.json", '{"W": 1, "L": 1, "l": 1, "heights": [[null, 0], [0, 0]]}',
+             "heights[0][0] must be a finite number, got None"),
+            ("grid.json", '{"W": 1, "L": 1, "l": 1, "heights": [[0, NaN], [0, 0]]}',
+             "heights[0][1] must be a finite number, got nan"),
+            ("grid.json", '{"W": 1, "L": 1, "l": 1, "heights": [[0, 0], [0, 1e309]]}',
+             "heights[1][1] must be a finite number, got inf"),
+            ("grid.json", '{"W": 1, "L": 1, "l": 1, "heights": [[0, 0], [0, "0"]]}',
+             "heights[1][1] must be a finite number, got '0'"),
+            ("grid.json", '{"W": true, "L": 1, "l": 1, "heights": [[0, 0], [0, 0]]}',
+             "W must be a finite number, got True"),
+            ("grid.json", "null", "must hold a JSON object"),
+            ("grid.json", "5", "must hold a JSON object"),
+            ("grid.json", '"heights"', "must hold a JSON object"),
+            ("grid.csv", "nan,0\n0,0\n", "heights[0][0] must be a finite number, got nan"),
+            ("grid.csv", "0,0\n0,-inf\n", "heights[1][1] must be a finite number, got -inf"),
+        ],
+        ids=["null-height", "nan-height", "overflowing-height", "string-height", "bool-W",
+             "null-file", "number-file", "string-file", "nan-csv", "inf-csv"],
+    )
+    def test_non_finite_or_non_object_input_is_refused(self, tmp_path, capsys, name, text,
+                                                        refusal):
+        path = tmp_path / name
+        path.write_text(text)
+        argv = ["validate", str(path), "--cell-width", "2", "--cell-length", "2", "--stroke", "1"]
+        assert main(argv) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert refusal in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestCannedScenarios:
     def test_all_parse(self):

@@ -9,7 +9,6 @@ from morphsurf import (
     Scenario,
     SingleCellGains,
     SurfaceConfig,
-    acceleration,
     locate_cell,
     planar_completion,
     single_cell_feedback,
@@ -17,6 +16,7 @@ from morphsurf import (
 from morphsurf import control
 from morphsurf.control import SINGLE_CELL_KD, axis_drops
 from morphsurf.dynamics import cell_indices
+from morphsurf.engine import _grid_orientation_terms
 from conftest import allocation_reference, object_arrays
 
 # The running example: S(5,4) with reference cell (3,1) and stroke 100.
@@ -352,21 +352,20 @@ class TestControlTick:
 
 class TestDirectionCorrectness:
     def test_single_object_accelerates_toward_reference(self):
+        # gravity from the field build the engine runs on the commanded grid
         p = PhysicsParams()
         params = ControllerParams()
-        from morphsurf import cell_orientation
-
         for mode in ("distributed", "wave", "funnel"):
             for cell in [(1, 1), (5, 4), (3, 4), (1, 2), (4, 1), (2, 3)]:
                 if cell == (CFG.ref_col, CFG.ref_row):
                     continue
                 objs = objects_in_cells([cell], CFG)
                 grid = control_tick(objs, mode, params, CFG)
-                col = np.asarray(grid.col_heights)
-                row = np.asarray(grid.row_heights)
+                gx, gy = _grid_orientation_terms(
+                    np.asarray(grid.col_heights), np.asarray(grid.row_heights), CFG, p.gravity
+                )
                 i, j = cell
-                o = cell_orientation(col[i - 1] - col[i], row[j - 1] - row[j], CFG)
-                ax, ay = acceleration(o, 0.0, 0.0, p)
+                ax, ay = gx[i - 1, j - 1], gy[i - 1, j - 1]
                 to_ref = (
                     (CFG.ref_col - i) * CFG.W,
                     (CFG.ref_row - j) * CFG.L,

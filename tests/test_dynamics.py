@@ -5,28 +5,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morphsurf import (
-    ActuatorGrid,
     CellOrientation,
     ControlInput,
     ObjectState,
     PhysicsParams,
     SurfaceConfig,
-    acceleration,
-    actuator_response,
-    height_at,
     locate_cell,
     reconstruct_actuator_grid,
-    steady_speed,
-    surface_orientation_field,
 )
 from morphsurf import dynamics
 from morphsurf.dynamics import advance, cell_indices, first_order_lag
+from morphsurf.engine import _grid_orientation_terms
 from conftest import (
     advance_reference,
     gravity_field,
+    orientation_field,
     random_config,
     random_feasible_input,
     slaved_energy,
+    steady_speed,
     step,
 )
 
@@ -61,70 +58,42 @@ class TestLocateCell:
             locate_cell(ObjectState(-0.1, 1.0), CFG)
 
 
-class TestHeightAt:
-    def test_flat_grid(self):
-        g = ActuatorGrid((0.3,) * 6, (0.0,) * 5)
-        for xy in [(0.1, 0.1), (5.0, 3.0), (9.9, 7.9)]:
-            assert height_at(ObjectState(*xy), g, CFG) == pytest.approx(0.3)
-
-    def test_linear_in_y(self):
-        # Corners (Z1, Z2, Z3, Z4) = (0, 0, 100, 100): pure slope along +y.
-        cfg = SurfaceConfig(1, 1, 2.0, 2.0, 100.0, 1, 1)
-        g = ActuatorGrid((0.0, 0.0), (0.0, 100.0))
-        assert height_at(ObjectState(1.0, 1.0), g, cfg) == pytest.approx(50.0)
-
-    def test_matches_plane_through_three_corners(self):
-        rng = np.random.default_rng(3)
-        for _ in range(30):
-            cfg = random_config(rng)
-            g = reconstruct_actuator_grid(random_feasible_input(rng, cfg), cfg)
-            h = g.heights()
-            s = ObjectState(rng.uniform(0, cfg.width), rng.uniform(0, cfg.length))
-            i, j = locate_cell(s, cfg)
-            # independent oracle: plane through P1, P2, P4 of the cell
-            z1, z2, z4 = h[i - 1, j - 1], h[i, j - 1], h[i - 1, j]
-            gx = (z2 - z1) / cfg.W
-            gy = (z4 - z1) / cfg.L
-            expect = z1 + gx * (s.x - (i - 1) * cfg.W) + gy * (s.y - (j - 1) * cfg.L)
-            assert height_at(s, g, cfg) == pytest.approx(expect, abs=1e-12)
-
-
 class TestAcceleration:
+    """Signs and sizes of the gravity field the engine builds, and of the
+    friction that advance applies."""
+
+    @staticmethod
+    def field(dz1, dz2):
+        """(gx, gy) of cell (2, 3) of CFG with drops dz1 along +x and dz2
+        along +y, the rest of the surface level."""
+        grid_col, grid_row = np.zeros(CFG.n + 1), np.zeros(CFG.m + 1)
+        grid_col[:2] = dz1
+        grid_row[:3] = dz2
+        gx, gy = _grid_orientation_terms(grid_col, grid_row, CFG, P.gravity)
+        return gx[2 - 1, 3 - 1], gy[2 - 1, 3 - 1]
+
     def test_flat_at_rest(self):
-        assert acceleration(CellOrientation(0, 0), 0, 0, P) == (0.0, 0.0)
+        assert self.field(0.0, 0.0) == (0.0, 0.0)
 
     def test_pitch_only(self):
-        ax, ay = acceleration(CellOrientation(math.pi / 6, 0.0), 0, 0, P)
+        # a positive column drop pitches the cell by +30 degrees: +x
+        ax, ay = self.field(CFG.W * math.tan(math.pi / 6), 0.0)
         assert ax == pytest.approx(9.81 * math.cos(math.pi / 6) * 0.5)
         assert ay == 0.0
 
     def test_positive_row_drop_pushes_plus_y(self):
-        ax, ay = acceleration(CellOrientation(0.0, -math.pi / 4), 0, 0, P)
+        # a drop of L along +y rolls the cell by -45 degrees
+        ax, ay = self.field(0.0, CFG.L)
         assert ax == 0.0
         assert ay == pytest.approx(4.905)
 
     def test_friction_opposes_motion(self):
-        ax, ay = acceleration(CellOrientation(0, 0), 2.0, -3.0, P)
-        assert ax == pytest.approx(-0.2)
-        assert ay == pytest.approx(0.3)
-
-
-class TestSteadySpeed:
-    def test_flat_is_zero(self):
-        assert steady_speed(CellOrientation(0.0, 0.0), P) == 0.0
-
-    def test_closed_form(self):
-        v = steady_speed(CellOrientation(math.pi / 4, 0.0), P)
-        assert v == pytest.approx(49.05)
-
-    def test_inverse_in_friction(self):
-        o = CellOrientation(0.3, 0.1)
-        doubled = PhysicsParams(friction=2 * P.friction)
-        assert steady_speed(o, P) == pytest.approx(2 * steady_speed(o, doubled))
-
-    def test_frictionless_raises(self):
-        with pytest.raises(ValueError):
-            steady_speed(CellOrientation(0.1, 0.0), PhysicsParams(friction=0.0))
+        flat = np.zeros((CFG.n, CFG.m))
+        x, y = np.array([5.0]), np.array([4.0])
+        vx, vy = np.array([2.0]), np.array([-3.0])
+        advance(x, y, vx, vy, flat, flat, CFG, P.friction, P.dt)
+        assert (vx[0] - 2.0) / P.dt == pytest.approx(-0.2)
+        assert (vy[0] + 3.0) / P.dt == pytest.approx(0.3)
 
 
 class TestStep:
@@ -175,18 +144,19 @@ class TestFarOvershoot:
 
 class TestActuatorResponse:
     def test_ideal(self):
-        assert actuator_response(0.0, 42.0, PhysicsParams(tau=0.0)) == 42.0
+        p = PhysicsParams(tau=0.0)
+        assert first_order_lag(0.0, 42.0, p.tau, p.dt) == 42.0
 
     def test_one_time_constant(self):
         p = PhysicsParams(tau=0.5, dt=1e-3)
         z = 0.0
         for _ in range(500):  # accumulate exactly tau seconds
-            z = actuator_response(z, 1.0, p)
+            z = first_order_lag(z, 1.0, p.tau, p.dt)
         assert z == pytest.approx(1 - math.exp(-1), rel=1e-9)
 
     def test_fixed_point(self):
         p = PhysicsParams(tau=2.0)
-        assert actuator_response(0.7, 0.7, p) == pytest.approx(0.7)
+        assert first_order_lag(0.7, 0.7, p.tau, p.dt) == pytest.approx(0.7)
 
     def test_lag_is_exact_over_any_interval(self):
         # splitting an interval in two gives the same response
@@ -260,9 +230,9 @@ class TestMirrorSymmetry:
         mirrored_cfg = SurfaceConfig(4, 3, 2.0, 2.0, 1.0, 4 + 1 - 2, 2)
         u_m = ControlInput(tuple(-d for d in reversed(u.dz_col)), u.dz_row)
 
-        gx, gy = gravity_field(surface_orientation_field(u, cfg), P.gravity)
+        gx, gy = gravity_field(orientation_field(u, cfg), P.gravity)
         gxm, gym = gravity_field(
-            surface_orientation_field(u_m, mirrored_cfg), P.gravity
+            orientation_field(u_m, mirrored_cfg), P.gravity
         )
 
         x = np.array([1.3])
@@ -293,7 +263,7 @@ class TestEnergyDissipation:
             g = reconstruct_actuator_grid(u, cfg)
             col = np.asarray(g.col_heights)
             row = np.asarray(g.row_heights)
-            gx, gy = gravity_field(surface_orientation_field(u, cfg), P.gravity)
+            gx, gy = gravity_field(orientation_field(u, cfg), P.gravity)
             k = 4
             x = rng.uniform(0, cfg.width, k)
             y = rng.uniform(0, cfg.length, k)

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from morphsurf import (
+    ControlInput,
     ControllerParams,
     ObjectState,
     PhysicsParams,
     SingleCellGains,
     SurfaceConfig,
-    cell_orientation,
     reconstruct_actuator_grid,
 )
 from morphsurf import control, dynamics, engine
@@ -38,6 +38,7 @@ from morphsurf.surface import FieldError
 from conftest import (
     arrival_times_reference,
     gravity_field,
+    orientation_field,
     path_lengths_reference,
     random_config,
     random_feasible_input,
@@ -188,6 +189,17 @@ class TestFieldChecks:
                             lambda gains, cfg: checks.append(cfg) or validate(gains, cfg))
         trace = run(sc)[0]
         assert len(trace.t) > 1 and checks == []
+
+    def test_single_cell_without_gains_builds_no_gains_per_tick(self, monkeypatch):
+        # no gains stand for the gains at their caps, resolved without a
+        # SingleCellGains: none is built while the run ticks
+        cell = SurfaceConfig(n=1, m=1, W=2.0, L=2.0, stroke=1.0, ref_col=1, ref_row=1)
+        sc = small_scenario("single_cell", cfg=cell, objects=(ObjectState(0.5, 1.5),),
+                            t_max=5.0)
+        built = []
+        monkeypatch.setattr(SingleCellGains, "__post_init__", lambda gains: built.append(gains))
+        trace = run(sc)[0]
+        assert len(trace.t) > 1 and built == []
 
     @pytest.mark.parametrize("a, b", [(0.7, 0.5), (1.5, -0.5)])
     def test_stroke_split(self, a, b):
@@ -441,13 +453,8 @@ class TestActuatorLag:
 
 def field_by_cell(grid_col, grid_row, cfg, gravity):
     """The field built one cell at a time from CellOrientation objects."""
-    dz_col = grid_col[:-1] - grid_col[1:]
-    dz_row = grid_row[:-1] - grid_row[1:]
-    field = [
-        [cell_orientation(dz_col[i], dz_row[j], cfg) for j in range(cfg.m)]
-        for i in range(cfg.n)
-    ]
-    return gravity_field(field, gravity)
+    u = ControlInput(tuple(grid_col[:-1] - grid_col[1:]), tuple(grid_row[:-1] - grid_row[1:]))
+    return gravity_field(orientation_field(u, cfg), gravity)
 
 
 class TestFieldBuild:

@@ -72,6 +72,13 @@ CROWD_DISTRIBUTED = (
     "503b60914a37b41d4a414a2736cf1caef005167d2e5b347f985f498bf004d7f0",
 )
 
+# One object on a 1x1 surface in single_cell mode without gains (the law at
+# its capped gains), with lagging actuators (tau 0.2 s).
+SINGLE_CELL = (
+    "a83a133b4c85e9e43bafcbc49e49e9ba7c18e841bc9ee38b23f39fbf6e647d86",
+    "a0de5be89d3694ed0849a10614943e4d6f14b1c9cd58a4a2c79962714b035336",
+)
+
 # summary.json of `compare` on paper-s5x6, three modes, seeds 1..2.
 SUMMARY = "b21348f49f66caa57cdb2eaeec077d5c582d2bcffc2bb6432bb7688e9da735a9"
 
@@ -137,6 +144,19 @@ def test_crowd_run(tmp_path):
 
 def test_crowd_distributed_run(tmp_path):
     assert crowd_hashes(tmp_path, "distributed") == CROWD_DISTRIBUTED
+
+
+def test_single_cell_run(tmp_path):
+    doc = {
+        "surface": {"n": 1, "m": 1, "W": 2.0, "L": 2.0, "l": 1.0, "ref": [1, 1]},
+        "physics": {"g": 9.81, "b": 0.1, "tau": 0.2, "dt": 0.001},
+        "control": {"mode": "single_cell", "rate": 10.0},
+        "objects": [{"x": 0.2, "y": 1.7, "vx": 0.3}],
+        "t_max": 120.0,
+    }
+    path = tmp_path / "single-cell.json"
+    path.write_text(json.dumps(doc))
+    assert run_hashes(path, tmp_path / "out") == SINGLE_CELL
 
 
 def test_compare_summary(tmp_path):

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from morphsurf import (
-    ActuatorGrid,
-    CellOrientation,
     ControlInput,
     InfeasibleControlError,
     SurfaceConfig,
@@ -13,11 +11,9 @@ from morphsurf import (
     dof_count,
     planar_completion,
     reconstruct_actuator_grid,
-    rotation_matrix,
-    surface_orientation_field,
     validate_grid,
 )
-from conftest import random_config, random_feasible_input
+from conftest import orientation_field, random_config, random_feasible_input
 
 CFG = SurfaceConfig(n=5, m=4, W=2.0, L=2.0, stroke=1.0, ref_col=3, ref_row=1)
 
@@ -50,31 +46,10 @@ class TestCellOrientation:
         assert abs(o.roll) < math.pi / 2
 
 
-class TestRotationMatrix:
-    def test_identity_when_flat(self):
-        np.testing.assert_allclose(
-            rotation_matrix(CellOrientation(0.0, 0.0)), np.eye(3), atol=0
-        )
-
-    def test_pitch_column(self):
-        r = rotation_matrix(CellOrientation(math.pi / 6, 0.0))
-        np.testing.assert_allclose(
-            r[:, 0], [math.sqrt(3) / 2, 0.0, -0.5], atol=1e-15
-        )
-
-    def test_orthonormal(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            o = CellOrientation(rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4))
-            r = rotation_matrix(o)
-            np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-12)
-            assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
-
-
 class TestOrientationField:
     def test_flat_everywhere(self):
         u = ControlInput((0.0,) * 5, (0.0,) * 4)
-        field = surface_orientation_field(u, CFG)
+        field = orientation_field(u, CFG)
         for col in field:
             for o in col:
                 assert o.pitch == 0.0 and o.roll == 0.0
@@ -82,7 +57,7 @@ class TestOrientationField:
     def test_equal_pitch_gives_equal_roll(self):
         cfg = SurfaceConfig(2, 3, 2.0, 2.0, 1.0, 1, 1)
         u = ControlInput((0.2, 0.2), (0.0, -0.1, -0.2))
-        field = surface_orientation_field(u, cfg)
+        field = orientation_field(u, cfg)
         for j in range(cfg.m):
             assert field[0][j].roll == pytest.approx(field[1][j].roll, abs=1e-15)
 
@@ -92,7 +67,7 @@ class TestOrientationField:
         cfg = SurfaceConfig(2, 2, 2.0, 2.0, 1.0, 1, 1)
         t20, t40 = math.radians(20), math.radians(40)
         u = ControlInput((cfg.W * math.tan(t20), cfg.W * math.tan(t40)), (0.3, -0.4))
-        field = surface_orientation_field(u, cfg)
+        field = orientation_field(u, cfg)
         scale = math.cos(t40) / math.cos(t20)
         for j in range(2):
             expected = math.atan(scale * math.tan(field[0][j].roll))
@@ -105,7 +80,7 @@ class TestOrientationField:
         dz_col = (cfg.W * math.tan(t20), cfg.W * math.tan(t40))
         dz_row = (0.3, -0.4)
         u = ControlInput(dz_col, dz_row)
-        field = surface_orientation_field(u, cfg)
+        field = orientation_field(u, cfg)
 
         col = np.array([0.0, -dz_col[0], -dz_col[0] - dz_col[1]])
         row = np.array([0.0, -dz_row[0], -dz_row[0] - dz_row[1]])
@@ -120,8 +95,8 @@ class TestOrientationField:
 
     def test_dimension_mismatch(self):
         u = ControlInput((0.0,) * 4, (0.0,) * 4)
-        with pytest.raises(ValueError):
-            surface_orientation_field(u, CFG)
+        with pytest.raises(ValueError, match=r"control input \(4,4\) does not match grid \(5,4\)"):
+            reconstruct_actuator_grid(u, CFG)
 
 
 class TestReconstruct:
@@ -223,6 +198,15 @@ class TestValidateGrid:
         report = validate_grid(h, cfg)
         assert len(report.bounds) == 4
 
+    def test_nan_height_is_a_bound_violation(self):
+        cfg = SurfaceConfig(1, 1, 2.0, 2.0, 1.0, 1, 1)
+        h = np.zeros((2, 2))
+        h[1, 0] = math.nan
+        report = validate_grid(h, cfg)
+        assert not report.ok
+        assert [act for act, _ in report.bounds] == [(2, 1)]
+        assert "bounds: actuator (2, 1) height nan m" in report.summary()
+
 
 class TestDofCount:
     def test_two_cell_column(self):
@@ -241,7 +225,7 @@ class TestRoundTrip:
         for _ in range(60):
             cfg = random_config(rng)
             u = random_feasible_input(rng, cfg)
-            field = surface_orientation_field(u, cfg)
+            field = orientation_field(u, cfg)
             h = reconstruct_actuator_grid(u, cfg).heights()
             for i in range(cfg.n):
                 for j in range(cfg.m):
