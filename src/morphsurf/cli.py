@@ -75,21 +75,20 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    base = sio.load_scenario(args.scenario)
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    if not modes or len(set(modes)) < len(modes):
+        raise sio.ScenarioError(f"--modes {args.modes!r}: give at least one mode, each once")
     for m in modes:
         if m not in control.MODES:
             raise sio.ScenarioError(f"unknown mode {m!r}")
-    seeds = sio.parse_seed_list(args.seeds) if args.seeds else [base.seed]
-    if base.objects is not None and len(seeds) > 1:
+    base = {mode: sio.load_scenario(args.scenario, mode=mode) for mode in modes}
+    seeds = sio.parse_seed_list(args.seeds) if args.seeds else [base[modes[0]].seed]
+    if base[modes[0]].objects is not None and len(seeds) > 1:
         raise sio.ScenarioError(
             "the scenario lists its objects, so every seed would run the same "
             "simulation: give one seed, or place the objects with objects_random"
         )
-    jobs = {
-        mode: [sio.load_scenario(args.scenario, mode=mode, seed=s) for s in seeds]
-        for mode in modes
-    }
+    jobs = {mode: engine.seed_sweep(sc, seeds) for mode, sc in base.items()}
     args.out.mkdir(parents=True, exist_ok=True)
 
     summary: dict[str, dict] = {}
@@ -129,28 +128,33 @@ def _cmd_compare(args) -> int:
 
 def _cmd_validate(args) -> int:
     path: Path = args.path
+    dims = (args.cell_width, args.cell_length, args.stroke)
     doc = sio.read_json_object(path) if path.suffix == ".json" else None
     if doc is not None and "heights" not in doc:
         sc = sio.scenario_from_dict(doc)
         grid = control.command(*engine.initial_state(sc), sc.mode, sc.params, sc.cfg)[1]
-        report = validate_grid(grid, sc.cfg)
+        cfg = sc.cfg
     else:
         if path.suffix == ".json":
-            heights, w, l_, stroke = sio.load_grid_file(path)
+            grid, w, l_, stroke = sio.load_grid_file(path)
         elif path.suffix == ".csv":
-            if args.cell_width is None or args.cell_length is None or args.stroke is None:
+            if None in dims:
                 raise sio.ScenarioError(
                     "raw CSV grids need --cell-width, --cell-length and --stroke"
                 )
-            heights = sio.read_heights_csv(path)
-            w, l_, stroke = args.cell_width, args.cell_length, args.stroke
+            grid, (w, l_, stroke) = sio.read_heights_csv(path), dims
         else:
             raise sio.ScenarioError(f"cannot validate {path}: expected .json or .csv")
         cfg = SurfaceConfig(
-            n=heights.shape[0] - 1, m=heights.shape[1] - 1,
+            n=grid.shape[0] - 1, m=grid.shape[1] - 1,
             W=w, L=l_, stroke=stroke, ref_col=1, ref_row=1,
         )
-        report = validate_grid(heights, cfg)
+    if doc is not None and dims != (None, None, None):
+        raise sio.ScenarioError(
+            f"--cell-width, --cell-length and --stroke are for raw CSV grids only: "
+            f"{path} gives its own dimensions"
+        )
+    report = validate_grid(grid, cfg)
     print(report.summary())
     return EXIT_OK if report.ok else EXIT_UNSETTLED
 

@@ -13,8 +13,10 @@ leveled to the lowest potential.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -187,10 +189,11 @@ def split_fractions(
         return params.frac_x, params.frac_y
     xc = (cfg.ref_col - 0.5) * cfg.W
     yc = (cfg.ref_row - 0.5) * cfg.L
-    # Summed object after object, not in np.sum's pairwise order, so that
-    # near-ties between the axes resolve as the golden tests pin them.
-    err_x = sum(np.abs(x - xc).tolist())
-    err_y = sum(np.abs(y - yc).tolist())
+    # A left fold from 0.0, object after object: neither np.sum's pairwise
+    # order nor the compensated sum() of Python >= 3.12, so that near-ties
+    # between the axes resolve as the golden tests pin them.
+    err_x = reduce(operator.add, np.abs(x - xc).tolist(), 0.0)
+    err_y = reduce(operator.add, np.abs(y - yc).tolist(), 0.0)
     return (1.0, 0.0) if err_x >= err_y else (0.0, 1.0)
 
 

@@ -153,18 +153,15 @@ class RunMetrics:
     wall_clock: float
 
 
-def initial_state(sc: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Initial (x, y, vx, vy) arrays: the explicit objects, or seeded uniform
-    placement at rest over the workspace."""
+def initial_state(sc: Scenario) -> np.ndarray:
+    """Initial state, a float (4, objects) array with rows x, y, vx, vy: the
+    explicit objects, or seeded uniform placement at rest over the workspace."""
     if sc.objects is not None:
-        return tuple(
-            np.array([getattr(o, k) for o in sc.objects], dtype=float)
-            for k in ("x", "y", "vx", "vy")
-        )
+        return np.array([[o.x, o.y, o.vx, o.vy] for o in sc.objects], dtype=float).T.copy()
     rng = np.random.default_rng(sc.seed)
     xs = rng.uniform(0.0, sc.cfg.width, sc.random_count)
     ys = rng.uniform(0.0, sc.cfg.length, sc.random_count)
-    return xs, ys, np.zeros(sc.random_count), np.zeros(sc.random_count)
+    return np.vstack((xs, ys, np.zeros((2, sc.random_count))))
 
 
 def _grid_orientation_terms(
@@ -204,7 +201,8 @@ def run(sc: Scenario) -> tuple[SimTrace, RunMetrics]:
     substeps = sc.substeps
     n_ticks = int(round(sc.t_max / period))
 
-    x, y, vx, vy = initial_state(sc)
+    state = initial_state(sc)
+    x, y, vx, vy = state  # row views: advance moves the objects in place
     # The reference surface configs, built once, and the time each holds from.
     ref_times = [-math.inf] + [when - 1e-12 for when, _, _ in sc.reference_schedule]
     ref_cfgs = [cfg] + [replace(cfg, ref_col=c, ref_row=r) for _, c, r in sc.reference_schedule]
@@ -218,7 +216,6 @@ def run(sc: Scenario) -> tuple[SimTrace, RunMetrics]:
     row_bytes = 8 * sum(math.prod(shape) for shape in row_shapes)
     capacity = min(n_ticks + 1, max(1, _TRACE_RESERVE // row_bytes))
     columns = [np.empty((capacity, *shape)) for shape in row_shapes]
-    t_col, states, dz_col, dz_row, col_heights, row_heights = columns
     settle_streak = 0
     converged = False
 
@@ -242,17 +239,8 @@ def run(sc: Scenario) -> tuple[SimTrace, RunMetrics]:
             for new, old in zip(grown, columns):
                 new[:tick] = old
             columns = grown
-            t_col, states, dz_col, dz_row, col_heights, row_heights = columns
-        t_col[tick] = t
-        row = states[tick]
-        row[:, 0] = x
-        row[:, 1] = y
-        row[:, 2] = vx
-        row[:, 3] = vy
-        dz_col[tick] = u.dz_col
-        dz_row[tick] = u.dz_row
-        col_heights[tick] = grid_col
-        row_heights[tick] = grid_row
+        for column, value in zip(columns, (t, state.T, u.dz_col, u.dz_row, grid_col, grid_row)):
+            column[tick] = value
 
         if settle_streak >= 2:
             converged = True
@@ -357,20 +345,19 @@ def _path_lengths(trace: SimTrace) -> np.ndarray:
     """Per-object sum of the straight steps between trace rows.
 
     The arithmetic and summation order of
-    sqrt((diff(states[:, :, :2], axis=0)**2).sum(axis=2)).sum(axis=0), read
-    in blocks of _METRIC_ROWS rows.  numpy adds the rows of a (steps,
-    objects) array one after another, so each block's steps are summed
-    under the running total, which heads the array.  One object's steps form
-    a 1-D array, which numpy sums pairwise instead (_pairwise_steps).
+    sqrt((diff(states[:, :, :2], axis=0)**2).sum(axis=2)).sum(axis=0).  One
+    object's steps are summed whole by that numpy call; their temporaries
+    are two floats per step.  More objects are read in blocks of
+    _METRIC_ROWS rows: numpy adds the rows of a (steps, objects) array one
+    after another, so each block's steps are summed under the running total,
+    which heads the array.
     """
     states = trace.states
     rows, objects = states.shape[:2]
-    total = np.zeros(objects)
-    if rows < 2:
-        return total
     if objects == 1:
-        total[0] += _pairwise_steps(states[:, 0, :2], 0, rows - 1)
-        return total
+        steps = np.empty((rows - 1, 1))
+        return _step_lengths(states[:, :, :2], steps, np.empty_like(steps)).sum(axis=0)
+    total = np.zeros(objects)
     scratch = np.empty((min(_METRIC_ROWS, rows - 1), objects))
     block = np.empty((len(scratch) + 1, objects))
     for lo in range(0, rows - 1, _METRIC_ROWS):
@@ -391,19 +378,6 @@ def _step_lengths(xy: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.nd
     scratch *= scratch
     out += scratch
     return np.sqrt(out, out=out)
-
-
-def _pairwise_steps(xy: np.ndarray, lo: int, hi: int) -> float:
-    """Sum of one object's step lengths lo..hi-1, from its (rows, 2)
-    positions ``xy``, in numpy's pairwise order.  numpy splits a range of
-    more than 128 steps at half its length rounded down to a multiple of 8
-    and sums the halves alike; here the same splits are made until a range
-    has at most max(_METRIC_ROWS, 128) steps, and numpy sums that range."""
-    n = hi - lo
-    if n > max(_METRIC_ROWS, 128):
-        half = n // 2 - n // 2 % 8
-        return _pairwise_steps(xy, lo, lo + half) + _pairwise_steps(xy, lo + half, hi)
-    return float(_step_lengths(xy[lo : hi + 1], np.empty(n), np.empty(n)).sum())
 
 
 def compute_metrics(
@@ -439,22 +413,21 @@ class BatchEntry:
     error: str | None = None
 
 
-def batch(scenarios: list[Scenario], workers: int | None = None) -> list[BatchEntry]:
+def batch(scenarios: list[Scenario]) -> list[BatchEntry]:
     """Run scenarios independently; failures are reported per entry.
 
-    Parallelism defaults to the CPU count and is capped by the
-    MORPHSURF_THREADS environment variable.
+    Parallelism is the CPU count, or the MORPHSURF_THREADS environment
+    variable where it is set.
     """
     if not scenarios:
         return []
-    if workers is None:
-        workers = os.cpu_count() or 1
-        env = os.environ.get(THREADS_ENV)
-        if env:
-            try:
-                workers = max(1, int(env))
-            except ValueError:
-                raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
+    workers = os.cpu_count() or 1
+    env = os.environ.get(THREADS_ENV)
+    if env:
+        try:
+            workers = max(1, int(env))
+        except ValueError:
+            raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
     workers = min(workers, len(scenarios))
 
     if workers <= 1:

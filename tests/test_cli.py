@@ -397,6 +397,14 @@ class TestCompareCommand:
                      str(tmp_path / "cmp")]) == EXIT_INVALID
         assert "MORPHSURF_THREADS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("modes", [",", " , ", "wave,wave", "wave,funnel, wave"])
+    def test_empty_or_repeated_modes_are_refused(self, tmp_path, capsys, modes):
+        path = tiny_scenario(tmp_path)
+        out = tmp_path / "cmp"
+        assert main(["compare", str(path), "--modes", modes, "-o", str(out)]) == EXIT_INVALID
+        assert "--modes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_mode_rejected(self, tmp_path):
         path = tiny_scenario(tmp_path)
         code = main(["compare", str(path), "--modes", "sideways", "-o",
@@ -451,6 +459,24 @@ class TestValidateCommand:
             "validate", str(csv), "--cell-width", "2", "--cell-length", "2",
             "--stroke", "1",
         ]) == EXIT_OK
+
+    @pytest.mark.parametrize("flags", [
+        ["--cell-width", "5"],
+        ["--stroke", "0.001"],
+        ["--cell-width", "2", "--cell-length", "2", "--stroke", "1"],
+    ])
+    def test_dimension_flags_refused_for_json(self, tmp_path, capsys, flags):
+        # a grid or scenario JSON gives its own W, L and l: the flags would
+        # be ignored, so they are refused
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"W": 2, "L": 2, "l": 1, "heights": [[0, 0], [0, 0]]}))
+        for path in (grid_path, SCENARIOS / "paper-s5x6.json"):
+            assert main(["validate", str(path), *flags]) == EXIT_INVALID
+            captured = capsys.readouterr()
+            assert "--cell-width, --cell-length and --stroke" in captured.err
+            assert captured.out == ""
+            assert main(["validate", str(path)]) == EXIT_OK
+            capsys.readouterr()
 
     def test_unreadable_input(self, tmp_path):
         bad = tmp_path / "bad.json"

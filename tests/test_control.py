@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -384,3 +386,15 @@ class TestHardwareSplit:
         u = control_input(objs, "wave", params, CFG)
         assert max(abs(v) for v in u.dz_col) == CFG.stroke
         assert all(v == 0 for v in u.dz_row)
+
+    def test_axis_errors_are_a_left_fold_not_a_compensated_sum(self):
+        # x errors 1 + 2**-53 + 2**-53 fold to 1.0 from the left but are
+        # 1 + 2**-52 exactly (math.fsum, and sum() from Python 3.12 on), a
+        # tie with the y error that would go to x; the left fold picks y
+        cfg = SurfaceConfig(n=2, m=2, W=1.0, L=1.0, stroke=1.0, ref_col=1, ref_row=1)
+        x = np.array([1.5, 0.5 + 2.0**-53, 0.5 + 2.0**-53])
+        y = np.array([1.5 + 2.0**-52, 0.5, 0.5])
+        ex, ey = np.abs(x - 0.5).tolist(), np.abs(y - 0.5).tolist()
+        assert math.fsum(ex) == math.fsum(ey) == 1.0 + 2.0**-52
+        params = ControllerParams(hardware_split=True)
+        assert control.split_fractions(x, y, params, cfg) == (0.0, 1.0)

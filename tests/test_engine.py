@@ -222,6 +222,26 @@ class TestInitialObjects:
         b = initial_state(small_scenario(objects=None, random_count=8, seed=2))
         assert not np.array_equal(a[0], b[0])
 
+    def test_explicit_objects_give_one_float_state_row_per_component(self):
+        objects = (ObjectState(1.0, 3.0, vx=0.5), ObjectState(5, 1, vy=-0.25))
+        state = initial_state(small_scenario(objects=objects))
+        assert state.dtype == float and state.shape == (4, 2)
+        assert state.tolist() == [[1.0, 5.0], [3.0, 1.0], [0.5, 0.0], [0.0, -0.25]]
+
+    def test_seeded_state_is_one_float_array(self):
+        state = initial_state(small_scenario(objects=None, random_count=8, seed=3))
+        assert state.dtype == float and state.shape == (4, 8)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [{}, {"objects": None, "random_count": 5, "seed": 9}],
+        ids=["explicit", "seeded"],
+    )
+    def test_first_trace_row_is_the_initial_state(self, kw):
+        sc = small_scenario(t_max=1.0, **kw)
+        trace = run(sc)[0]
+        assert trace.states[0].tobytes() == initial_state(sc).T.tobytes()
+
 
 class TestRun:
     def test_deterministic_bit_for_bit(self):
@@ -351,8 +371,9 @@ class TestTraceRecording:
     @pytest.mark.parametrize("block", [1, 2, 7])
     def test_metrics_across_block_boundaries(self, block, monkeypatch):
         # a running total and each object's last row outside carried from
-        # block to block; one object's steps are summed pairwise, which
-        # differs from summing in order once there are 8 or more of them
+        # block to block; one object's steps are summed whole, by numpy's
+        # pairwise sum, which differs from summing in order once there are 8
+        # or more of them
         monkeypatch.setattr(engine, "_METRIC_ROWS", block)
         rng = np.random.default_rng(block)
         for k in range(60):
@@ -380,6 +401,24 @@ class TestTraceRecording:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * engine._METRIC_ROWS * trace.n_objects * 8
+
+    def test_one_object_path_temporaries_are_two_floats_per_step(self):
+        # one object's steps are summed whole: the step lengths and one
+        # scratch array, 16 bytes per step; the arrival times' blocks, read
+        # afterwards, are smaller
+        cfg = SurfaceConfig(n=4, m=3, W=2.0, L=2.0, stroke=1.0, ref_col=2, ref_row=2)
+        rows = 3 * engine._METRIC_ROWS + 1
+        trace = random_trace(np.random.default_rng(6), cfg, rows=rows, objects=1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            metrics = compute_metrics(trace, cfg, settle=0.1, converged=False, wall_clock=0.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * (rows - 1) + (1 << 12)
+        assert np.array(metrics.path_lengths).tobytes() == path_lengths_reference(trace).tobytes()
 
 
 def count_calls(monkeypatch, fn) -> list:
@@ -541,12 +580,14 @@ class TestBatch:
     def test_empty(self):
         assert batch([]) == []
 
-    def test_seed_sweep_order_and_determinism(self):
+    def test_seed_sweep_order_and_determinism(self, monkeypatch):
         base = small_scenario(objects=None, random_count=4, seed=0, t_max=120.0)
         seeds = [1, 2, 3, 4]
-        entries = batch(seed_sweep(base, seeds), workers=2)
+        monkeypatch.setenv("MORPHSURF_THREADS", "2")
+        entries = batch(seed_sweep(base, seeds))
         assert [e.scenario.seed for e in entries] == seeds
-        again = batch(seed_sweep(base, seeds), workers=1)
+        monkeypatch.setenv("MORPHSURF_THREADS", "1")
+        again = batch(seed_sweep(base, seeds))
         assert [e.metrics.convergence_time for e in entries] == [
             e.metrics.convergence_time for e in again
         ]
@@ -556,8 +597,9 @@ class TestBatch:
         with pytest.raises(ValueError, match="MORPHSURF_THREADS must be an integer"):
             batch([small_scenario(t_max=1.0)])
 
-    def test_failure_reported_per_entry(self):
+    def test_failure_reported_per_entry(self, monkeypatch):
         good = small_scenario(t_max=50.0)
-        entries = batch([good], workers=1)
+        monkeypatch.setenv("MORPHSURF_THREADS", "1")
+        entries = batch([good])
         assert entries[0].error is None
         assert isinstance(entries[0], BatchEntry)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from morphsurf import scenario as sio
 from morphsurf.cli import EXIT_OK, EXIT_UNSETTLED, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -163,4 +164,22 @@ def test_compare_summary(tmp_path):
     out = tmp_path / "out"
     argv = ["compare", str(SCENARIOS / "paper-s5x6.json"), "--seeds", "1..2", "-o", str(out)]
     assert main(argv) == EXIT_OK
+    assert sha256((out / "summary.json").read_bytes()) == SUMMARY
+
+
+def test_compare_loads_the_scenario_once_per_mode(tmp_path, monkeypatch):
+    # each mode's seeds are variants of one load (engine.seed_sweep), with
+    # the summary of one load per mode and seed
+    loads = []
+    load = sio.load_scenario
+
+    def counted(*args, **kwargs):
+        loads.append(kwargs.get("mode"))
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(sio, "load_scenario", counted)
+    out = tmp_path / "out"
+    argv = ["compare", str(SCENARIOS / "paper-s5x6.json"), "--seeds", "1..2", "-o", str(out)]
+    assert main(argv) == EXIT_OK
+    assert loads == ["wave", "distributed", "funnel"]
     assert sha256((out / "summary.json").read_bytes()) == SUMMARY
