@@ -136,7 +136,7 @@ def _cmd_validate(args) -> int:
         cfg = sc.cfg
     else:
         if path.suffix == ".json":
-            grid, w, l_, stroke = sio.load_grid_file(path)
+            grid, w, l_, stroke = sio.grid_from_dict(doc)
         elif path.suffix == ".csv":
             if None in dims:
                 raise sio.ScenarioError(

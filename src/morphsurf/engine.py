@@ -172,24 +172,17 @@ def _grid_orientation_terms(
     Cell (i, j) has pitch atan2(dz_col[i], W), shared by its column, and
     roll atan2(-cos(pitch) * dz_row[j], L) (surface.cell_orientation);
     gx = g Ct Cp^2 St and gy = -g Ct Cp Sp as in the dynamics docstring.
-    Scalar math keeps every value bit-identical to that per-cell formula:
-    numpy's vectorised arctan2 rounds differently on some inputs.
+    With the slopes s = dz_col/W and r = dz_row/L, Ct^2 = c = 1/(1 + s^2)
+    and Cp^2 = 1/h with h = 1 + c r^2, so gx = g s c / h and gy = g c r / h
+    with no trig.  These agree with the trig form to a few ulp, signed
+    zeros included.  The slopes are formed first so that a huge W or L
+    cannot overflow a squared length.
     """
-    W, L = cfg.W, cfg.L
-    dz_row = (grid_row[:-1] - grid_row[1:]).tolist()
-    gx: list[float] = []
-    gy: list[float] = []
-    for dz1 in (grid_col[:-1] - grid_col[1:]).tolist():
-        pitch = math.atan2(dz1, W)
-        ct, st = math.cos(pitch), math.sin(pitch)
-        g_ct, neg_g_ct = gravity * ct, -gravity * ct
-        for dz2 in dz_row:
-            roll = math.atan2(-ct * dz2, L)
-            cp = math.cos(roll)
-            gx.append(g_ct * cp * cp * st)
-            gy.append(neg_g_ct * cp * math.sin(roll))
-    shape = (cfg.n, cfg.m)
-    return np.array(gx).reshape(shape), np.array(gy).reshape(shape)
+    s = (grid_col[:-1] - grid_col[1:]) / cfg.W
+    r = (grid_row[:-1] - grid_row[1:]) / cfg.L
+    c = (1.0 / (1.0 + s * s))[:, None]
+    h = 1.0 + c * (r * r)
+    return gravity * s[:, None] * c / h, gravity * c * r / h
 
 
 def run(sc: Scenario) -> tuple[SimTrace, RunMetrics]:
@@ -417,18 +410,20 @@ def batch(scenarios: list[Scenario]) -> list[BatchEntry]:
     """Run scenarios independently; failures are reported per entry.
 
     Parallelism is the CPU count, or the MORPHSURF_THREADS environment
-    variable where it is set.
+    variable where it is set, a positive integer; never more processes than
+    CPUs or scenarios.
     """
     if not scenarios:
         return []
-    workers = os.cpu_count() or 1
-    env = os.environ.get(THREADS_ENV)
-    if env:
+    workers = cpus = os.cpu_count() or 1
+    if env := os.environ.get(THREADS_ENV):
         try:
-            workers = max(1, int(env))
+            workers = int(env)
         except ValueError:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-    workers = min(workers, len(scenarios))
+            workers = 0
+        if workers < 1:
+            raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got {env!r}")
+    workers = min(workers, cpus, len(scenarios))
 
     if workers <= 1:
         return [_entry(sc, partial(_run_metrics_only, sc)) for sc in scenarios]

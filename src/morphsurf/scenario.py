@@ -284,13 +284,13 @@ def parse_seed_list(listing: str) -> list[int]:
     return seeds
 
 
-def load_grid_file(path: str | Path) -> tuple[np.ndarray, float, float, float]:
-    """Load a raw-heights grid JSON: {"W":..,"L":..,"l":..,"heights":[[..]]}.
+def grid_from_dict(doc: dict) -> tuple[np.ndarray, float, float, float]:
+    """A raw-heights grid from the object of a grid JSON,
+    {"W":..,"L":..,"l":..,"heights":[[..]]}.
 
     heights is indexed [column][row] with n+1 rows of m+1 entries, each a
     finite number; a refused entry is named as heights[i][j].
     """
-    doc = read_json_object(path)
     _require_keys(doc, {"W", "L", "l", "heights"}, "grid file")
     try:
         heights = np.array([_finite_row(row, i) for i, row in enumerate(doc["heights"])])

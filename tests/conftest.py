@@ -115,6 +115,24 @@ def gravity_field(field, gravity):
     return gx, gy
 
 
+def slope_field(dz_col, dz_row, cfg: SurfaceConfig, gravity):
+    """Per-cell oracle of the engine's field build in its trig-free form:
+    with the slopes s = dz_col[i] / W and r = dz_row[j] / L, c = 1/(1 + s^2)
+    and h = 1 + c r^2, cell (i, j) has gx = g s c / h and gy = g c r / h,
+    one cell at a time in scalar arithmetic."""
+    gx = np.empty((len(dz_col), len(dz_row)))
+    gy = np.empty_like(gx)
+    for i, dz1 in enumerate(dz_col):
+        s = dz1 / cfg.W
+        c = 1.0 / (1.0 + s * s)
+        for j, dz2 in enumerate(dz_row):
+            r = dz2 / cfg.L
+            h = 1.0 + c * (r * r)
+            gx[i, j] = gravity * s * c / h
+            gy[i, j] = gravity * c * r / h
+    return gx, gy
+
+
 def step(objects, field, p, cfg):
     """One integration step of ``p.dt`` for every object on a fixed field of
     CellOrientation; objects do not interact."""

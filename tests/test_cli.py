@@ -397,6 +397,13 @@ class TestCompareCommand:
                      str(tmp_path / "cmp")]) == EXIT_INVALID
         assert "MORPHSURF_THREADS" in capsys.readouterr().err
 
+    def test_thread_cap_below_one_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MORPHSURF_THREADS", "0")
+        path = tiny_scenario(tmp_path)
+        assert main(["compare", str(path), "--modes", "wave", "-o",
+                     str(tmp_path / "cmp")]) == EXIT_INVALID
+        assert "MORPHSURF_THREADS must be an integer >= 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("modes", [",", " , ", "wave,wave", "wave,funnel, wave"])
     def test_empty_or_repeated_modes_are_refused(self, tmp_path, capsys, modes):
         path = tiny_scenario(tmp_path)
@@ -450,6 +457,20 @@ class TestValidateCommand:
         }))
         assert main(["validate", str(grid_path)]) == EXIT_UNSETTLED
         assert "bounds" in capsys.readouterr().out
+
+    def test_grid_json_is_read_once(self, tmp_path, monkeypatch):
+        reads = []
+        read = sio.read_json_object
+
+        def counted(path):
+            reads.append(path)
+            return read(path)
+
+        monkeypatch.setattr(sio, "read_json_object", counted)
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"W": 2, "L": 2, "l": 1, "heights": [[0, 0], [0, 0]]}))
+        assert main(["validate", str(grid_path)]) == EXIT_OK
+        assert reads == [grid_path]
 
     def test_raw_csv_needs_dimensions(self, tmp_path):
         csv = tmp_path / "grid.csv"

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import tracemalloc
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,7 @@ from conftest import (
     path_lengths_reference,
     random_config,
     random_feasible_input,
+    slope_field,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -497,29 +499,53 @@ def field_by_cell(grid_col, grid_row, cfg, gravity):
 
 
 class TestFieldBuild:
-    SIZES = [(1, 1), (3, 2), (1, 10), (5, 6), (12, 12)]
+    """The engine's field build equals the per-cell closed form bit for bit,
+    and the per-cell trig form within TRIG_RTOL: measured at most 5 ulp at
+    W = 2, L = 1.5 and 32 ulp (about 4e-15) at W = 0.05, L = 0.07."""
 
-    @staticmethod
-    def assert_same_field(grid_col, grid_row, cfg, gravity=0.0981):
+    SIZES = [(1, 1), (3, 2), (1, 10), (5, 6), (12, 12)]
+    TRIG_RTOL = 1e-14
+
+    @classmethod
+    def assert_same_field(cls, grid_col, grid_row, cfg, gravity=0.0981):
         got = _grid_orientation_terms(grid_col, grid_row, cfg, gravity)
-        want = field_by_cell(grid_col, grid_row, cfg, gravity)
-        for g, w in zip(got, want):
-            assert g.shape == (cfg.n, cfg.m)
+        dz_col = (grid_col[:-1] - grid_col[1:]).tolist()
+        dz_row = (grid_row[:-1] - grid_row[1:]).tolist()
+        exact = slope_field(dz_col, dz_row, cfg, gravity)
+        trig = field_by_cell(grid_col, grid_row, cfg, gravity)
+        for g, w, t in zip(got, exact, trig):
+            assert g.shape == (cfg.n, cfg.m) and np.isfinite(g).all()
             assert np.array_equal(g, w)
             assert np.array_equal(np.signbit(g), np.signbit(w))  # signed zeros too
+            np.testing.assert_allclose(g, t, rtol=cls.TRIG_RTOL, atol=0.0)
+            assert np.array_equal(np.signbit(g), np.signbit(t))
+
+    @staticmethod
+    def random_grids(rng, n, m, count=40):
+        """Random actual grids with level runs: zero drops, and -0.0 next to
+        0.0 negative ones."""
+        for _ in range(count):
+            col = rng.uniform(-0.5, 0.5, n + 1)
+            row = rng.uniform(-0.5, 0.5, m + 1)
+            for h in (col, row):
+                zero = rng.random(h.size) < 0.4
+                h[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+            row[1:][rng.random(m) < 0.2] = row[0]
+            yield col, row
 
     @pytest.mark.parametrize("n, m", SIZES)
     def test_random_grids_with_level_runs(self, n, m):
         rng = np.random.default_rng(n * 100 + m)
         cfg = SurfaceConfig(n, m, 2.0, 1.5, 1.0, 1, 1)
-        for _ in range(40):
-            col = rng.uniform(-0.5, 0.5, n + 1)
-            row = rng.uniform(-0.5, 0.5, m + 1)
-            # level runs give zero drops, and -0.0 next to 0.0 negative ones
-            for h in (col, row):
-                zero = rng.random(h.size) < 0.4
-                h[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
-            row[1:][rng.random(m) < 0.2] = row[0]
+        for col, row in self.random_grids(rng, n, m):
+            self.assert_same_field(col, row, cfg)
+
+    @pytest.mark.parametrize("W, L", [(0.05, 0.07), (1e160, 1.5), (2.0, 1e160)])
+    def test_extreme_cell_sizes(self, W, L):
+        # squaring a length instead of a slope overflows at W or L = 1e160
+        rng = np.random.default_rng(16)
+        cfg = SurfaceConfig(5, 6, W, L, 1.0, 1, 1)
+        for col, row in self.random_grids(rng, 5, 6):
             self.assert_same_field(col, row, cfg)
 
     @pytest.mark.parametrize("n, m", SIZES)
@@ -596,6 +622,45 @@ class TestBatch:
         monkeypatch.setenv("MORPHSURF_THREADS", "abc")
         with pytest.raises(ValueError, match="MORPHSURF_THREADS must be an integer"):
             batch([small_scenario(t_max=1.0)])
+
+    @pytest.mark.parametrize("env", ["0", "-3"])
+    def test_thread_cap_below_one_is_refused(self, monkeypatch, env):
+        monkeypatch.setenv("MORPHSURF_THREADS", env)
+        with pytest.raises(ValueError, match="MORPHSURF_THREADS must be an integer >= 1"):
+            batch([small_scenario(t_max=1.0)])
+
+    @pytest.mark.parametrize(
+        "cpus, env, runs, workers",
+        [(2, "500", 5, 2), (4, None, 3, 3), (4, "3", 8, 3), (3, None, 8, 3), (1, "4", 4, None)],
+    )
+    def test_workers_capped_by_cpus_and_scenarios(self, monkeypatch, cpus, env, runs, workers):
+        # a pool that records its size and runs each job inline: no process starts
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                done = Future()
+                done.set_result(fn(*args))
+                return done
+
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
+        if env is None:
+            monkeypatch.delenv("MORPHSURF_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MORPHSURF_THREADS", env)
+        entries = batch([small_scenario(t_max=0.5)] * runs)
+        assert len(entries) == runs and all(e.error is None for e in entries)
+        assert pools == ([] if workers is None else [workers])
 
     def test_failure_reported_per_entry(self, monkeypatch):
         good = small_scenario(t_max=50.0)

@@ -38,11 +38,11 @@ CANNED = {
 # split: the actual grid, and so the field, changes on every tick.
 LAGGED = {
     "wave": (
-        "c9431930f3e55e030cd27e599136f9292a662f79433f362d4c3a7cf77383ec18",
+        "7e4402dd92243b949c69084ffaa849ac1186af7a9bd36944738712ef4cd74866",
         "72dd5ee792681bc8bb894ffef59d150de457f056e04cdf810dd4aa0b4aa51081",
     ),
     "distributed": (
-        "d7a52fbd15980294fcf1ccac4ba0df0b2663181e9431eab4f526fc33cc1f3599",
+        "40a87e0da197aee6ab7b8cd850f425d9b20a6d8758d548490dc5c218804894e7",
         "f0310f322ef878f3cdf0b9832e1eb42a0de0949e8e49b97ca7a01101abc5d9ef",
     ),
 }
@@ -51,34 +51,55 @@ LAGGED = {
 # does not reach.
 MODES = {
     "distributed": (
-        "422ef87c1f92f621d1f744c8207a8f283e05ac813bd470d96a062643c705182f",
-        "fddb3c32e2975828eaee9fcb5624f1a30166ee9a883f17644576a69f9293db23",
+        "8f431bd05198e0cce8007ed87605b54950be6df2ebf54084cdabf5c18cc09209",
+        "0cfc30c72531f6d1605e65865085d7c2f0e2fae56f0ee21f44cadce604c9d111",
     ),
     "funnel": (
-        "dac6db8222aa5222c68cec5d45900a7fd70c85fb74f08b922828c35af483fde0",
-        "323f14161aa0d47a608215c97507985af4beb55325aef4d2015849018537aeac",
+        "91907211a69535d6cee92bb1e79d749723b8ccf2f92d0382890e96984f293696",
+        "597e94469d24c5cc4ca215bd7ea11953313c9eab51623ca0151cdfd30f42f1fb",
     ),
 }
 
 # 200 seeded objects on a 12x12 surface with lagging actuators (tau 0.5 s),
 # wave mode: many cell crossings and wall approaches per tick.
 CROWD = (
-    "7a6988b0ac163eb27caf32e7e3756a68d5c81396c5cbb64cb2f99f4c2f2c954c",
-    "7b5893d2064513f7ce1c41aa7a801b5c1f03c608b944ba6a76349aedd889bffb",
+    "ca8233038e0703e2a7803be78d90e24e11f77ccc7c14ab06fa8a5036c096307c",
+    "92b266b3fa7a65b17b1f4c43f5a35091887d92c1a4d7c9dfcf05cacc3b227301",
 )
 
 # The same crowd under distributed allocation.
 CROWD_DISTRIBUTED = (
-    "ef2cc235fcb7b0cea1fb57f7cafb5c171935962de9929dfd2704bca63dee3a68",
-    "503b60914a37b41d4a414a2736cf1caef005167d2e5b347f985f498bf004d7f0",
+    "89ad29e05c92a3c47a054f02658ce1fceb97239501deedd0b953bd16a879cfb3",
+    "61d29d2ca4f15610759f0fe6ce8b847ca409a1420d6422cd55052d2e4a5ed6e5",
 )
 
 # One object on a 1x1 surface in single_cell mode without gains (the law at
 # its capped gains), with lagging actuators (tau 0.2 s).
 SINGLE_CELL = (
-    "a83a133b4c85e9e43bafcbc49e49e9ba7c18e841bc9ee38b23f39fbf6e647d86",
-    "a0de5be89d3694ed0849a10614943e4d6f14b1c9cd58a4a2c79962714b035336",
+    "23b1603282d368f0b61ae963770d21319ef23fdc9dfe673cef0846109bcc9437",
+    "c8c4f9a0b4dbf7a58eac83a632b055d2516dfe2de3b25a8c44aeae46edea10bc",
 )
+
+# The outcome of each run above whose hashes were re-pinned when the field
+# build changed its last bits: (trace rows, converged, convergence_time,
+# SHA-256 of the arrival_times JSON list).  A re-pin that moves only last
+# bits leaves these as they are.
+OUTCOMES = {
+    "lagged wave": (1263, True, 97.30000000000001,
+                    "eaafeaef3c45a47d95a884e61e2e79d68d38eb82dfd6cff3eb8ef6a5c2009969"),
+    "lagged distributed": (1516, True, 128.4,
+                           "f0cb1e2933e4429b47f60793bd1638b35dcfc59952edf5bce54c1fd11a567eab"),
+    "mode distributed": (1930, True, 140.0,
+                         "7c595376de42cb68023887199b31403b1763da2b53097bbbb9c9faa297d41283"),
+    "mode funnel": (2494, True, 210.3,
+                    "3681c8466ebb1a56fc0023bd0bfa39f1b3ada3b3125aad8e8ebd062f0d1c13ff"),
+    "crowd wave": (1558, True, 149.6,
+                   "32a8ebe4441213686830ae8e143719b3caf74a92e9eece9b6a490c9d113b3d24"),
+    "crowd distributed": (2514, True, 196.60000000000002,
+                          "0d3a7caf28a8e0d6037855f6aa6c822c9a39e21e414e62e1b730cad8f54d0125"),
+    "single_cell": (89, True, 0.0,
+                    "37aed087d1cfac1ac1185c1622819ee5100567b178df43d6c00e8a7db4bc244b"),
+}
 
 # summary.json of `compare` on paper-s5x6, three modes, seeds 1..2.
 SUMMARY = "b21348f49f66caa57cdb2eaeec077d5c582d2bcffc2bb6432bb7688e9da735a9"
@@ -96,6 +117,15 @@ def run_hashes(path: Path, out: Path) -> tuple[str, str]:
         sha256((out / "trace.csv").read_bytes()),
         sha256(json.dumps(metrics, sort_keys=True).encode()),
     )
+
+
+def outcome(out: Path) -> tuple[int, bool, float | None, str]:
+    """The OUTCOMES entry of the run whose files are in ``out``."""
+    with open(out / "trace.csv") as fh:
+        rows = sum(1 for _ in fh) - 1  # less the header
+    metrics = json.loads((out / "metrics.json").read_text())
+    arrivals = sha256(json.dumps(metrics["arrival_times"]).encode())
+    return rows, metrics["converged"], metrics["convergence_time"], arrivals
 
 
 def s5x6_scenario(tmp_path: Path, mode: str, lagged: bool) -> Path:
@@ -117,13 +147,17 @@ def test_canned_run(name, tmp_path):
 @pytest.mark.parametrize("mode", sorted(LAGGED))
 def test_lagged_hardware_split_run(mode, tmp_path):
     path = s5x6_scenario(tmp_path, mode, lagged=True)
-    assert run_hashes(path, tmp_path / "out") == LAGGED[mode]
+    hashes = run_hashes(path, tmp_path / "out")
+    assert outcome(tmp_path / "out") == OUTCOMES[f"lagged {mode}"]
+    assert hashes == LAGGED[mode]
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_mode_run(mode, tmp_path):
     path = s5x6_scenario(tmp_path, mode, lagged=False)
-    assert run_hashes(path, tmp_path / "out") == MODES[mode]
+    hashes = run_hashes(path, tmp_path / "out")
+    assert outcome(tmp_path / "out") == OUTCOMES[f"mode {mode}"]
+    assert hashes == MODES[mode]
 
 
 def crowd_hashes(tmp_path: Path, mode: str) -> tuple[str, str]:
@@ -136,7 +170,9 @@ def crowd_hashes(tmp_path: Path, mode: str) -> tuple[str, str]:
     }
     path = tmp_path / "crowd.json"
     path.write_text(json.dumps(doc))
-    return run_hashes(path, tmp_path / "out")
+    hashes = run_hashes(path, tmp_path / "out")
+    assert outcome(tmp_path / "out") == OUTCOMES[f"crowd {mode}"]
+    return hashes
 
 
 def test_crowd_run(tmp_path):
@@ -157,7 +193,9 @@ def test_single_cell_run(tmp_path):
     }
     path = tmp_path / "single-cell.json"
     path.write_text(json.dumps(doc))
-    assert run_hashes(path, tmp_path / "out") == SINGLE_CELL
+    hashes = run_hashes(path, tmp_path / "out")
+    assert outcome(tmp_path / "out") == OUTCOMES["single_cell"]
+    assert hashes == SINGLE_CELL
 
 
 def test_compare_summary(tmp_path):
