@@ -145,7 +145,13 @@ def single_cell_feedback(
     still bounds the heights.  Refuses gains over their cap on ``cfg``.
     """
     gains.validate(cfg)
-    return _single_cell_law(e_x, e_y, v_x, v_y, _gain_terms(gains, cfg), cfg)
+    dz1, dz2 = _single_cell_law(e_x, e_y, v_x, v_y, _gain_terms(gains, cfg))
+    half = cfg.stroke / 2.0
+    z1 = half + dz1 / 2.0 + dz2 / 2.0
+    z2 = half - dz1 / 2.0 + dz2 / 2.0
+    z3 = half - dz1 / 2.0 - dz2 / 2.0
+    z4 = half + dz1 / 2.0 - dz2 / 2.0
+    return dz1, dz2, (z1, z2, z3, z4)
 
 
 def _gain_terms(
@@ -166,19 +172,13 @@ def _single_cell_law(
     v_x: float,
     v_y: float,
     terms: tuple[float, float, float, float],
-    cfg: SurfaceConfig,
-) -> tuple[float, float, tuple[float, float, float, float]]:
-    """single_cell_feedback for the ``_gain_terms`` of gains already checked
-    against ``cfg``."""
+) -> tuple[float, float]:
+    """(dz1, dz2) of single_cell_feedback for the ``_gain_terms`` of gains
+    already checked against the surface."""
     kx, ky, sat_x, sat_y = terms
     dz1 = -kx * _saturate(e_x + SINGLE_CELL_KD * v_x, sat_x)
     dz2 = -ky * _saturate(e_y + SINGLE_CELL_KD * v_y, sat_y)
-    half = cfg.stroke / 2.0
-    z1 = half + dz1 / 2.0 + dz2 / 2.0
-    z2 = half - dz1 / 2.0 + dz2 / 2.0
-    z3 = half - dz1 / 2.0 - dz2 / 2.0
-    z4 = half + dz1 / 2.0 - dz2 / 2.0
-    return dz1, dz2, (z1, z2, z3, z4)
+    return dz1, dz2
 
 
 def split_fractions(
@@ -245,7 +245,7 @@ def command(
     if mode == "single_cell":
         e_x, e_y = float(x[0]) - cfg.W / 2.0, float(y[0]) - cfg.L / 2.0
         terms = _gain_terms(params.gains, cfg)
-        dz1, dz2, _ = _single_cell_law(e_x, e_y, float(vx[0]), float(vy[0]), terms, cfg)
+        dz1, dz2 = _single_cell_law(e_x, e_y, float(vx[0]), float(vy[0]), terms)
         quarter = cfg.stroke / 4.0
         grid = ActuatorGrid(
             (quarter + dz1 / 2.0, quarter - dz1 / 2.0),

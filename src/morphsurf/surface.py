@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
 
 import numpy as np
 
@@ -195,15 +196,16 @@ def planar_completion(z1: float, z2: float, z4: float) -> float:
     return -z1 + z2 + z4
 
 
-def cell_orientation(dz1: float, dz2: float, cfg: SurfaceConfig) -> CellOrientation:
-    """Orientation of a cell from its two height differences.
+def cell_orientation(dz1, dz2, cfg: SurfaceConfig) -> CellOrientation:
+    """Orientation of a cell from its two height differences, scalars or
+    arrays of cells alike.
 
     dz1 = Z1 - Z2 (drop along +x), dz2 = Z1 - Z4 (drop along +y).  A positive
     dz1 tilts the cell so objects accelerate toward +x; a positive dz2 gives
     a negative roll and acceleration toward +y.
     """
-    pitch = math.atan2(dz1, cfg.W)
-    roll = math.atan2(-math.cos(pitch) * dz2, cfg.L)
+    pitch = np.arctan2(dz1, cfg.W)
+    roll = np.arctan2(-np.cos(pitch) * dz2, cfg.L)
     return CellOrientation(pitch, roll)
 
 
@@ -211,10 +213,10 @@ def reconstruct_actuator_grid(u: ControlInput, cfg: SurfaceConfig) -> ActuatorGr
     """Actuator heights realizing the requested height differences.
 
     The reference cell's actuators are leveled to zero and the remaining
-    column/row components follow cumulative sums outward, so
+    column/row components are running sums of the drops outward, so
     dz_col[I] = col_heights[I] - col_heights[I+1] for every column (and the
     row analogue).  Raises InfeasibleControlError if any height would leave
-    [0, stroke].
+    [0, stroke] or is NaN.
     """
     if len(u.dz_col) != cfg.n or len(u.dz_row) != cfg.m:
         raise ValueError(
@@ -227,29 +229,30 @@ def reconstruct_actuator_grid(u: ControlInput, cfg: SurfaceConfig) -> ActuatorGr
     tol = 1e-9 * max(1.0, cfg.stroke)
     lo = min(col) + min(row)
     hi = max(col) + max(row)
-    if lo < -tol or hi > cfg.stroke + tol:
-        i = int(np.argmin(col) if lo < -tol else np.argmax(col)) + 1
-        j = int(np.argmin(row) if lo < -tol else np.argmax(row)) + 1
-        h = lo if lo < -tol else hi
+    # min and max skip a NaN that is not first; the sums of heights do not
+    if not (-tol <= lo and hi <= cfg.stroke + tol) or math.isnan(sum(col) + sum(row)):
+        h = np.add.outer(col, row)
+        # the lowest actuator if one is too low, else the highest; a NaN first
+        i, j = np.unravel_index(np.argmin(h) if lo < -tol else np.argmax(h), h.shape)
         raise InfeasibleControlError(
-            f"actuator ({i},{j}) height {h:.6g} m outside [0, {cfg.stroke}]"
+            f"actuator ({i + 1},{j + 1}) height {h[i, j]:.6g} m outside [0, {cfg.stroke}]"
         )
     return ActuatorGrid(tuple(col), tuple(row))
 
 
 def _component_heights(dz: tuple[float, ...], ref: int) -> list[float]:
-    """Cumulative-sum height components for one axis (1-based ref index).
+    """Height components of one axis (1-based ref index): line ref+1 is minus
+    the empty sum, -0.0, and outward from it each line adds its drop to a
+    running sum.
 
-    Each height sums its own slice of dz with numpy's summation; a running
-    cumulative sum would add in another order.
+    Each sum starts from 0.0, as numpy's per-slice sums do, so a sum of -0.0
+    drops is +0.0.  A height may differ from numpy's sum of its slice in the
+    last bit where the sum covers 8 or more drops, which numpy adds
+    pairwise, or where unequal drops below the reference line are added in
+    the other order (the controllers command equal drops on each side).
     """
-    d = np.asarray(dz)
-    add = np.add.reduce  # what ndarray.sum calls, without its wrapper
-    return (
-        [float(add(d[i:ref])) for i in range(ref)]  # actuator lines 1..ref
-        + [-0.0]  # line ref+1: minus the empty sum
-        + [float(-add(d[ref:i])) for i in range(ref + 1, len(dz) + 1)]
-    )
+    below = list(accumulate(dz[ref - 1::-1], initial=0.0))  # lines ref+1, ref, ..., 1
+    return below[:0:-1] + [-h for h in accumulate(dz[ref:], initial=0.0)]
 
 
 def validate_grid(
@@ -260,7 +263,10 @@ def validate_grid(
 ) -> ConstraintReport:
     """Check a grid (separable or raw heights) against every constraint.
 
-    Raw heights are an (n+1) x (m+1) array indexed [column, row].
+    Raw heights are an (n+1) x (m+1) array indexed [column, row].  Every
+    check is one array expression over all actuators or cells; each list of
+    the report holds the flagged entries in row-major order of their 1-based
+    indices (roll: by row, then column).  A NaN height is a bounds violation.
     Infeasibility is reported as data, never raised.
     """
     if isinstance(grid, ActuatorGrid):
@@ -271,39 +277,22 @@ def validate_grid(
         raise ValueError(f"height matrix {h.shape} does not match grid "
                          f"({cfg.n + 1},{cfg.m + 1})")
 
-    report = ConstraintReport()
-
-    for i in range(cfg.n + 1):
-        for j in range(cfg.m + 1):
-            if not -tol <= h[i, j] <= cfg.stroke + tol:  # NaN too
-                report.bounds.append(((i + 1, j + 1), float(h[i, j])))
-
-    # Per-cell orientations from the corner heights.
-    pitch = np.empty((cfg.n, cfg.m))
-    ratio = np.empty((cfg.n, cfg.m))  # tan(roll)/cos(pitch) per cell
-    for i in range(cfg.n):
-        for j in range(cfg.m):
-            z1, z2 = h[i, j], h[i + 1, j]
-            z3, z4 = h[i + 1, j + 1], h[i, j + 1]
-            res = abs(z3 + z1 - z2 - z4)
-            if res > tol:
-                report.planarity.append(((i + 1, j + 1), float(res)))
-            o = cell_orientation(z1 - z2, z1 - z4, cfg)
-            pitch[i, j] = o.pitch
-            ratio[i, j] = math.tan(o.roll) / math.cos(o.pitch)
-
-    for i in range(cfg.n):
-        spread = float(np.max(np.abs(pitch[i] - pitch[i, 0])))
-        if spread > angle_tol:
-            report.pitch.append((i + 1, spread))
-
-    for j in range(cfg.m):
-        for i in range(cfg.n - 1):
-            res = abs(ratio[i + 1, j] - ratio[i, j])
-            if res > angle_tol:
-                report.roll.append(((i + 2, j + 1), float(res)))
-
-    return report
+    out = ~((h >= -tol) & (h <= cfg.stroke + tol))  # NaN too
+    # the corners Z1..Z4 of every cell, indexed [I-1, J-1]
+    z1, z2, z3, z4 = h[:-1, :-1], h[1:, :-1], h[1:, 1:], h[:-1, 1:]
+    planarity = np.abs(z3 + z1 - z2 - z4)
+    o = cell_orientation(z1 - z2, z1 - z4, cfg)
+    spread = np.max(np.abs(o.pitch - o.pitch[:, :1]), axis=1)
+    ratio = np.tan(o.roll) / np.cos(o.pitch)  # tan(roll)/cos(pitch) per cell
+    roll = np.abs(ratio[1:] - ratio[:-1])  # [I-2, J-1]
+    return ConstraintReport(
+        planarity=[((i + 1, j + 1), float(planarity[i, j]))
+                   for i, j in np.argwhere(planarity > tol).tolist()],
+        pitch=[(i + 1, float(spread[i])) for i in np.flatnonzero(spread > angle_tol).tolist()],
+        roll=[((i + 2, j + 1), float(roll[i, j]))
+              for j, i in np.argwhere(roll.T > angle_tol).tolist()],
+        bounds=[((i + 1, j + 1), float(h[i, j])) for i, j in np.argwhere(out).tolist()],
+    )
 
 
 def dof_count(cfg: SurfaceConfig) -> tuple[int, int, int]:

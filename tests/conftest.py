@@ -15,6 +15,7 @@ from morphsurf import (
 from morphsurf.control import split_fractions
 from morphsurf.dynamics import cell_indices, locate_cell
 from morphsurf.scenario import FLOAT_FMT, trace_header
+from morphsurf.surface import ANGLE_TOL, PLANARITY_TOL, ConstraintReport
 
 
 def random_config(rng, max_n=8, max_m=8) -> SurfaceConfig:
@@ -53,6 +54,55 @@ def random_feasible_input(rng, cfg: SurfaceConfig) -> ControlInput:
     dz_row[: cfg.ref_row - 1] = below
     dz_row[cfg.ref_row :] = -above
     return ControlInput(tuple(dz_col), tuple(dz_row))
+
+
+def component_heights_reference(dz, ref: int) -> list[float]:
+    """Oracle of ``surface._component_heights``: each height sums its own
+    slice of dz with numpy's summation, lines 1..ref as sum(dz[I-1:ref]),
+    line ref+1 as minus the empty sum and the lines past it as
+    -sum(dz[ref:I-1]).  numpy sums 8 or more drops pairwise, in another
+    order than a running sum."""
+    d = np.asarray(dz)
+    return (
+        [float(np.add.reduce(d[i:ref])) for i in range(ref)]
+        + [-0.0]
+        + [float(-np.add.reduce(d[ref:i])) for i in range(ref + 1, len(dz) + 1)]
+    )
+
+
+def validate_grid_reference(
+    h, cfg: SurfaceConfig, tol=PLANARITY_TOL, angle_tol=ANGLE_TOL
+) -> ConstraintReport:
+    """Oracle of ``surface.validate_grid`` on a raw (n+1) x (m+1) height
+    array: every actuator and every cell visited in a Python loop, each
+    cell's pitch and roll from math.atan2 and math.cos."""
+    report = ConstraintReport()
+    for i in range(cfg.n + 1):
+        for j in range(cfg.m + 1):
+            if not -tol <= h[i, j] <= cfg.stroke + tol:  # NaN too
+                report.bounds.append(((i + 1, j + 1), float(h[i, j])))
+    pitch = np.empty((cfg.n, cfg.m))
+    ratio = np.empty((cfg.n, cfg.m))  # tan(roll)/cos(pitch) per cell
+    for i in range(cfg.n):
+        for j in range(cfg.m):
+            z1, z2 = h[i, j], h[i + 1, j]
+            z3, z4 = h[i + 1, j + 1], h[i, j + 1]
+            res = abs(z3 + z1 - z2 - z4)
+            if res > tol:
+                report.planarity.append(((i + 1, j + 1), float(res)))
+            pitch[i, j] = math.atan2(z1 - z2, cfg.W)
+            roll = math.atan2(-math.cos(pitch[i, j]) * (z1 - z4), cfg.L)
+            ratio[i, j] = math.tan(roll) / math.cos(pitch[i, j])
+    for i in range(cfg.n):
+        spread = float(np.max(np.abs(pitch[i] - pitch[i, 0])))
+        if spread > angle_tol:
+            report.pitch.append((i + 1, spread))
+    for j in range(cfg.m):
+        for i in range(cfg.n - 1):
+            res = abs(ratio[i + 1, j] - ratio[i, j])
+            if res > angle_tol:
+                report.roll.append(((i + 2, j + 1), float(res)))
+    return report
 
 
 def slaved_energy(x, y, vx, vy, col, row, cfg, gravity):

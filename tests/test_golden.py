@@ -101,6 +101,20 @@ OUTCOMES = {
                     "37aed087d1cfac1ac1185c1622819ee5100567b178df43d6c00e8a7db4bc244b"),
 }
 
+# paper-s1x10 in the two modes that tilt all 9 rows below the reference:
+# their height sums span 8 or more drops, whose last bits depend on the
+# summation order, so only the outcome is pinned: (trace rows, converged,
+# convergence_time, SHA-256 of the arrival_times and of the path_lengths
+# JSON lists).
+S1X10 = {
+    "distributed": (4109, True, 357.90000000000003,
+                    "50ba240458dd9e7ba0d3519e2fbc2c5b1c636ee18d7f37b8b46860e945c207b4",
+                    "dd9f8a006bf10618724b30ccc16a2d13b5c5dae53d2508589a526733e44c8191"),
+    "funnel": (6676, True, 634.4000000000001,
+               "70e75cb187e249b56a81c56c85ff5e5abb9d2bec4a5a401ff38a146ce4ea13d1",
+               "7e43b1b9ab0fb5c261df1978bb83d06128307d0bbdec0aae3a467e2f904ea961"),
+}
+
 # summary.json of `compare` on paper-s5x6, three modes, seeds 1..2.
 SUMMARY = "b21348f49f66caa57cdb2eaeec077d5c582d2bcffc2bb6432bb7688e9da735a9"
 
@@ -158,6 +172,18 @@ def test_mode_run(mode, tmp_path):
     hashes = run_hashes(path, tmp_path / "out")
     assert outcome(tmp_path / "out") == OUTCOMES[f"mode {mode}"]
     assert hashes == MODES[mode]
+
+
+@pytest.mark.parametrize("mode", sorted(S1X10))
+def test_s1x10_outcome(mode, tmp_path):
+    doc = json.loads((SCENARIOS / "paper-s1x10.json").read_text())
+    doc["control"]["mode"] = mode
+    path = tmp_path / f"s1x10-{mode}.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "-o", str(out)]) == EXIT_OK
+    paths = json.loads((out / "metrics.json").read_text())["path_lengths"]
+    assert outcome(out) + (sha256(json.dumps(paths).encode()),) == S1X10[mode]
 
 
 def crowd_hashes(tmp_path: Path, mode: str) -> tuple[str, str]:

@@ -13,7 +13,15 @@ from morphsurf import (
     reconstruct_actuator_grid,
     validate_grid,
 )
-from conftest import orientation_field, random_config, random_feasible_input
+from morphsurf.control import ControllerParams, control_input
+from morphsurf.surface import _component_heights
+from conftest import (
+    component_heights_reference,
+    orientation_field,
+    random_config,
+    random_feasible_input,
+    validate_grid_reference,
+)
 
 CFG = SurfaceConfig(n=5, m=4, W=2.0, L=2.0, stroke=1.0, ref_col=3, ref_row=1)
 
@@ -141,6 +149,17 @@ class TestReconstruct:
         with pytest.raises(InfeasibleControlError, match=r"actuator \(3,"):
             reconstruct_actuator_grid(u, cfg)
 
+    @pytest.mark.parametrize("u", [
+        ControlInput((math.nan, 0.0, 0.0), (0.0, 0.0)),
+        ControlInput((0.0, math.nan, 0.0), (0.0, 0.0)),
+        ControlInput((0.0, 0.0, 0.0), (0.0, math.nan)),
+    ])
+    def test_nan_drop_is_infeasible(self, u):
+        # min and max skip a NaN height unless it comes first
+        cfg = SurfaceConfig(3, 2, 2.0, 2.0, 1.0, 1, 1)
+        with pytest.raises(InfeasibleControlError, match=r"height nan m"):
+            reconstruct_actuator_grid(u, cfg)
+
     def test_monotone_geometry(self):
         # Drops pointing at the reference put the minimum at the reference.
         rng = np.random.default_rng(13)
@@ -152,6 +171,58 @@ class TestReconstruct:
             row = np.asarray(g.row_heights)
             assert col.min() == pytest.approx(col[cfg.ref_col - 1], abs=1e-12)
             assert row.min() == pytest.approx(row[cfg.ref_row - 1], abs=1e-12)
+
+
+def controller_axes(rng, draws):
+    """(heights, oracle heights, ref, drops, stroke) of both axes of ``draws``
+    grids commanded by a random multi-cell controller for random objects:
+    the three modes, stroke splits 0, 1 and random, hardware split on and
+    off, up to 16 lines per axis."""
+    for _ in range(draws):
+        cfg = random_config(rng, max_n=16, max_m=16)
+        a = float(rng.choice([0.0, 1.0, rng.uniform()]))
+        params = ControllerParams(a, 1.0 - a, hardware_split=bool(rng.integers(2)))
+        k = int(rng.integers(1, 30))
+        x, y = rng.uniform(0, cfg.width, k), rng.uniform(0, cfg.length, k)
+        u = control_input(x, y, str(rng.choice(["distributed", "wave", "funnel"])), params, cfg)
+        g = reconstruct_actuator_grid(u, cfg)
+        for heights, dz, ref in ((g.col_heights, u.dz_col, cfg.ref_col),
+                                 (g.row_heights, u.dz_row, cfg.ref_row)):
+            yield heights, component_heights_reference(dz, ref), ref, len(dz), cfg.stroke
+
+
+class TestComponentHeights:
+    def test_short_axes_match_per_slice_sums_bitwise(self):
+        # below 8 drops numpy adds a slice one drop at a time from 0.0; on a
+        # controller's equal drops per side the running sum gives the same
+        # bits, signed zeros included
+        short = 0
+        for heights, oracle, ref, n, _ in controller_axes(np.random.default_rng(29), 1500):
+            if max(ref, n - ref) < 8:
+                short += 1
+                assert np.array(heights).tobytes() == np.array(oracle).tobytes()
+        assert short > 1000
+
+    def test_signed_zero_drops_match_per_slice_sums_bitwise(self):
+        # controller-shaped axes (equal drops per side, a zero on the
+        # reference line) with -0.0 in any place, the reference line too
+        rng = np.random.default_rng(41)
+        for _ in range(1000):
+            n = int(rng.integers(1, 8))
+            ref = int(rng.integers(1, n + 1))
+            side = {-1: rng.uniform(0, 1), 0: 0.0, 1: -rng.uniform(0, 1)}
+            dz = tuple(float(rng.choice([0.0, -0.0, side[np.sign(i - ref + 1)]]))
+                       for i in range(n))
+            assert (np.array(_component_heights(dz, ref)).tobytes()
+                    == np.array(component_heights_reference(dz, ref)).tobytes())
+
+    def test_long_axes_within_4_ulp_of_the_stroke(self):
+        long = 0
+        for heights, oracle, ref, n, stroke in controller_axes(np.random.default_rng(31), 1500):
+            if max(ref, n - ref) >= 8:
+                long += 1
+                assert np.max(np.abs(np.subtract(heights, oracle))) <= 4 * math.ulp(stroke)
+        assert long > 100
 
 
 class TestValidateGrid:
@@ -206,6 +277,34 @@ class TestValidateGrid:
         assert not report.ok
         assert [act for act, _ in report.bounds] == [(2, 1)]
         assert "bounds: actuator (2, 1) height nan m" in report.summary()
+
+    def test_matches_per_cell_loop(self):
+        # same flagged entries in the same order as the loop oracle; values
+        # within 1e-14 * max(1, |v|), the array trig differing in last bits
+        rng = np.random.default_rng(37)
+        kinds = {"feasible": 0, "perturbed": 0, "out of bounds": 0, "nan": 0}
+        for draw in range(400):
+            cfg = random_config(rng)
+            h = reconstruct_actuator_grid(random_feasible_input(rng, cfg), cfg).heights()
+            kind = list(kinds)[draw % 4]
+            hit = rng.random(h.shape) < 0.3
+            if kind == "perturbed":
+                h[hit] += 10.0 ** rng.uniform(-12, -1, h.shape)[hit] * rng.choice([-1, 1], h.shape)[hit]
+            elif kind == "out of bounds":
+                h[hit] += rng.uniform(-2, 2, h.shape)[hit] * cfg.stroke
+            elif kind == "nan":
+                h[hit] = math.nan
+            got = validate_grid(h, cfg)
+            want = validate_grid_reference(h, cfg)
+            kinds[kind] += not want.ok
+            for name in ("planarity", "pitch", "roll", "bounds"):
+                g, w = getattr(got, name), getattr(want, name)
+                assert [at for at, _ in g] == [at for at, _ in w], name
+                for (at, gv), (_, wv) in zip(g, w):
+                    assert {type(k) for k in (at if name != "pitch" else (at,))} == {int}
+                    assert type(gv) is float
+                    assert gv == pytest.approx(wv, rel=1e-14, abs=1e-14, nan_ok=True), name
+        assert min(list(kinds.values())[1:]) > 50
 
 
 class TestDofCount:
