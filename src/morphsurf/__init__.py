@@ -16,7 +16,6 @@ from .engine import (
     Scenario,
     SimTrace,
     batch,
-    convergence_time,
     run,
     seed_sweep,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "SurfaceConfig",
     "batch",
     "cell_orientation",
-    "convergence_time",
     "dof_count",
     "locate_cell",
     "occupancy_sets",

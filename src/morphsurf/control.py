@@ -28,6 +28,7 @@ from .surface import (
     SurfaceConfig,
     check_fields,
     reconstruct_actuator_grid,
+    require,
 )
 
 MODES = ("distributed", "wave", "funnel", "single_cell")
@@ -52,11 +53,12 @@ class SingleCellGains:
 
     def validate(self, cfg: SurfaceConfig) -> None:
         """Refuse a gain that is not positive or exceeds its cap on ``cfg``."""
-        caps = (("kx", self.kx, cfg.stroke / (2 * cfg.W), "stroke/(2W)"),
-                ("ky", self.ky, cfg.stroke / (2 * cfg.L), "stroke/(2L)"))
-        for name, gain, cap, rule in caps:
+        caps = zip(("kx", "ky"), (self.kx, self.ky), _gain_caps(cfg), ("W", "L"))
+        for name, gain, cap, size in caps:
             if not 0 < gain <= cap + 1e-12:
-                raise FieldError(name, f"must lie in (0, {rule}] = (0, {cap:g}], got {gain}")
+                raise FieldError(
+                    name, f"must lie in (0, stroke/(2{size})] = (0, {cap:g}], got {gain}"
+                )
 
 
 @dataclass(frozen=True)
@@ -72,12 +74,12 @@ class ControllerParams:
 
     def __post_init__(self):
         check_fields(self)
-        if not (0.0 <= self.frac_x <= 1.0 and 0.0 <= self.frac_y <= 1.0):
-            raise ValueError("stroke fractions must lie in [0, 1]")
-        if abs(self.frac_x + self.frac_y - 1.0) > 1e-9:
-            raise ValueError(
-                f"stroke fractions must satisfy a + b = 1, got {self.frac_x} + {self.frac_y}"
-            )
+        require(self, (
+            ("frac_x", 0.0 <= self.frac_x <= 1.0, "in [0, 1], as stroke fractions are"),
+            ("frac_y", 0.0 <= self.frac_y <= 1.0, "in [0, 1], as stroke fractions are"),
+            ("frac_x", abs(self.frac_x + self.frac_y - 1.0) <= 1e-9,
+             f"such that the stroke fractions a + b = 1 (b is {self.frac_y})"),
+        ))
 
 
 def occupancy_sets(
@@ -122,8 +124,26 @@ def axis_drops(
 SINGLE_CELL_KD = 1.0
 
 
-def _saturate(value: float, bound: float) -> float:
-    return math.copysign(bound, value) if abs(value) > bound else value
+def _gain_caps(cfg: SurfaceConfig) -> tuple[float, float]:
+    """The caps of the single-cell gains kx and ky on ``cfg``."""
+    return cfg.stroke / (2 * cfg.W), cfg.stroke / (2 * cfg.L)
+
+
+def _single_cell_law(
+    e_x: float, e_y: float, v_x: float, v_y: float,
+    gains: SingleCellGains | None, cfg: SurfaceConfig,
+) -> tuple[float, float]:
+    """(dz1, dz2) of the single-cell law for ``gains`` already checked against
+    the surface ``cfg``.  No gains stand for the gains at their caps,
+    saturating at W and L."""
+    kx, ky = _gain_caps(cfg) if gains is None else (gains.kx, gains.ky)
+    sat_x = cfg.W if gains is None or gains.sat_x is None else gains.sat_x
+    sat_y = cfg.L if gains is None or gains.sat_y is None else gains.sat_y
+    dz = []
+    for k, e, v, bound in ((kx, e_x, v_x, sat_x), (ky, e_y, v_y, sat_y)):
+        err = e + SINGLE_CELL_KD * v
+        dz.append(-k * (math.copysign(bound, err) if abs(err) > bound else err))
+    return dz[0], dz[1]
 
 
 def single_cell_feedback(
@@ -145,40 +165,13 @@ def single_cell_feedback(
     still bounds the heights.  Refuses gains over their cap on ``cfg``.
     """
     gains.validate(cfg)
-    dz1, dz2 = _single_cell_law(e_x, e_y, v_x, v_y, _gain_terms(gains, cfg))
+    dz1, dz2 = _single_cell_law(e_x, e_y, v_x, v_y, gains, cfg)
     half = cfg.stroke / 2.0
     z1 = half + dz1 / 2.0 + dz2 / 2.0
     z2 = half - dz1 / 2.0 + dz2 / 2.0
     z3 = half - dz1 / 2.0 - dz2 / 2.0
     z4 = half + dz1 / 2.0 - dz2 / 2.0
     return dz1, dz2, (z1, z2, z3, z4)
-
-
-def _gain_terms(
-    gains: SingleCellGains | None, cfg: SurfaceConfig
-) -> tuple[float, float, float, float]:
-    """(kx, ky, sat_x, sat_y) of ``gains`` on ``cfg``.  No gains stand for the
-    gains at their caps, stroke/(2W) and stroke/(2L), saturating at W and L."""
-    if gains is None:
-        return cfg.stroke / (2 * cfg.W), cfg.stroke / (2 * cfg.L), cfg.W, cfg.L
-    sat_x = gains.sat_x if gains.sat_x is not None else cfg.W
-    sat_y = gains.sat_y if gains.sat_y is not None else cfg.L
-    return gains.kx, gains.ky, sat_x, sat_y
-
-
-def _single_cell_law(
-    e_x: float,
-    e_y: float,
-    v_x: float,
-    v_y: float,
-    terms: tuple[float, float, float, float],
-) -> tuple[float, float]:
-    """(dz1, dz2) of single_cell_feedback for the ``_gain_terms`` of gains
-    already checked against the surface."""
-    kx, ky, sat_x, sat_y = terms
-    dz1 = -kx * _saturate(e_x + SINGLE_CELL_KD * v_x, sat_x)
-    dz2 = -ky * _saturate(e_y + SINGLE_CELL_KD * v_y, sat_y)
-    return dz1, dz2
 
 
 def split_fractions(
@@ -197,31 +190,6 @@ def split_fractions(
     return (1.0, 0.0) if err_x >= err_y else (0.0, 1.0)
 
 
-def control_input(
-    x: np.ndarray,
-    y: np.ndarray,
-    mode: str,
-    params: ControllerParams,
-    cfg: SurfaceConfig,
-) -> ControlInput:
-    """ControlInput commanded by the chosen multi-cell controller this tick."""
-    if mode == "funnel":
-        # The funnel tilts every line and never reacts to the objects, so the
-        # per-tick hardware split does not apply either.
-        a, b = params.frac_x, params.frac_y
-        cols, rows = range(cfg.n), range(cfg.m)
-    elif mode in ("distributed", "wave"):
-        a, b = split_fractions(x, y, params, cfg)
-        cols, rows = occupancy_sets(x, y, cfg)
-    else:
-        raise ValueError(f"unknown controller mode {mode!r}")
-    wave = mode == "wave"
-    return ControlInput(
-        axis_drops(cols, cfg.n, cfg.ref_col, a * cfg.stroke, wave),
-        axis_drops(rows, cfg.m, cfg.ref_row, b * cfg.stroke, wave),
-    )
-
-
 def command(
     x: np.ndarray,
     y: np.ndarray,
@@ -234,23 +202,35 @@ def command(
     """Commanded (input, grid) pair for this tick, for objects with positions
     (x[k], y[k]) and velocities (vx[k], vy[k]).
 
-    Multi-cell modes compose control_input and grid reconstruction.
-    single_cell runs the saturated position-velocity feedback law on a 1x1
+    The multi-cell modes command their rule's drops and the grid
+    reconstructed from them.  single_cell runs the single-cell law on a 1x1
     surface, driving the first object to the cell center; its grid tilts
-    about the cell midlines instead of leveling the reference actuators.
-    It takes the surface, gains and objects as a Scenario accepts them (a
-    1x1 surface, gains within their caps, at least one object): Scenario
-    refuses the others once, at load, so no tick checks them again.
+    about the cell midlines instead of leveling the reference actuators.  It
+    takes the surface, gains and objects as a Scenario accepts them, so no
+    tick checks them again.
     """
     if mode == "single_cell":
         e_x, e_y = float(x[0]) - cfg.W / 2.0, float(y[0]) - cfg.L / 2.0
-        terms = _gain_terms(params.gains, cfg)
-        dz1, dz2 = _single_cell_law(e_x, e_y, float(vx[0]), float(vy[0]), terms)
+        dz1, dz2 = _single_cell_law(e_x, e_y, float(vx[0]), float(vy[0]), params.gains, cfg)
         quarter = cfg.stroke / 4.0
         grid = ActuatorGrid(
             (quarter + dz1 / 2.0, quarter - dz1 / 2.0),
             (quarter + dz2 / 2.0, quarter - dz2 / 2.0),
         )
         return ControlInput((dz1,), (dz2,)), grid
-    u = control_input(x, y, mode, params, cfg)
+    if mode == "funnel":
+        # The funnel tilts every line and never reacts to the objects, so the
+        # per-tick hardware split does not apply either.
+        a, b = params.frac_x, params.frac_y
+        cols, rows = range(cfg.n), range(cfg.m)
+    elif mode in ("distributed", "wave"):
+        a, b = split_fractions(x, y, params, cfg)
+        cols, rows = occupancy_sets(x, y, cfg)
+    else:
+        raise ValueError(f"unknown controller mode {mode!r}")
+    wave = mode == "wave"
+    u = ControlInput(
+        axis_drops(cols, cfg.n, cfg.ref_col, a * cfg.stroke, wave),
+        axis_drops(rows, cfg.m, cfg.ref_row, b * cfg.stroke, wave),
+    )
     return u, reconstruct_actuator_grid(u, cfg)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surface import FieldError, SurfaceConfig, check_fields
+from .surface import FIELD_LIMIT, FieldError, SurfaceConfig, check_fields, require
 
 
 @dataclass
@@ -56,8 +56,12 @@ class PhysicsParams:
 
     def __post_init__(self):
         check_fields(self)
-        if self.gravity <= 0 or self.friction < 0 or self.tau < 0 or self.dt <= 0:
-            raise ValueError("require gravity > 0, friction >= 0, tau >= 0, dt > 0")
+        require(self, (
+            ("gravity", 0 < self.gravity <= FIELD_LIMIT, "in (0, 2**500]"),
+            ("friction", self.friction >= 0, ">= 0"),
+            ("tau", self.tau >= 0, ">= 0"),
+            ("dt", self.dt > 0, "positive"),
+        ))
         if self.friction * self.dt > 1.0:  # each step's factor 1 - b dt turns negative
             raise FieldError(
                 "friction", f"must be at most 1 / dt = {1.0 / self.dt:g}, got {self.friction}"

@@ -22,7 +22,7 @@ import numpy as np
 from . import control
 from .control import ControllerParams
 from .dynamics import ObjectState, PhysicsParams, advance, cell_index, first_order_lag
-from .surface import FieldError, SurfaceConfig, check_fields, checked
+from .surface import FieldError, SurfaceConfig, check_fields, checked, require
 
 DEFAULT_CONTROL_RATE = 10.0  # Hz
 SETTLE_SPEED = 1e-3  # m/s; "at rest" threshold for the stop rule
@@ -43,6 +43,15 @@ _METRIC_ROWS = 1024
 
 _SCHEDULE_KINDS = (("float", "time"), ("int", "column"), ("int", "row"))
 
+# Most physics steps per control period a scenario may ask for.
+MAX_SUBSTEPS = 10**6
+
+# Most cells (of the smaller of W and L) an object may cross in one physics
+# step.  Positions then stay far below 2**52 workspace extents, past which
+# the wall fold of dynamics._reflect is no longer exact, and the cell
+# indices of a held-cell recurrence far inside the integers.
+STEP_CELLS = 2.0**40
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -62,12 +71,12 @@ class Scenario:
 
     def __post_init__(self):
         check_fields(self)
-        if not (self.control_rate > 0 and self.t_max > 0):
-            raise ValueError("control_rate and t_max must be positive")
-        if self.seed < 0:
-            raise FieldError("seed", f"must be >= 0, got {self.seed}")
-        if self.mode not in control.MODES:
-            raise ValueError(f"unknown controller mode {self.mode!r}")
+        require(self, (
+            ("control_rate", self.control_rate > 0, "positive"),
+            ("t_max", self.t_max > 0, "positive"),
+            ("seed", self.seed >= 0, ">= 0"),
+            ("mode", self.mode in control.MODES, f"one of {', '.join(control.MODES)}"),
+        ))
         cfg = self.cfg
         if self.mode == "single_cell":
             if (cfg.n, cfg.m) != (1, 1):
@@ -76,12 +85,13 @@ class Scenario:
                 self.params.gains.validate(cfg)
         count = len(self.objects) if self.objects is not None else self.random_count
         if count < 1:
-            raise ValueError("scenario needs at least one object, explicit or random")
+            raise FieldError("objects" if self.objects is not None else "random_count",
+                             f"must give at least one object, got {count}")
         for k, o in enumerate(self.objects or ()):
             if not (0.0 <= o.x <= cfg.width and 0.0 <= o.y <= cfg.length):
-                raise ValueError(
-                    f"objects[{k}] at ({o.x}, {o.y}) lies outside the workspace "
-                    f"[0, {cfg.width}] x [0, {cfg.length}]"
+                raise FieldError(
+                    f"objects[{k}]", f"at ({o.x}, {o.y}) lies outside the workspace "
+                                     f"[0, {cfg.width}] x [0, {cfg.length}]"
                 )
         schedule = []
         for k, entry in enumerate(self.reference_schedule):
@@ -90,19 +100,29 @@ class Scenario:
                 for value, (kind, part) in zip(entry, _SCHEDULE_KINDS, strict=True)
             )
             if not (when >= 0.0 and 1 <= col <= cfg.n and 1 <= row <= cfg.m):
-                raise ValueError(
-                    f"reference_schedule entry [{when}, {col}, {row}] needs a time "
-                    f">= 0 and a cell of the {cfg.n}x{cfg.m} grid"
+                raise FieldError(
+                    f"reference_schedule[{k}]", f"[{when}, {col}, {row}] needs a time "
+                                                f">= 0 and a cell of the {cfg.n}x{cfg.m} grid"
                 )
             schedule.append((when, col, row))
         schedule.sort(key=lambda entry: entry[0])
         object.__setattr__(self, "reference_schedule", tuple(schedule))
-        period, substeps = self.control_period, self.substeps
-        if substeps < 1 or abs(substeps * self.physics.dt - period) > 1e-6 * period:
-            raise ValueError(
-                f"physics step {self.physics.dt} does not divide the control "
-                f"period {period}"
-            )
+        p, period = self.physics, self.control_period
+        if period / p.dt > MAX_SUBSTEPS:
+            raise FieldError("dt", f"gives {period / p.dt:g} steps per control period "
+                                   f"{period}, more than {MAX_SUBSTEPS}")
+        if self.substeps < 1 or abs(self.substeps * p.dt - period) > 1e-6 * period:
+            raise FieldError("dt", f"{p.dt} does not divide the control period {period}")
+        # Half of STEP_CELLS may come from an object's initial speed and half
+        # from the speed gravity adds: at most g per second, g / b in all.
+        reach = STEP_CELLS / 2 * min(cfg.W, cfg.L) / p.dt
+        horizon = min(self.t_max + period, 1.0 / p.friction if p.friction else math.inf)
+        limits = [(f"objects[{k}].v{axis}", abs(getattr(o, "v" + axis)), reach)
+                  for k, o in enumerate(self.objects or ()) for axis in "xy"]
+        for name, value, limit in limits + [("gravity", p.gravity, reach / horizon)]:
+            if value > limit:
+                raise FieldError(name, f"must be at most {limit:g} here, or an object may "
+                                       f"cross more than 2**40 cells in one step")
 
     @property
     def control_period(self) -> float:
@@ -284,28 +304,6 @@ def _contained(x: np.ndarray, y: np.ndarray, cfg: SurfaceConfig) -> np.ndarray:
     return inside
 
 
-def convergence_time(
-    trace: SimTrace, cfg: SurfaceConfig, settle: float
-) -> float | None:
-    """Earliest time after which every object stays in the reference cell.
-
-    Containment must persist from that time to the end of the trace and
-    cover at least the settle window; otherwise None.  Containment is
-    checked at the trace cadence.
-    """
-    return _latest_arrival(arrival_times(trace, cfg), trace, settle)
-
-
-def _latest_arrival(arrivals: list, trace: SimTrace, settle: float) -> float | None:
-    """convergence_time from the objects' arrival times."""
-    if any(a is None for a in arrivals):
-        return None
-    worst = max(arrivals)  # type: ignore[type-var]
-    if trace.t[-1] - worst < settle - 1e-12:
-        return None
-    return float(worst)
-
-
 def arrival_times(trace: SimTrace, cfg: SurfaceConfig) -> list[float | None]:
     """Per-object earliest time after which it never leaves the reference cell.
 
@@ -380,10 +378,16 @@ def compute_metrics(
     converged: bool,
     wall_clock: float,
 ) -> RunMetrics:
+    """RunMetrics of ``trace`` for the reference surface ``cfg``: the
+    convergence time is the latest arrival, if the trace runs on for the
+    ``settle`` window after it."""
     lengths = _path_lengths(trace)
     arrivals = arrival_times(trace, cfg)
+    latest = None if None in arrivals else max(arrivals)
+    if latest is not None and trace.t[-1] - latest < settle - 1e-12:
+        latest = None
     return RunMetrics(
-        convergence_time=_latest_arrival(arrivals, trace, settle),
+        convergence_time=latest,
         converged=converged,
         arrival_times=arrivals,
         path_lengths=[float(v) for v in lengths],

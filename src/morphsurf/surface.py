@@ -26,6 +26,11 @@ import numpy as np
 PLANARITY_TOL = 1e-9  # meters
 ANGLE_TOL = 1e-9  # radians
 
+# Largest cell slope (stroke / W or stroke / L) and largest gravity the
+# gravity field takes.  It squares the slopes and multiplies them by the
+# gravity; below 2**500 neither product nears the float range (2**1024).
+FIELD_LIMIT = 2.0**500
+
 
 class InfeasibleControlError(ValueError):
     """Requested height differences push an actuator outside [0, stroke]."""
@@ -75,6 +80,14 @@ def check_fields(obj) -> None:
         object.__setattr__(obj, name, checked(getattr(obj, name), kind, name))
 
 
+def require(obj, rules) -> None:
+    """Raise a FieldError for the first ``(field, holds, rule)`` of ``rules``
+    that does not hold on ``obj``: "<field> must be <rule>, got <value>"."""
+    for name, holds, rule in rules:
+        if not holds:
+            raise FieldError(name, f"must be {rule}, got {getattr(obj, name)!r}")
+
+
 @functools.cache
 def _checked_fields(cls) -> tuple[tuple[str, str], ...]:
     return tuple((f.name, f.type) for f in fields(cls) if f.type in _KINDS)
@@ -100,15 +113,15 @@ class SurfaceConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"grid must be at least 1x1, got {self.n}x{self.m}")
-        if self.W <= 0 or self.L <= 0 or self.stroke <= 0:
-            raise ValueError("W, L and stroke must be positive")
-        if not (1 <= self.ref_col <= self.n and 1 <= self.ref_row <= self.m):
-            raise ValueError(
-                f"reference cell ({self.ref_col},{self.ref_row}) outside "
-                f"{self.n}x{self.m} grid"
-            )
+        require(self, (
+            ("n", self.n >= 1, "at least 1"),
+            ("m", self.m >= 1, "at least 1"),
+            ("stroke", self.stroke > 0, "positive"),
+            ("W", self.W > 0 and self.stroke / self.W <= FIELD_LIMIT, "at least stroke * 2**-500"),
+            ("L", self.L > 0 and self.stroke / self.L <= FIELD_LIMIT, "at least stroke * 2**-500"),
+            ("ref_col", 1 <= self.ref_col <= self.n, f"a column of the {self.n}x{self.m} grid"),
+            ("ref_row", 1 <= self.ref_row <= self.m, f"a row of the {self.n}x{self.m} grid"),
+        ))
 
     @property
     def width(self) -> float:

@@ -1,19 +1,21 @@
 """Shared generators and oracles for randomized kinematics/dynamics tests."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from morphsurf import (
+    ActuatorGrid,
     ControlInput,
     ObjectState,
     SurfaceConfig,
     cell_orientation,
     reconstruct_actuator_grid,
 )
-from morphsurf.control import split_fractions
+from morphsurf.control import SINGLE_CELL_KD, split_fractions
 from morphsurf.dynamics import cell_indices, locate_cell
+from morphsurf.engine import SETTLE_SPEED, SINGLE_CELL_SETTLE, RunMetrics, SimTrace
 from morphsurf.scenario import FLOAT_FMT, trace_header
 from morphsurf.surface import ANGLE_TOL, PLANARITY_TOL, ConstraintReport
 
@@ -356,3 +358,91 @@ def write_trace_csv_reference(trace, path):
         fh.write(",".join(header) + "\n")
         for row in table:
             fh.write(line % tuple(row.tolist()))
+
+
+def single_cell_reference(x, y, vx, vy, gains, cfg: SurfaceConfig):
+    """Oracle of ``control.command`` in single_cell mode: the law
+    dz = -k * sat(e + SINGLE_CELL_KD * v, bound) on each axis for the first
+    object, gains defaulting to their caps and bounds to the cell size, and
+    the grid tilting about the cell midlines."""
+    if gains is None:
+        kx, ky, sat_x, sat_y = cfg.stroke / (2 * cfg.W), cfg.stroke / (2 * cfg.L), cfg.W, cfg.L
+    else:
+        kx, ky = gains.kx, gains.ky
+        sat_x = cfg.W if gains.sat_x is None else gains.sat_x
+        sat_y = cfg.L if gains.sat_y is None else gains.sat_y
+    e_x, e_y = float(x[0]) - cfg.W / 2.0, float(y[0]) - cfg.L / 2.0
+    dz1 = -kx * max(-sat_x, min(sat_x, e_x + SINGLE_CELL_KD * float(vx[0])))
+    dz2 = -ky * max(-sat_y, min(sat_y, e_y + SINGLE_CELL_KD * float(vy[0])))
+    quarter = cfg.stroke / 4.0
+    grid = ActuatorGrid((quarter + dz1 / 2.0, quarter - dz1 / 2.0),
+                        (quarter + dz2 / 2.0, quarter - dz2 / 2.0))
+    return ControlInput((dz1,), (dz2,)), grid
+
+
+def run_reference(sc) -> tuple[SimTrace, RunMetrics]:
+    """Oracle of ``engine.run``: the straightforward engine.  Every tick
+    finds the reference cell in the schedule, applies the settle rule,
+    computes the command afresh (``allocation_reference`` or
+    ``single_cell_reference``), passes it through the actuator lag, records
+    the row, builds the field from the actual grid with ``slope_field`` and
+    steps the objects one substep at a time with ``advance_reference``.
+    The metrics come from ``arrival_times_reference`` and
+    ``path_lengths_reference``; wall_clock is 0."""
+    cfg, p = sc.cfg, sc.physics
+    period = 1.0 / sc.control_rate
+    substeps, n_ticks = round(period / p.dt), int(round(sc.t_max / period))
+    if sc.objects is not None:
+        x, y, vx, vy = object_arrays(sc.objects)
+    else:
+        rng = np.random.default_rng(sc.seed)
+        x = rng.uniform(0.0, cfg.width, sc.random_count)
+        y = rng.uniform(0.0, cfg.length, sc.random_count)
+        vx, vy = np.zeros(sc.random_count), np.zeros(sc.random_count)
+    col, row = np.zeros(cfg.n + 1), np.zeros(cfg.m + 1)
+    rows, streak, converged = [], 0, False
+    for tick in range(n_ticks + 1):
+        t = tick * period
+        ref = (cfg.ref_col, cfg.ref_row)
+        for when, c, r in sc.reference_schedule:
+            if when - 1e-12 <= t:
+                ref = (c, r)
+        ref_cfg = replace(cfg, ref_col=ref[0], ref_row=ref[1])
+
+        ci, cj = cell_indices(x, y, ref_cfg)
+        settled = bool(((ci == ref[0] - 1) & (cj == ref[1] - 1)).all()) and bool(
+            (vx * vx + vy * vy <= SETTLE_SPEED * SETTLE_SPEED).all())
+        if sc.mode == "single_cell":
+            settled = settled and (
+                abs(x[0] - (ref[0] - 0.5) * cfg.W) <= SINGLE_CELL_SETTLE * cfg.W
+                and abs(y[0] - (ref[1] - 0.5) * cfg.L) <= SINGLE_CELL_SETTLE * cfg.L)
+        streak = streak + 1 if settled else 0
+
+        if sc.mode == "single_cell":
+            u, grid = single_cell_reference(x, y, vx, vy, sc.params.gains, ref_cfg)
+        else:
+            u, grid = allocation_reference(x, y, sc.mode, sc.params, ref_cfg)
+        if p.tau == 0.0:
+            col, row = np.array(grid.col_heights), np.array(grid.row_heights)
+        else:
+            share = 1.0 - math.exp(-period / p.tau)
+            col = col + (np.array(grid.col_heights) - col) * share
+            row = row + (np.array(grid.row_heights) - row) * share
+        rows.append((t, np.column_stack((x, y, vx, vy)), u.dz_col, u.dz_row, col, row))
+        if streak >= 2:
+            converged = True
+            break
+        if tick == n_ticks:
+            break
+
+        gx, gy = slope_field(col[:-1] - col[1:], row[:-1] - row[1:], cfg, p.gravity)
+        advance_reference(x, y, vx, vy, gx, gy, cfg, p.friction, p.dt, substeps)
+
+    trace = SimTrace(*(np.array(field, dtype=float) for field in zip(*rows)))
+    last = sc.reference_schedule[-1][1:] if sc.reference_schedule else (cfg.ref_col, cfg.ref_row)
+    arrivals = arrival_times_reference(trace, replace(cfg, ref_col=last[0], ref_row=last[1]))
+    latest = None if None in arrivals else max(arrivals)
+    if latest is not None and trace.t[-1] - latest < period - 1e-12:
+        latest = None
+    lengths = [float(v) for v in path_lengths_reference(trace)]
+    return trace, RunMetrics(latest, converged, arrivals, lengths, 0.0)

@@ -26,7 +26,7 @@ from morphsurf import (
 )
 from morphsurf import scenario as sio
 from morphsurf.cli import EXIT_OK, EXIT_UNSETTLED, main
-from morphsurf.control import control_input, single_cell_feedback
+from morphsurf.control import command, single_cell_feedback
 from morphsurf.dynamics import advance
 from morphsurf.engine import batch, run, seed_sweep
 
@@ -322,9 +322,9 @@ class TestC6FunnelEquivalence:
             for i in range(1, cfg.n + 1)
             for j in range(1, cfg.m + 1)
         ]
-        x, y, _, _ = object_arrays(objects)
-        u_dist = control_input(x, y, "distributed", ControllerParams(), cfg)
-        u_funnel = control_input(x, y, "funnel", ControllerParams(), cfg)
+        arrays = object_arrays(objects)
+        u_dist = command(*arrays, "distributed", ControllerParams(), cfg)[0]
+        u_funnel = command(*arrays, "funnel", ControllerParams(), cfg)[0]
         ok = u_dist.dz_col == u_funnel.dz_col and u_dist.dz_row == u_funnel.dz_row
         assert report("6 funnel-equivalence", ok)
 

@@ -9,9 +9,7 @@ SRC = Path(morphsurf.__file__).parent
 
 # Top-level functions and classes that no other code in src/ names and that
 # stay as the library's entry points: the paper's kinematic constraints, the
-# single-cell law on its own, and the trace reader.  (Each must be unnamed in
-# src/: convergence_time is not listed, since RunMetrics has an attribute of
-# that name.)
+# single-cell law on its own, and the trace reader.
 PUBLIC_ENTRY_POINTS = (
     "dof_count",
     "planar_completion",
@@ -32,27 +30,66 @@ def test_exports_are_sorted():
     assert morphsurf.__all__ == sorted(morphsurf.__all__)
 
 
+def module_aliases(tree: ast.Module) -> set[str]:
+    """The names under which a module of src/morphsurf imports its sibling
+    modules (``from . import engine, scenario as sio``)."""
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for alias in node.names
+    }
+
+
+def names_used(node: ast.AST, modules: set[str]) -> set[str]:
+    """The top-level names ``node`` reads: bare names, and attributes of a
+    morphsurf module named in ``modules`` (``engine.run``).  An attribute of
+    anything else (``metrics.convergence_time``) names no top-level
+    definition, and neither does a name that is only assigned, such as a
+    dataclass field."""
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(getattr(sub, "ctx", None), ast.Load)
+        and (isinstance(sub, ast.Name)
+             or isinstance(sub, ast.Attribute)
+             and isinstance(sub.value, ast.Name)
+             and sub.value.id in modules)
+    }
+
+
 def test_every_definition_is_used_in_src_or_an_entry_point():
     """A top-level function or class of src/morphsurf (``__init__.py``
-    aside) is named, as a Name or an Attribute, by code outside its own
-    definition, or it is listed in PUBLIC_ENTRY_POINTS."""
+    aside) is used by code outside its own definition, as a bare name or as
+    an attribute of a morphsurf module, or it is listed in
+    PUBLIC_ENTRY_POINTS."""
     defined, named = [], set()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        for top in ast.parse(path.read_text()).body:
+        tree = ast.parse(path.read_text())
+        modules = module_aliases(tree)
+        for top in tree.body:
             own = getattr(top, "name", None)  # functions and classes
             if own is not None:
                 defined.append((path.stem, own))
-            named |= {
-                node.id if isinstance(node, ast.Name) else node.attr
-                for node in ast.walk(top)
-                if isinstance(node, (ast.Name, ast.Attribute))
-            } - {own}
+            named |= names_used(top, modules) - {own}
     unused = [f"{module}.{name}" for module, name in defined
               if name not in named and name not in PUBLIC_ENTRY_POINTS]
     assert unused == []
     assert set(PUBLIC_ENTRY_POINTS) <= {name for _, name in defined} - named
+
+
+def test_instance_attributes_do_not_count_as_uses():
+    # a RunMetrics field of the same name as a top-level function does not
+    # keep that function alive
+    tree = ast.parse("from . import engine as e\n"
+                     "class M:\n    compute_metrics: float\n"
+                     "def f(m):\n    return m.run, e.batch, seed_sweep\n")
+    modules = module_aliases(tree)
+    assert modules == {"e"}
+    assert names_used(tree.body[1], modules) == {"float"}
+    assert names_used(tree.body[2], modules) == {"m", "e", "batch", "seed_sweep"}
 
 
 def benchmark_spans() -> dict:

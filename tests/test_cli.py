@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -12,12 +13,23 @@ from morphsurf import scenario as sio
 from morphsurf.cli import EXIT_INVALID, EXIT_OK, EXIT_UNSETTLED, main
 from morphsurf.control import ControllerParams, SingleCellGains
 from morphsurf.dynamics import ObjectState, PhysicsParams
-from morphsurf.engine import Scenario, SimTrace, convergence_time, run
+from morphsurf.engine import Scenario, SimTrace, compute_metrics, run
 from morphsurf.surface import SurfaceConfig
 
 from conftest import write_trace_csv_reference
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def uturn(tmp_path, **edits):
+    """scenarios/uturn.json with each top-level key of ``edits`` replaced,
+    or, for a dict, updated key by key."""
+    doc = json.loads((SCENARIOS / "uturn.json").read_text())
+    for key, value in edits.items():
+        doc[key] = {**doc[key], **value} if isinstance(value, dict) else value
+    path = tmp_path / "uturn.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 def tiny_scenario(tmp_path, **overrides):
@@ -113,6 +125,18 @@ class TestHostileInput:
             ({"surface": CELL, "objects": [{"x": 1.0, "y": 1.0}],
               "control": {"mode": "single_cell", "rate": 10.0, "gains": {"kx": 5.0, "ky": 0.25}}},
              "control.gains.kx"),
+            ({"control": {"mode": "wave", "rate": 0}}, "control.rate"),
+            ({"t_max": -1}, "t_max"),
+            ({"surface": {**SURFACE, "W": -1}}, "surface.W"),
+            ({"surface": {**SURFACE, "n": 0}}, "surface.n"),
+            ({"physics": {**PHYSICS, "tau": -1}}, "physics.tau"),
+            ({"physics": {**PHYSICS, "dt": 0.003}}, "physics.dt"),
+            ({"control": {"mode": "wave", "a": 0.7}}, "control.a"),
+            ({"control": {"mode": "bogus"}}, "control.mode"),
+            ({"objects": [{"x": 1.0, "y": 3.0, "vx": 3e19}]}, "objects[0].vx"),
+            ({"physics": {**PHYSICS, "g": 1e50}}, "physics.g"),
+            ({"surface": {**SURFACE, "W": 1e-160, "L": 1e-160},
+              "objects": [{"x": 1e-160, "y": 1e-160}]}, "surface.W"),
         ],
     )
     def test_refused_at_load(self, tmp_path, capsys, overrides, field):
@@ -148,6 +172,34 @@ class TestHostileInput:
         assert main(argv) == EXIT_INVALID
         assert "--seeds '1..x'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_tiny_dt_is_refused_at_once(self, tmp_path, capsys):
+        # 1e299 substeps per tick: refused by the substep bound, not run
+        path = uturn(tmp_path, physics={"dt": 1e-300})
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert main(["run", str(path), "-o", str(out)]) == EXIT_INVALID
+        assert time.perf_counter() - start < 1.0
+        assert "physics.dt" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["vx", "g"])
+    def test_speeds_and_gravities_are_refused_or_stay_inside(self, tmp_path, key):
+        # every power of ten from 1 to 1e300, as an initial speed or as the
+        # gravity: refused at load, or run with every row in the workspace
+        ran = 0
+        for k in range(301):
+            edit = ({"objects": [{"x": 1.0, "y": 3.0, "vx": 10.0**k}]} if key == "vx"
+                    else {"physics": {"g": 10.0**k}})
+            try:
+                sc = sio.load_scenario(uturn(tmp_path, t_max=5.0, **edit))
+            except sio.ScenarioError:
+                continue
+            states = run(sc)[0].states
+            assert (states[:, :, 0] >= 0).all() and (states[:, :, 0] <= sc.cfg.width).all()
+            assert (states[:, :, 1] >= 0).all() and (states[:, :, 1] <= sc.cfg.length).all()
+            ran += 1
+        assert 10 < ran < 301
 
     def test_an_unbounded_t_max_runs_and_settles(self, tmp_path):
         doc = json.loads((SCENARIOS / "paper-s5x6.json").read_text())
@@ -272,10 +324,9 @@ class TestTraceRoundTrip:
         sc = sio.load_scenario(path)
         reparsed = sio.read_trace_csv(out / "trace.csv", sc.cfg.n, sc.cfg.m)
         metrics = json.loads((out / "metrics.json").read_text())
-        assert (
-            convergence_time(reparsed, sc.cfg, settle=sc.control_period)
-            == metrics["convergence_time"]
-        )
+        recomputed = compute_metrics(reparsed, sc.cfg, settle=sc.control_period,
+                                     converged=metrics["converged"], wall_clock=0.0)
+        assert recomputed.convergence_time == metrics["convergence_time"]
 
     def test_byte_identical_reruns(self, tmp_path):
         path = tiny_scenario(tmp_path)

@@ -37,9 +37,8 @@ def occupancy_sets(objects, cfg):
     return control.occupancy_sets(x, y, cfg)
 
 
-def control_input(objects, mode, params, cfg):
-    x, y, _, _ = objects
-    return control.control_input(x, y, mode, params, cfg)
+def commanded_input(objects, mode, params, cfg):
+    return control.command(*objects, mode, params, cfg)[0]
 
 
 def control_tick(objects, mode, params, cfg):
@@ -132,20 +131,20 @@ class TestAxisDrops:
 
 class TestDistributedAllocation:
     def test_example_values(self):
-        u = control_input(objects_in_cells(EXAMPLE_CELLS, CFG), "distributed",
+        u = commanded_input(objects_in_cells(EXAMPLE_CELLS, CFG), "distributed",
                           ControllerParams(), CFG)
         np.testing.assert_allclose(u.dz_col, [25, 25, 0, -25, -25])
         np.testing.assert_allclose(u.dz_row, [0, -50 / 3, -50 / 3, -50 / 3])
 
     def test_empty_sets_level_surface(self):
-        u = control_input(HOME, "distributed", ControllerParams(), CFG)
+        u = commanded_input(HOME, "distributed", ControllerParams(), CFG)
         assert all(v == 0 for v in u.dz_col)
         assert all(v == 0 for v in u.dz_row)
 
     def test_full_occupancy_equals_funnel(self):
         full = objects_in_cells(EXAMPLE_CELLS, CFG)
-        u = control_input(full, "distributed", ControllerParams(), CFG)
-        f = control_input(full, "funnel", ControllerParams(), CFG)
+        u = commanded_input(full, "distributed", ControllerParams(), CFG)
+        f = commanded_input(full, "funnel", ControllerParams(), CFG)
         assert u.dz_col == f.dz_col
         assert u.dz_row == f.dz_row
 
@@ -162,7 +161,7 @@ class TestDistributedAllocation:
             objects = objects_in_cells(cells, cfg)
             cols, rows = occupancy_sets(objects, cfg)
             a = float(rng.uniform(0, 1))
-            u = control_input(objects, "distributed", ControllerParams(a, 1 - a), cfg)
+            u = commanded_input(objects, "distributed", ControllerParams(a, 1 - a), cfg)
             left = [c for c in cols if c < cfg.ref_col - 1]
             right = [c for c in cols if c > cfg.ref_col - 1]
             above = [r for r in rows if r > cfg.ref_row - 1]
@@ -177,18 +176,18 @@ class TestDistributedAllocation:
 
 class TestWave:
     def test_example_values(self):
-        u = control_input(objects_in_cells(EXAMPLE_CELLS, CFG), "wave",
+        u = commanded_input(objects_in_cells(EXAMPLE_CELLS, CFG), "wave",
                           ControllerParams(), CFG)
         np.testing.assert_allclose(u.dz_col, [50, 0, 0, 0, -50])
         np.testing.assert_allclose(u.dz_row, [0, 0, 0, -50])
 
     def test_empty_sets(self):
-        u = control_input(HOME, "wave", ControllerParams(), CFG)
+        u = commanded_input(HOME, "wave", ControllerParams(), CFG)
         assert all(v == 0 for v in u.dz_col)
         assert all(v == 0 for v in u.dz_row)
 
     def test_singleton_far_corner(self):
-        u = control_input(objects_in_cells([(5, 4)], CFG), "wave",
+        u = commanded_input(objects_in_cells([(5, 4)], CFG), "wave",
                           ControllerParams(0.4, 0.6), CFG)
         nz_col = [v for v in u.dz_col if v != 0]
         nz_row = [v for v in u.dz_row if v != 0]
@@ -201,7 +200,7 @@ class TestWave:
             cells = [
                 (int(rng.integers(1, 6)), int(rng.integers(1, 5))) for _ in range(8)
             ]
-            u = control_input(objects_in_cells(cells, CFG), "wave", ControllerParams(), CFG)
+            u = commanded_input(objects_in_cells(cells, CFG), "wave", ControllerParams(), CFG)
             pos = [v for v in u.dz_col if v > 0]
             neg = [v for v in u.dz_col if v < 0]
             assert len(pos) <= 1 and len(neg) <= 1
@@ -210,7 +209,7 @@ class TestWave:
 
 def funnel(a, cfg):
     """The funnel's input for stroke split (a, 1 - a); it reads no object."""
-    return control_input(object_arrays([]), "funnel", ControllerParams(a, 1.0 - a), cfg)
+    return commanded_input(object_arrays([]), "funnel", ControllerParams(a, 1.0 - a), cfg)
 
 
 class TestStaticFunnel:
@@ -267,12 +266,10 @@ class TestAllocationOracle:
     def test_command_matches_the_reference(self, case):
         x, y, mode, params, cfg = case
         want_u, want_grid = allocation_reference(x, y, mode, params, cfg)
-        u = control.control_input(x, y, mode, params, cfg)
         got_u, got_grid = control.command(x, y, np.zeros_like(x), np.zeros_like(y),
                                           mode, params, cfg)
-        for got in (u, got_u):
-            assert same_bits(got.dz_col, want_u.dz_col)
-            assert same_bits(got.dz_row, want_u.dz_row)
+        assert same_bits(got_u.dz_col, want_u.dz_col)
+        assert same_bits(got_u.dz_row, want_u.dz_row)
         assert same_bits(got_grid.col_heights, want_grid.col_heights)
         assert same_bits(got_grid.row_heights, want_grid.row_heights)
 
@@ -383,7 +380,7 @@ class TestHardwareSplit:
     def test_full_stroke_to_dominant_axis(self):
         params = ControllerParams(hardware_split=True)
         objs = objects_in_cells([(1, 1)], CFG)  # error only along x
-        u = control_input(objs, "wave", params, CFG)
+        u = commanded_input(objs, "wave", params, CFG)
         assert max(abs(v) for v in u.dz_col) == CFG.stroke
         assert all(v == 0 for v in u.dz_row)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from morphsurf import (
     ControlInput,
@@ -28,7 +29,6 @@ from morphsurf.engine import (
     arrival_times,
     batch,
     compute_metrics,
-    convergence_time,
     initial_state,
     run,
     seed_sweep,
@@ -43,6 +43,7 @@ from conftest import (
     path_lengths_reference,
     random_config,
     random_feasible_input,
+    run_reference,
     slope_field,
 )
 
@@ -142,6 +143,24 @@ class TestFieldChecks:
     def test_refused(self, cls, name, value):
         with pytest.raises(FieldError, match=f"^{name} must be"):
             build(cls, **{name: value})
+
+    @pytest.mark.parametrize("cls, name, value", [
+        (SurfaceConfig, "n", 0), (SurfaceConfig, "m", -2), (SurfaceConfig, "W", -1.0),
+        (SurfaceConfig, "L", 0.0), (SurfaceConfig, "stroke", 0.0), (SurfaceConfig, "W", 1e-160),
+        (SurfaceConfig, "ref_col", 4), (SurfaceConfig, "ref_row", 0),
+        (PhysicsParams, "gravity", 0.0), (PhysicsParams, "gravity", 1e160),
+        (PhysicsParams, "friction", -0.1), (PhysicsParams, "tau", -1.0), (PhysicsParams, "dt", 0.0),
+        (ControllerParams, "frac_x", 1.5), (ControllerParams, "frac_y", -0.5),
+        (Scenario, "control_rate", 0.0), (Scenario, "t_max", -1.0), (Scenario, "mode", "bogus"),
+    ])
+    def test_out_of_range(self, cls, name, value):
+        # a value of the right kind but out of range is refused naming its field
+        with pytest.raises(FieldError, match=f"^{name} must be"):
+            build(cls, **{name: value})
+
+    def test_a_tiny_stroke_allows_any_positive_cell(self):
+        # the smallest cell is stroke * 2**-500, which underflows to 0 here
+        assert build(SurfaceConfig, stroke=1e-200, W=1e-300).W == 1e-300
 
     def test_numbers_are_stored_as_their_kind(self):
         cfg = build(SurfaceConfig, n=np.int64(3), W=2, stroke=np.float64(1.0))
@@ -309,8 +328,9 @@ class TestRun:
     def test_metrics_consistent_with_trace(self):
         sc = small_scenario()
         trace, metrics = run(sc)
-        recomputed = convergence_time(trace, CFG, settle=sc.control_period)
-        assert recomputed == metrics.convergence_time
+        recomputed = compute_metrics(trace, CFG, settle=sc.control_period,
+                                     converged=metrics.converged, wall_clock=0.0)
+        assert recomputed.convergence_time == metrics.convergence_time
 
 
 def recorded_scenario(name: str) -> Scenario:
@@ -564,27 +584,34 @@ class TestFieldBuild:
                 self.assert_same_field(col, row, cfg)
 
 
+def convergence_time(trace, cfg):
+    """The convergence time compute_metrics gives ``trace`` over a 0.1 s
+    settle window."""
+    return compute_metrics(trace, cfg, settle=0.1, converged=False,
+                           wall_clock=0.0).convergence_time
+
+
 class TestConvergenceTime:
     def test_never_leaving_is_zero(self):
         cfg = CFG
         t = np.arange(0, 5.0, 0.1)
         xs = np.full(len(t), (cfg.ref_col - 0.5) * cfg.W)
         trace = synthetic_trace(t, xs, cfg)
-        assert convergence_time(trace, cfg, settle=0.1) == 0.0
+        assert convergence_time(trace, cfg) == 0.0
 
     def test_reentry_time_is_reported(self):
         cfg = CFG
         t = np.arange(0, 60.0, 0.1)
         xs = np.where(t < 30.0, 0.5, (cfg.ref_col - 0.5) * cfg.W)
         trace = synthetic_trace(t, xs, cfg)
-        assert convergence_time(trace, cfg, settle=0.1) == pytest.approx(30.0)
+        assert convergence_time(trace, cfg) == pytest.approx(30.0)
 
     def test_object_still_outside_is_none(self):
         cfg = CFG
         t = np.arange(0, 5.0, 0.1)
         xs = np.full(len(t), 0.5)  # parked in column 1, never in reference
         trace = synthetic_trace(t, xs, cfg)
-        assert convergence_time(trace, cfg, settle=0.1) is None
+        assert convergence_time(trace, cfg) is None
 
     def test_settle_window_must_fit_in_trace(self):
         cfg = CFG
@@ -592,7 +619,7 @@ class TestConvergenceTime:
         xs = np.array([0.5, 0.5, (cfg.ref_col - 0.5) * cfg.W])
         trace = synthetic_trace(t, xs, cfg)
         # arrives on the final row: no settle window left
-        assert convergence_time(trace, cfg, settle=0.1) is None
+        assert convergence_time(trace, cfg) is None
 
     def test_arrival_times_per_object(self):
         cfg = CFG
@@ -668,3 +695,89 @@ class TestBatch:
         entries = batch([good])
         assert entries[0].error is None
         assert isinstance(entries[0], BatchEntry)
+
+
+@st.composite
+def whole_runs(draw):
+    """A scenario of 1x1 to 6x6 cells (1x1 in single_cell mode) in any mode,
+    with 1-40 objects: listed, moving and some on cell boundaries or walls,
+    seeded at rest, or at rest in the reference cell.  Gravity, friction,
+    actuator lag, physics step, stroke split, hardware split, single-cell
+    gains and a reference schedule of up to three entries are drawn too."""
+    mode = draw(st.sampled_from(control.MODES))
+    n, m = (1, 1) if mode == "single_cell" else (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    size = st.sampled_from([0.5, 1.0, 2.0])
+    cfg = SurfaceConfig(n, m, draw(size), draw(size), 1.0,
+                        draw(st.integers(1, n)), draw(st.integers(1, m)))
+    physics = PhysicsParams(gravity=draw(st.sampled_from([0.0981, 9.81])),
+                            friction=draw(st.sampled_from([0.0, 0.1, 2.0])),
+                            tau=draw(st.sampled_from([0.0, 0.3])),
+                            dt=draw(st.sampled_from([0.01, 0.02, 0.05])))
+    t_max = draw(st.sampled_from([5.0, 30.0]))
+    gains = None
+    if mode == "single_cell" and draw(st.booleans()):
+        share = st.floats(0.05, 1.0)
+        gains = SingleCellGains(draw(share) * 0.5 / cfg.W, draw(share) * 0.5 / cfg.L,
+                                draw(st.none() | st.floats(0.1, 2.0)),
+                                draw(st.none() | st.floats(0.1, 2.0)))
+    a = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    params = ControllerParams(a, 1.0 - a, gains, draw(st.booleans()))
+    when = st.floats(0.0, t_max) | st.integers(0, int(t_max * 10)).map(lambda k: k / 10)
+    schedule = tuple(draw(st.lists(
+        st.tuples(when, st.integers(1, n), st.integers(1, m)), max_size=3)))
+
+    def coordinate(count, size, extent):
+        edges = [k * size for k in range(count + 1)]
+        return st.floats(0.0, extent) | st.sampled_from(edges)
+
+    speed = st.floats(-2.0, 2.0) | st.just(0.0) | st.floats(-1e3, 1e3)
+    objects, count = None, 0
+    placement = draw(st.sampled_from(["listed", "seeded", "home"]))
+    if placement == "listed":
+        objects = tuple(draw(st.lists(
+            st.builds(ObjectState, coordinate(n, cfg.W, cfg.width),
+                      coordinate(m, cfg.L, cfg.length), speed, speed),
+            min_size=1, max_size=40)))
+    elif placement == "home":  # at rest in the reference cell: settled at once
+        inside = st.floats(0.1, 0.9)
+        objects = tuple(draw(st.lists(st.builds(
+            lambda fx, fy: ObjectState((cfg.ref_col - fx) * cfg.W, (cfg.ref_row - fy) * cfg.L),
+            inside, inside), min_size=1, max_size=40)))
+    else:
+        count = draw(st.integers(1, 40))
+    return Scenario(cfg, physics, mode, params, objects, count, t_max=t_max,
+                    seed=draw(st.integers(0, 2**16)), reference_schedule=schedule)
+
+
+class TestWholeRunOracle:
+    """engine.run gives, bit for bit, what the straightforward engine of
+    ``conftest.run_reference`` gives: the command and the field rebuilt on
+    every tick and one substep at a time."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(whole_runs())
+    # settled at tick 0, away from the reference cell at tick 1 and settled
+    # back in it at tick 2: a settle streak that is not reset at tick 1
+    # stops the run a tick early
+    @example(Scenario(SurfaceConfig(3, 2, 2.0, 2.0, 1.0, 2, 1),
+                      PhysicsParams(gravity=0.0981, friction=0.1, tau=0.3, dt=0.01), "wave",
+                      objects=(ObjectState(3.0, 1.0),), t_max=5.0,
+                      reference_schedule=((0.1, 1, 2), (0.2, 2, 1))))
+    def test_run_matches_the_reference(self, sc):
+        trace, metrics = run(sc)
+        want_trace, want = run_reference(sc)
+        for f in dataclasses.fields(SimTrace):
+            got, expected = getattr(trace, f.name), getattr(want_trace, f.name)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), f.name
+        assert metrics.converged == want.converged
+        assert metrics.convergence_time == want.convergence_time
+        assert metrics.arrival_times == want.arrival_times
+        assert np.array(metrics.path_lengths).tobytes() == np.array(want.path_lengths).tobytes()
+
+    @pytest.mark.parametrize("name", ["paper-s5x6", "paper-s1x10", "uturn"])
+    def test_canned_scenarios_match_the_reference(self, name):
+        sc = dataclasses.replace(load_scenario(SCENARIOS / f"{name}.json"), t_max=30.0)
+        trace, metrics = run(sc)
+        want_trace, want = run_reference(sc)
+        assert trace.states.tobytes() == want_trace.states.tobytes()
+        assert metrics.arrival_times == want.arrival_times

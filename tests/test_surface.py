@@ -13,7 +13,7 @@ from morphsurf import (
     reconstruct_actuator_grid,
     validate_grid,
 )
-from morphsurf.control import ControllerParams, control_input
+from morphsurf.control import ControllerParams, command
 from morphsurf.surface import _component_heights
 from conftest import (
     component_heights_reference,
@@ -184,7 +184,8 @@ def controller_axes(rng, draws):
         params = ControllerParams(a, 1.0 - a, hardware_split=bool(rng.integers(2)))
         k = int(rng.integers(1, 30))
         x, y = rng.uniform(0, cfg.width, k), rng.uniform(0, cfg.length, k)
-        u = control_input(x, y, str(rng.choice(["distributed", "wave", "funnel"])), params, cfg)
+        mode = str(rng.choice(["distributed", "wave", "funnel"]))
+        u = command(x, y, np.zeros(k), np.zeros(k), mode, params, cfg)[0]
         g = reconstruct_actuator_grid(u, cfg)
         for heights, dz, ref in ((g.col_heights, u.dz_col, cfg.ref_col),
                                  (g.row_heights, u.dz_row, cfg.ref_row)):
