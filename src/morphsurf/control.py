@@ -36,17 +36,15 @@ MODES = ("distributed", "wave", "funnel", "single_cell")
 
 @dataclass(frozen=True)
 class SingleCellGains:
-    """Feedback gains and saturation bounds for the single-cell law.
+    """Feedback gains for the single-cell law, which saturates at the cell
+    size W and L.
 
     Gains are capped at stroke/(2W) and stroke/(2L) so the four actuator
-    heights stay inside [0, stroke].  Saturation bounds default to the cell
-    dimensions.
+    heights stay inside [0, stroke].
     """
 
     kx: float
     ky: float
-    sat_x: float | None = None
-    sat_y: float | None = None
 
     def __post_init__(self):
         check_fields(self)
@@ -55,7 +53,7 @@ class SingleCellGains:
         """Refuse a gain that is not positive or exceeds its cap on ``cfg``."""
         caps = zip(("kx", "ky"), (self.kx, self.ky), _gain_caps(cfg), ("W", "L"))
         for name, gain, cap, size in caps:
-            if not 0 < gain <= cap + 1e-12:
+            if not 0 < gain <= cap * (1 + 1e-12):  # slack relative to a cap of any size
                 raise FieldError(
                     name, f"must lie in (0, stroke/(2{size})] = (0, {cap:g}], got {gain}"
                 )
@@ -132,46 +130,42 @@ def _gain_caps(cfg: SurfaceConfig) -> tuple[float, float]:
 def _single_cell_law(
     e_x: float, e_y: float, v_x: float, v_y: float,
     gains: SingleCellGains | None, cfg: SurfaceConfig,
-) -> tuple[float, float]:
-    """(dz1, dz2) of the single-cell law for ``gains`` already checked against
-    the surface ``cfg``.  No gains stand for the gains at their caps,
-    saturating at W and L."""
+) -> tuple[ControlInput, ActuatorGrid]:
+    """(input, grid) of the single-cell law for ``gains`` already checked
+    against the surface ``cfg``; no gains stand for the gains at their caps.
+
+    dz1 = -kx * sat(e_x + SINGLE_CELL_KD * v_x, W), and likewise dz2 along y
+    with L, for an object at error (e_x, e_y) moving at (v_x, v_y).  The
+    velocity term sits inside the saturation, so |dz1| <= kx * W <=
+    stroke / 2, and the grid, tilting about the cell midlines, stays inside
+    [0, stroke].
+    """
     kx, ky = _gain_caps(cfg) if gains is None else (gains.kx, gains.ky)
-    sat_x = cfg.W if gains is None or gains.sat_x is None else gains.sat_x
-    sat_y = cfg.L if gains is None or gains.sat_y is None else gains.sat_y
     dz = []
-    for k, e, v, bound in ((kx, e_x, v_x, sat_x), (ky, e_y, v_y, sat_y)):
+    for k, e, v, bound in ((kx, e_x, v_x, cfg.W), (ky, e_y, v_y, cfg.L)):
         err = e + SINGLE_CELL_KD * v
         dz.append(-k * (math.copysign(bound, err) if abs(err) > bound else err))
-    return dz[0], dz[1]
+    quarter = cfg.stroke / 4.0
+    grid = ActuatorGrid(*((quarter + d / 2.0, quarter - d / 2.0) for d in dz))
+    return ControlInput((dz[0],), (dz[1],)), grid
 
 
 def single_cell_feedback(
-    e_x: float,
-    e_y: float,
-    gains: SingleCellGains,
-    cfg: SurfaceConfig,
-    v_x: float,
-    v_y: float,
+    e_x: float, e_y: float, gains: SingleCellGains, cfg: SurfaceConfig, v_x: float, v_y: float
 ) -> tuple[float, float, tuple[float, float, float, float]]:
     """Saturated position-velocity feedback for one cell, tilting about its
-    midlines.
+    midlines: the single-cell law for an object at error (e_x, e_y) moving
+    at (v_x, v_y).
 
-    dz1 = -kx * sat(e_x + SINGLE_CELL_KD * v_x, sat_x), and likewise dz2
-    along y, for an object at error (e_x, e_y) moving at (v_x, v_y).
-    Returns (dz1, dz2, (Z1, Z2, Z3, Z4)).  Negative feedback: an error east
-    of the target (e_x > 0) lowers the west side so the object slides back.
-    The velocity term sits inside the saturation, so |dz1| <= kx * sat_x
-    still bounds the heights.  Refuses gains over their cap on ``cfg``.
+    Returns (dz1, dz2, (Z1, Z2, Z3, Z4)), the corners of the grid ``command``
+    gives.  Negative feedback: an error east of the target (e_x > 0) lowers
+    the west side so the object slides back.  Refuses gains over their cap
+    on ``cfg``.
     """
     gains.validate(cfg)
-    dz1, dz2 = _single_cell_law(e_x, e_y, v_x, v_y, gains, cfg)
-    half = cfg.stroke / 2.0
-    z1 = half + dz1 / 2.0 + dz2 / 2.0
-    z2 = half - dz1 / 2.0 + dz2 / 2.0
-    z3 = half - dz1 / 2.0 - dz2 / 2.0
-    z4 = half + dz1 / 2.0 - dz2 / 2.0
-    return dz1, dz2, (z1, z2, z3, z4)
+    u, grid = _single_cell_law(e_x, e_y, v_x, v_y, gains, cfg)
+    (z1, z4), (z2, z3) = grid.heights().tolist()
+    return u.dz_col[0], u.dz_row[0], (z1, z2, z3, z4)
 
 
 def split_fractions(
@@ -211,13 +205,7 @@ def command(
     """
     if mode == "single_cell":
         e_x, e_y = float(x[0]) - cfg.W / 2.0, float(y[0]) - cfg.L / 2.0
-        dz1, dz2 = _single_cell_law(e_x, e_y, float(vx[0]), float(vy[0]), params.gains, cfg)
-        quarter = cfg.stroke / 4.0
-        grid = ActuatorGrid(
-            (quarter + dz1 / 2.0, quarter - dz1 / 2.0),
-            (quarter + dz2 / 2.0, quarter - dz2 / 2.0),
-        )
-        return ControlInput((dz1,), (dz2,)), grid
+        return _single_cell_law(e_x, e_y, float(vx[0]), float(vy[0]), params.gains, cfg)
     if mode == "funnel":
         # The funnel tilts every line and never reacts to the objects, so the
         # per-tick hardware split does not apply either.

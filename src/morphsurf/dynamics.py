@@ -71,6 +71,9 @@ class PhysicsParams:
 # Most object-substeps one held-cell recurrence records; a longer call runs
 # several, each starting from freshly looked-up cells.
 _HELD_BLOCK = 1 << 15
+# A recurrence after an event at row r computes at most max(2r, _RESTART_ROWS)
+# rows, so the rows of a call stay linear in its substeps whatever its events.
+_RESTART_ROWS = 16
 
 
 def locate_cell(s: ObjectState, cfg: SurfaceConfig) -> tuple[int, int]:
@@ -135,10 +138,11 @@ def advance(
     and its reflection leaves positions inside the workspace untouched;
     numpy's elementwise IEEE operations do not depend on the other elements.
     So row r is reflected, as the loop reflects it, and the next recurrence
-    starts from there with the cells looked up again.  A quiet call runs one
-    recurrence and no reflection.  A recurrence records at most
-    ``_HELD_BLOCK`` object-substeps; a longer call continues from the last
-    row as from an event.  The result is bit-for-bit the per-substep loop's.
+    starts from there with the cells looked up again, computing at most
+    ``max(2r, _RESTART_ROWS)`` rows.  A quiet call runs one recurrence and
+    no reflection.  A recurrence records at most ``_HELD_BLOCK``
+    object-substeps; a longer call continues from the last row as from an
+    event.  The result is bit-for-bit the per-substep loop's.
     """
     keep = 1.0 - friction * dt
     size, last, ext = (
@@ -151,11 +155,12 @@ def advance(
     v = np.empty((block + 1, 2, x.size))  # velocities, likewise
     p[0] = x, y
     v[0] = vx, vy
-    r = 0  # the row the last recurrence stopped at
+    r, k = 0, block  # the row the last recurrence stopped at, and its rows
     while substeps:
         if r:
             p[0], v[0] = p[r], v[r]
-        k = min(substeps, block)
+            k = max(2 * r, _RESTART_ROWS)
+        k = min(substeps, block, k)
         pk, vk = p[:k + 1], v[:k + 1]
         c = cell_index(pk[0], size, last)  # each object's starting cell
         a = np.array((gx_cell[c[0], c[1]], gy_cell[c[0], c[1]]))

@@ -52,8 +52,6 @@ FIELDS = (
     ("control.hardware_split", ControllerParams, "hardware_split"),
     ("control.gains.kx", SingleCellGains, "kx"),
     ("control.gains.ky", SingleCellGains, "ky"),
-    ("control.gains.sat_x", SingleCellGains, "sat_x"),
-    ("control.gains.sat_y", SingleCellGains, "sat_y"),
     ("t_max", Scenario, "t_max"),
     ("seed", Scenario, "seed"),
     ("objects_random.count", Scenario, "random_count"),

@@ -49,7 +49,6 @@ class FieldError(ValueError):
 _REAL = (int, float, np.integer, np.floating)
 _KINDS = {
     "float": (_REAL, float, "a finite number"),
-    "float | None": (_REAL, float, "a finite number or null"),
     "int": ((int, np.integer), int, "an integer"),
     "bool": ((bool, np.bool_), bool, "true or false"),
     "str": (str, str, "a string"),
@@ -62,8 +61,6 @@ def checked(value, kind: str, name: str):
     bool in a number field, and a non-integral number (2.0 included) in an
     integer field."""
     types, convert, wording = _KINDS[kind]
-    if value is None and kind == "float | None":
-        return None
     if isinstance(value, types) and isinstance(value, (bool, np.bool_)) == (kind == "bool"):
         try:
             if convert is not float or math.isfinite(value):

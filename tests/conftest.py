@@ -363,17 +363,15 @@ def write_trace_csv_reference(trace, path):
 def single_cell_reference(x, y, vx, vy, gains, cfg: SurfaceConfig):
     """Oracle of ``control.command`` in single_cell mode: the law
     dz = -k * sat(e + SINGLE_CELL_KD * v, bound) on each axis for the first
-    object, gains defaulting to their caps and bounds to the cell size, and
-    the grid tilting about the cell midlines."""
+    object, gains defaulting to their caps and the bounds the cell size W
+    and L, and the grid tilting about the cell midlines."""
     if gains is None:
-        kx, ky, sat_x, sat_y = cfg.stroke / (2 * cfg.W), cfg.stroke / (2 * cfg.L), cfg.W, cfg.L
+        kx, ky = cfg.stroke / (2 * cfg.W), cfg.stroke / (2 * cfg.L)
     else:
         kx, ky = gains.kx, gains.ky
-        sat_x = cfg.W if gains.sat_x is None else gains.sat_x
-        sat_y = cfg.L if gains.sat_y is None else gains.sat_y
     e_x, e_y = float(x[0]) - cfg.W / 2.0, float(y[0]) - cfg.L / 2.0
-    dz1 = -kx * max(-sat_x, min(sat_x, e_x + SINGLE_CELL_KD * float(vx[0])))
-    dz2 = -ky * max(-sat_y, min(sat_y, e_y + SINGLE_CELL_KD * float(vy[0])))
+    dz1 = -kx * max(-cfg.W, min(cfg.W, e_x + SINGLE_CELL_KD * float(vx[0])))
+    dz2 = -ky * max(-cfg.L, min(cfg.L, e_y + SINGLE_CELL_KD * float(vy[0])))
     quarter = cfg.stroke / 4.0
     grid = ActuatorGrid((quarter + dz1 / 2.0, quarter - dz1 / 2.0),
                         (quarter + dz2 / 2.0, quarter - dz2 / 2.0))

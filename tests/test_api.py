@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -115,3 +116,26 @@ def test_every_benchmark_span_wraps_a_function():
     advance = importlib.import_module("morphsurf.dynamics").advance
     params = list(inspect.signature(advance).parameters)
     assert params[0] == "x" and "substeps" in params
+
+
+def checked_dataclasses() -> list[type]:
+    """The dataclasses of src/morphsurf whose own code calls check_fields."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"morphsurf.{path.stem}")
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.ClassDef) and "check_fields" in names_used(top, set()):
+                cls = getattr(module, top.name)
+                assert dataclasses.is_dataclass(cls), top.name
+                found.append(cls)
+    return found
+
+
+def test_every_field_kind_is_in_use():
+    # a kind of surface._KINDS that no checked field is annotated with is
+    # dead code in checked and check_fields
+    surface = importlib.import_module("morphsurf.surface")
+    classes = checked_dataclasses()
+    assert {"SurfaceConfig", "SingleCellGains", "Scenario"} <= {c.__name__ for c in classes}
+    used = {f.type for cls in classes for f in dataclasses.fields(cls)}
+    assert set(surface._KINDS) <= used

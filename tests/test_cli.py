@@ -137,6 +137,15 @@ class TestHostileInput:
             ({"physics": {**PHYSICS, "g": 1e50}}, "physics.g"),
             ({"surface": {**SURFACE, "W": 1e-160, "L": 1e-160},
               "objects": [{"x": 1e-160, "y": 1e-160}]}, "surface.W"),
+            # the single-cell law saturates at the cell size: no bound of its own
+            ({"surface": CELL, "objects": [{"x": 1.0, "y": 1.0}],
+              "control": {"mode": "single_cell", "rate": 10.0,
+                          "gains": {"kx": 0.25, "ky": 0.25, "sat_x": 100.0}}},
+             "control.gains.sat_x"),
+            ({"surface": CELL, "objects": [{"x": 1.0, "y": 1.0}],
+              "control": {"mode": "single_cell", "rate": 10.0,
+                          "gains": {"kx": 0.25, "ky": 0.25, "sat_y": None}}},
+             "control.gains.sat_y"),
         ],
     )
     def test_refused_at_load(self, tmp_path, capsys, overrides, field):
@@ -224,7 +233,7 @@ def scenarios():
         share = st.floats(0.01, 1.0)  # of the gain's cap
         gains = draw(st.none() | st.builds(
             SingleCellGains, share.map(lambda f: f * cfg.stroke / (2 * cfg.W)),
-            share.map(lambda f: f * cfg.stroke / (2 * cfg.L)), st.none() | size, st.none() | size,
+            share.map(lambda f: f * cfg.stroke / (2 * cfg.L)),
         ))
         modes = ["wave", "distributed", "funnel"] + (["single_cell"] if n == m == 1 else [])
         seed = draw(st.integers(0, 2**31))
@@ -309,10 +318,11 @@ class TestSingleCellGains:
     }
 
     def test_echoed_gains_reload(self):
-        # the echo writes the unset saturation bounds as null
+        # the echo writes both gains, and only them
         sc = sio.scenario_from_dict(self.DOC)
         doc = json.loads(json.dumps(self.DOC))
         doc["control"]["gains"] = sio.scenario_echo(sc)["control"]["gains"]
+        assert doc["control"]["gains"] == {"kx": 0.25, "ky": 0.2}
         assert sio.scenario_from_dict(doc).params.gains == sc.params.gains
 
 

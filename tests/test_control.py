@@ -14,11 +14,13 @@ from morphsurf import (
     locate_cell,
     planar_completion,
     single_cell_feedback,
+    validate_grid,
 )
 from morphsurf import control
 from morphsurf.control import SINGLE_CELL_KD, axis_drops
 from morphsurf.dynamics import cell_indices
 from morphsurf.engine import _grid_orientation_terms
+from morphsurf.surface import FieldError
 from conftest import allocation_reference, object_arrays
 
 # The running example: S(5,4) with reference cell (3,1) and stroke 100.
@@ -319,6 +321,89 @@ class TestSingleCellFeedback:
             single_cell_feedback(
                 0.0, 0.0, SingleCellGains(kx=0.3, ky=0.25), self.CELL, 0.0, 0.0
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.1, 5.0), st.floats(0.1, 5.0), st.floats(0.01, 1.0), st.data())
+    def test_corners_are_those_of_the_commanded_grid(self, w, length, share, data):
+        cfg = SurfaceConfig(1, 1, w, length, data.draw(st.floats(0.01, 10.0)), 1, 1)
+        gains = SingleCellGains(share * cfg.stroke / (2 * w), cfg.stroke / (2 * length))
+        x, y = data.draw(st.floats(0.0, w)), data.draw(st.floats(0.0, length))
+        vx, vy = data.draw(st.floats(-1e3, 1e3)), data.draw(st.floats(-1e3, 1e3))
+        dz1, dz2, corners = single_cell_feedback(x - w / 2.0, y - length / 2.0,
+                                                 gains, cfg, vx, vy)
+        u, grid = control.command(*(np.array([c]) for c in (x, y, vx, vy)),
+                                  "single_cell", ControllerParams(gains=gains), cfg)
+        h = grid.heights()
+        assert same_bits(corners, [h[0, 0], h[1, 0], h[1, 1], h[0, 1]])
+        assert same_bits((dz1, dz2), u.dz_col + u.dz_row)
+
+
+def largest_accepted_gains(cfg: SurfaceConfig) -> SingleCellGains:
+    """The largest kx and ky that SingleCellGains.validate accepts on
+    ``cfg``, each found by bisection between its cap and far above it with
+    the other gain at its cap."""
+    caps = (cfg.stroke / (2 * cfg.W), cfg.stroke / (2 * cfg.L))
+
+    def accepted(gains):
+        try:
+            SingleCellGains(*gains).validate(cfg)
+        except FieldError:
+            return False
+        return True
+
+    largest = []
+    for axis, cap in enumerate(caps):
+        lo, hi = cap, 2 * cap + 1.0
+        assert accepted(caps) and not accepted(caps[:axis] + (hi,) + caps[axis + 1:])
+        while lo < (mid := lo + (hi - lo) / 2) < hi:
+            if accepted(caps[:axis] + (mid,) + caps[axis + 1:]):
+                lo = mid
+            else:
+                hi = mid
+        largest.append(lo)
+    return SingleCellGains(*largest)
+
+
+@st.composite
+def commands(draw):
+    """control.command's arguments: any mode on 1x1 to 8x8 cells (1x1 in
+    single_cell mode) of 0.1 m to 1e15 m with a stroke of 0.01 to 10 m, any
+    stroke split, no gains, gains at a share of their caps or the largest
+    gains validate accepts, and 1-40 objects anywhere in the workspace at up
+    to 1e3 m/s."""
+    mode = draw(st.sampled_from(control.MODES))
+    n, m = (1, 1) if mode == "single_cell" else (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    size = st.floats(0.1, 1e15)
+    cfg = SurfaceConfig(n, m, draw(size), draw(size), draw(st.floats(0.01, 10.0)),
+                        draw(st.integers(1, n)), draw(st.integers(1, m)))
+    share = draw(st.sampled_from([None, "largest"]) | st.floats(0.01, 1.0))
+    if share == "largest":
+        gains = largest_accepted_gains(cfg)
+    elif share is not None:
+        gains = SingleCellGains(cfg.stroke / (2 * cfg.W) * share, cfg.stroke / (2 * cfg.L) * share)
+    else:
+        gains = None
+    a = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    params = ControllerParams(a, 1.0 - a, gains, draw(st.booleans()))
+    count = draw(st.integers(1, 40))
+    speed = st.floats(-1e3, 1e3)
+    x, y, vx, vy = (np.array(draw(st.lists(s, min_size=count, max_size=count)))
+                    for s in (st.floats(0.0, cfg.width), st.floats(0.0, cfg.length),
+                              speed, speed))
+    return x, y, vx, vy, mode, params, cfg
+
+
+class TestCommandedGridsAreFeasible:
+    """Every grid command gives satisfies every constraint of validate_grid,
+    the bounds [0, stroke] included, whatever the mode, surface, gains and
+    objects."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(commands())
+    def test_every_commanded_grid_is_feasible(self, case):
+        *_, cfg = case
+        report = validate_grid(control.command(*case)[1], cfg)
+        assert report.ok, report.summary()
 
 
 class TestControlTick:

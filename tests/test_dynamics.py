@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -445,6 +446,43 @@ class TestHeldCellRecurrence:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dynamics, "_HELD_BLOCK", 8)
             assert_bitwise(*random_case(data))
+
+
+class TestRestartRows:
+    """After an event at row r, advance's next recurrence computes at most
+    max(2r, 16) rows, so a call's rows stay linear in its substeps."""
+
+    CELL = SurfaceConfig(n=1, m=1, W=2.0, L=2.0, stroke=1.0, ref_col=1, ref_row=1)
+
+    def test_an_event_on_every_substep(self, monkeypatch):
+        # At 3e5 m/s the object crosses the 2 m cell 150 times a substep.
+        # Rows are counted as advance checks them: the starting cells of a
+        # recurrence are one row, its check one row per inner row.
+        rows, lookup = [0], dynamics.cell_index
+
+        def counted(pos, *args):
+            rows[0] += pos.size // 2  # a row holds x and y of the one object
+            return lookup(pos, *args)
+
+        monkeypatch.setattr(dynamics, "cell_index", counted)
+        zero = np.zeros((1, 1))
+        state = [np.array([v]) for v in (1.0, 1.0, 3e5, 0.0)]
+        start = time.perf_counter()
+        advance(*state, zero, zero, self.CELL, 0.1, 1e-3, 4000)
+        assert time.perf_counter() - start < 2.0
+        assert rows[0] <= 32 * 4000  # a full block per restart is about 4000**2 / 2
+
+    @pytest.mark.parametrize("speed", [3e5, 30.0, 0.9])
+    def test_long_ticks_match_the_loop(self, speed):
+        # events on every substep, every few substeps and now and then, so
+        # recurrences are cut short, grow back and reach the end of the call
+        cfg = TestHeldCellRecurrence.CFG
+        gx, gy = ramp_field(cfg)
+        x, y = np.array([0.1, 1.5, 2.7, 0.4]), np.array([1.0, 0.2, 3.8, 2.2])
+        vx = np.array([speed, 0.0, -speed, 0.1])
+        vy = np.array([0.0, speed / 3, 0.2, -0.1])
+        assert_bitwise((x, y, vx, vy), gx, gy, cfg, 0.1, 1e-3, 600)
+        assert_bitwise((x[3:], y[3:], vx[3:], vy[3:]), gx, gy, cfg, 0.0, 1e-3, 600)
 
 
 @pytest.fixture
