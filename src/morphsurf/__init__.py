@@ -17,7 +17,6 @@ from .engine import (
     SimTrace,
     batch,
     run,
-    seed_sweep,
 )
 from .surface import (
     ActuatorGrid,
@@ -55,7 +54,6 @@ __all__ = [
     "planar_completion",
     "reconstruct_actuator_grid",
     "run",
-    "seed_sweep",
     "single_cell_feedback",
     "validate_grid",
 ]

@@ -10,6 +10,7 @@ import argparse
 import json
 import statistics
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import control, engine, scenario as sio
@@ -85,15 +86,16 @@ def _cmd_compare(args) -> int:
             "the scenario lists its objects, so every seed would run the same "
             "simulation: give one seed, or place the objects with objects_random"
         )
-    jobs = {mode: engine.seed_sweep(sc, seeds) for mode, sc in base.items()}
+    # One batch over every mode's seeds, mode after mode.
+    jobs = [replace(sc, seed=s) for sc in base.values() for s in seeds]
     args.out.mkdir(parents=True, exist_ok=True)
+    entries = engine.batch(jobs)
 
     summary: dict[str, dict] = {}
-    for mode in modes:
-        entries = engine.batch(jobs[mode])
+    for k, mode in enumerate(modes):
         per_seed = []
         times = []
-        for seed, entry in zip(seeds, entries):
+        for seed, entry in zip(seeds, entries[k * len(seeds) :]):
             if entry.error is not None:
                 per_seed.append({"seed": seed, "error": entry.error})
                 continue

@@ -37,7 +37,11 @@ THREADS_ENV = "MORPHSURF_THREADS"
 # the rows a run never reaches are never touched, so never resident.
 _TRACE_RESERVE = 1 << 28
 
-# Trace rows the metrics read at a time; their temporaries are a few arrays
+# Most objects a scenario may place: one trace row of their states, 32 bytes
+# each, fits in the reserve.
+MAX_OBJECTS = _TRACE_RESERVE // 32
+
+# Trace steps the metrics read at a time; their temporaries are a few arrays
 # of this many rows, however long the trace.
 _METRIC_ROWS = 1024
 
@@ -84,9 +88,10 @@ class Scenario:
             if self.params.gains is not None:
                 self.params.gains.validate(cfg)
         count = len(self.objects) if self.objects is not None else self.random_count
-        if count < 1:
+        if not 1 <= count <= MAX_OBJECTS:
             raise FieldError("objects" if self.objects is not None else "random_count",
-                             f"must give at least one object, got {count}")
+                             f"must give at least one object and at most {MAX_OBJECTS}, "
+                             f"got {count}")
         for k, o in enumerate(self.objects or ()):
             if not (0.0 <= o.x <= cfg.width and 0.0 <= o.y <= cfg.length):
                 raise FieldError(
@@ -304,73 +309,6 @@ def _contained(x: np.ndarray, y: np.ndarray, cfg: SurfaceConfig) -> np.ndarray:
     return inside
 
 
-def arrival_times(trace: SimTrace, cfg: SurfaceConfig) -> list[float | None]:
-    """Per-object earliest time after which it never leaves the reference cell.
-
-    Each object's last row outside the cell is looked for in blocks of
-    _METRIC_ROWS rows from the end of the trace back, until every object
-    has one or the trace is read.
-    """
-    states = trace.states
-    rows, objects = states.shape[:2]
-    last_out = np.full(objects, -1)
-    for hi in range(rows, 0, -_METRIC_ROWS):
-        block = states[max(0, hi - _METRIC_ROWS) : hi]
-        outside = ~_contained(block[:, :, 0], block[:, :, 1], cfg)
-        found = outside.any(axis=0) & (last_out < 0)
-        last_out[found] = hi - 1 - outside[::-1].argmax(axis=0)[found]
-        if (last_out >= 0).all():
-            break
-    out: list[float | None] = []
-    for k in last_out.tolist():
-        if k < 0:
-            out.append(0.0)
-        elif k == rows - 1:
-            out.append(None)
-        else:
-            out.append(float(trace.t[k + 1]))
-    return out
-
-
-def _path_lengths(trace: SimTrace) -> np.ndarray:
-    """Per-object sum of the straight steps between trace rows.
-
-    The arithmetic and summation order of
-    sqrt((diff(states[:, :, :2], axis=0)**2).sum(axis=2)).sum(axis=0).  One
-    object's steps are summed whole by that numpy call; their temporaries
-    are two floats per step.  More objects are read in blocks of
-    _METRIC_ROWS rows: numpy adds the rows of a (steps, objects) array one
-    after another, so each block's steps are summed under the running total,
-    which heads the array.
-    """
-    states = trace.states
-    rows, objects = states.shape[:2]
-    if objects == 1:
-        steps = np.empty((rows - 1, 1))
-        return _step_lengths(states[:, :, :2], steps, np.empty_like(steps)).sum(axis=0)
-    total = np.zeros(objects)
-    scratch = np.empty((min(_METRIC_ROWS, rows - 1), objects))
-    block = np.empty((len(scratch) + 1, objects))
-    for lo in range(0, rows - 1, _METRIC_ROWS):
-        steps = min(_METRIC_ROWS, rows - 1 - lo)
-        block[0] = total
-        _step_lengths(states[lo : lo + steps + 1, :, :2], block[1 : steps + 1], scratch[:steps])
-        block[: steps + 1].sum(axis=0, out=total)
-    return total
-
-
-def _step_lengths(xy: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """sqrt(dx*dx + dy*dy) of the steps between the rows of ``xy`` (rows,
-    objects, 2), into ``out`` (rows - 1, objects)."""
-    x, y = xy[..., 0], xy[..., 1]
-    np.subtract(x[1:], x[:-1], out=out)
-    out *= out
-    np.subtract(y[1:], y[:-1], out=scratch)
-    scratch *= scratch
-    out += scratch
-    return np.sqrt(out, out=out)
-
-
 def compute_metrics(
     trace: SimTrace,
     cfg: SurfaceConfig,
@@ -378,11 +316,48 @@ def compute_metrics(
     converged: bool,
     wall_clock: float,
 ) -> RunMetrics:
-    """RunMetrics of ``trace`` for the reference surface ``cfg``: the
-    convergence time is the latest arrival, if the trace runs on for the
-    ``settle`` window after it."""
-    lengths = _path_lengths(trace)
-    arrivals = arrival_times(trace, cfg)
+    """RunMetrics of ``trace`` for the reference surface ``cfg``.
+
+    One pass reads the trace in blocks of _METRIC_ROWS steps.  Each block
+    notes every object's last row outside the reference cell, whose next
+    row's time is its arrival (0.0 if never outside, None if outside on the
+    last row).  The path lengths have the arithmetic and summation order of
+    sqrt((diff(states[:, :, :2], axis=0)**2).sum(axis=2)).sum(axis=0):
+    numpy adds the rows of a (steps, objects) array one after another, so
+    each block's steps are summed under the running total, which heads the
+    block.  One object's steps are kept and summed whole, as numpy's
+    pairwise sum does.  The convergence time is the latest arrival, if the
+    trace runs on for the ``settle`` window after it.
+    """
+    states = trace.states
+    rows, objects = states.shape[:2]
+    last_out = np.full(objects, -1)
+    total = np.zeros(objects)
+    kept = np.empty((rows - 1, 1)) if objects == 1 else None
+    for lo in range(0, max(rows - 1, 1), _METRIC_ROWS):
+        x, y = states[lo : lo + _METRIC_ROWS + 1, :, :2].transpose(2, 0, 1)
+        outside = ~_contained(x, y, cfg)
+        found = outside.any(axis=0)
+        last_out[found] = lo + len(x) - 1 - outside[::-1].argmax(axis=0)[found]
+        block = np.empty((len(x), objects))
+        steps = block[1:]
+        np.subtract(x[1:], x[:-1], out=steps)
+        steps *= steps
+        dy = y[1:] - y[:-1]
+        dy *= dy
+        steps += dy
+        np.sqrt(steps, out=steps)
+        if kept is None:
+            block[0] = total
+            total = block.sum(axis=0)
+        else:
+            kept[lo : lo + len(steps)] = steps
+        # freed before the next block's containment makes its own temporaries
+        del block, steps, dy
+    if kept is not None:
+        total = kept.sum(axis=0)
+    arrivals = [0.0 if k < 0 else None if k == rows - 1 else float(trace.t[k + 1])
+                for k in last_out.tolist()]
     latest = None if None in arrivals else max(arrivals)
     if latest is not None and trace.t[-1] - latest < settle - 1e-12:
         latest = None
@@ -390,7 +365,7 @@ def compute_metrics(
         convergence_time=latest,
         converged=converged,
         arrival_times=arrivals,
-        path_lengths=[float(v) for v in lengths],
+        path_lengths=[float(v) for v in total],
         wall_clock=wall_clock,
     )
 
@@ -442,8 +417,3 @@ def _entry(sc: Scenario, metrics) -> BatchEntry:
         return BatchEntry(sc, metrics())
     except Exception as exc:  # noqa: BLE001 - reported, not raised
         return BatchEntry(sc, None, error=str(exc))
-
-
-def seed_sweep(sc: Scenario, seeds: list[int]) -> list[Scenario]:
-    """The same scenario under different placement seeds."""
-    return [replace(sc, seed=s) for s in seeds]

@@ -29,6 +29,9 @@ FLOAT_FMT = "%.17g"  # lossless float64 round-trip
 # Trace rows write_trace_csv formats at a time: a block's floats, formatted
 # as one string, take several times their bytes.
 _CSV_ROWS = 64
+# Most seeds one --seeds listing may give: about 6 CPU-hours per mode on
+# paper-s5x6.
+MAX_SEEDS = 10**5
 
 # One row per scenario-file field: (JSON path, type, attribute).  A field's
 # kind and default are its type's: the type refuses a value of another kind,
@@ -263,18 +266,20 @@ def write_metrics_json(metrics: RunMetrics, sc: Scenario, path: str | Path) -> N
 
 def parse_seed_list(listing: str) -> list[int]:
     """Parse seed listings like "1..20" or "1,4,9" (ranges are inclusive);
-    every seed must be >= 0."""
-    seeds: list[int] = []
+    every seed must be >= 0, and there may be at most MAX_SEEDS, counted
+    from the range bounds before any list is made."""
+    ranges: list[range] = []
     try:
         for part in listing.split(","):
-            part = part.strip()
-            if ".." in part:
-                lo, hi = part.split("..")
-                seeds.extend(range(int(lo), int(hi) + 1))
-            elif part:
-                seeds.append(int(part))
+            if part.strip():
+                lo, hi = part.split("..") if ".." in part else (part, part)
+                ranges.append(range(int(lo), int(hi) + 1))
     except ValueError as exc:
         raise ScenarioError(f"--seeds {listing!r}: {exc}") from exc
+    count = sum(max(0, r.stop - r.start) for r in ranges)
+    if count > MAX_SEEDS:
+        raise ScenarioError(f"--seeds {listing!r}: at most {MAX_SEEDS} seeds, got {count}")
+    seeds = [s for r in ranges for s in r]
     if not seeds:
         raise ScenarioError(f"--seeds {listing!r}: empty seed list")
     if min(seeds) < 0:
@@ -292,8 +297,8 @@ def grid_from_dict(doc: dict) -> tuple[np.ndarray, float, float, float]:
     _require_keys(doc, {"W", "L", "l", "heights"}, "grid file")
     try:
         heights = np.array([_finite_row(row, i) for i, row in enumerate(doc["heights"])])
-        if heights.ndim != 2:
-            raise ScenarioError("heights must be a 2-D array")
+        if heights.ndim != 2 or min(heights.shape) < 2:
+            raise ScenarioError("heights must be a 2-D array of at least 2 x 2 values")
         return heights, *(checked(doc[key], "float", key) for key in ("W", "L", "l"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid grid file: {exc}") from exc
@@ -315,6 +320,6 @@ def read_heights_csv(path: str | Path) -> np.ndarray:
         raise ScenarioError(f"{path}: {exc}") from exc
     except ValueError as exc:
         raise ScenarioError(f"{path}: not a numeric CSV ({exc})") from exc
-    if heights.ndim != 2 or heights.size == 0:
-        raise ScenarioError(f"{path}: expected a 2-D height matrix")
+    if heights.ndim != 2 or min(heights.shape) < 2:
+        raise ScenarioError(f"{path}: expected a 2-D height matrix of at least 2 x 2 values")
     return heights

@@ -1,6 +1,7 @@
 """Shared generators and oracles for randomized kinematics/dynamics tests."""
 
 import math
+from concurrent.futures import Future
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -327,7 +328,7 @@ def path_lengths_reference(trace):
 
 
 def arrival_times_reference(trace, cfg: SurfaceConfig):
-    """Oracle of ``engine.arrival_times``: both axes' cell indices at once,
+    """Oracle of the metrics' arrival times: both axes' cell indices at once,
     then per object the time after its last row outside the reference cell
     (0.0 if never outside, None if outside on the last row)."""
     ci, cj = cell_indices(trace.states[:, :, 0], trace.states[:, :, 1], cfg)
@@ -444,3 +445,25 @@ def run_reference(sc) -> tuple[SimTrace, RunMetrics]:
         latest = None
     lengths = [float(v) for v in path_lengths_reference(trace)]
     return trace, RunMetrics(latest, converged, arrivals, lengths, 0.0)
+
+
+def inline_pool(sizes: list):
+    """A stand-in for ProcessPoolExecutor that appends each pool's size to
+    ``sizes`` and runs each job inline: no process starts."""
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            done = Future()
+            done.set_result(fn(*args))
+            return done
+
+    return InlinePool

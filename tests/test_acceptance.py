@@ -9,6 +9,7 @@ import json
 import math
 import statistics
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from morphsurf import scenario as sio
 from morphsurf.cli import EXIT_OK, EXIT_UNSETTLED, main
 from morphsurf.control import command, single_cell_feedback
 from morphsurf.dynamics import advance
-from morphsurf.engine import batch, run, seed_sweep
+from morphsurf.engine import batch, run
 
 from conftest import (
     gravity_field,
@@ -287,7 +288,7 @@ class TestC5HeadlineComparison:
         times = {}
         for mode in ("wave", "distributed", "funnel"):
             base = sio.load_scenario(SCENARIOS / "paper-s5x6.json", mode=mode)
-            entries = batch(seed_sweep(base, seeds))
+            entries = batch([replace(base, seed=s) for s in seeds])
             errs = [e.error for e in entries if e.error]
             assert not errs, errs
             times[mode] = [e.metrics.convergence_time for e in entries]

@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morphsurf import scenario as sio
+from morphsurf import engine, scenario as sio
 from morphsurf.cli import EXIT_INVALID, EXIT_OK, EXIT_UNSETTLED, main
 from morphsurf.control import ControllerParams, SingleCellGains
 from morphsurf.dynamics import ObjectState, PhysicsParams
 from morphsurf.engine import Scenario, SimTrace, compute_metrics, run
 from morphsurf.surface import SurfaceConfig
 
-from conftest import write_trace_csv_reference
+from conftest import inline_pool, write_trace_csv_reference
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -181,6 +181,32 @@ class TestHostileInput:
         assert main(argv) == EXIT_INVALID
         assert "--seeds '1..x'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate", "compare"])
+    def test_an_impossible_object_count_is_refused_at_load(self, tmp_path, capsys, command):
+        # 10**13 objects' states alone would take 320 TB: refused before
+        # anything is allocated
+        path = tiny_scenario(tmp_path, objects=None,
+                             objects_random={"count": 10**13, "seed": 1})
+        out = tmp_path / "out"
+        argv = {"run": ["run", str(path), "-o", str(out)],
+                "validate": ["validate", str(path)],
+                "compare": ["compare", str(path), "-o", str(out)]}[command]
+        assert main(argv) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert "objects_random.count" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_the_object_bound_fits_one_trace_row_in_the_reserve(self, tmp_path):
+        # 32 bytes of state per object: 2**23 objects fill the 256 MB reserve
+        assert engine.MAX_OBJECTS * 32 == engine._TRACE_RESERVE == 2**28
+        most = engine.MAX_OBJECTS
+        path = tiny_scenario(tmp_path, objects=None, objects_random={"count": most, "seed": 1})
+        assert sio.load_scenario(path).random_count == most
+        path = tiny_scenario(tmp_path, objects=None, objects_random={"count": most + 1, "seed": 1})
+        with pytest.raises(sio.ScenarioError, match="objects_random.count"):
+            sio.load_scenario(path)
 
     def test_a_tiny_dt_is_refused_at_once(self, tmp_path, capsys):
         # 1e299 substeps per tick: refused by the substep bound, not run
@@ -451,6 +477,27 @@ class TestCompareCommand:
         assert not (out / "summary.json").exists()
         assert main(argv + ["--seeds", "3"]) == EXIT_OK
 
+    def test_one_batch_over_modes_and_seeds(self, tmp_path, monkeypatch):
+        # every mode's seeds, mode after mode, in one batch and one pool
+        path = tiny_scenario(tmp_path, objects=None, objects_random={"count": 2, "seed": 1},
+                             t_max=20.0)
+        calls, pools = [], []
+        batch = engine.batch
+
+        def recorded(scenarios):
+            calls.append([(sc.mode, sc.seed) for sc in scenarios])
+            return batch(scenarios)
+
+        monkeypatch.setattr(engine, "batch", recorded)
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", inline_pool(pools))
+        monkeypatch.delenv("MORPHSURF_THREADS", raising=False)
+        argv = ["compare", str(path), "--seeds", "1..2", "-o", str(tmp_path / "cmp")]
+        assert main(argv) == EXIT_OK
+        assert calls == [[(mode, seed) for mode in ("wave", "distributed", "funnel")
+                          for seed in (1, 2)]]
+        assert pools == [2]
+
     def test_non_integer_thread_cap_exits_one(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MORPHSURF_THREADS", "two")
         path = tiny_scenario(tmp_path)
@@ -597,6 +644,31 @@ class TestValidateCommand:
         assert refusal in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "name, text, refusal",
+        [
+            ("grid.json", '{"W": 1, "L": 1, "l": 1, "heights": [[]]}',
+             "heights must be a 2-D array of at least 2 x 2 values"),
+            ("grid.json", '{"W": 1, "L": 1, "l": 1, "heights": [[0, 0]]}',
+             "heights must be a 2-D array of at least 2 x 2 values"),
+            ("grid.json", '{"W": 1, "L": 1, "l": 1, "heights": [[0], [0]]}',
+             "heights must be a 2-D array of at least 2 x 2 values"),
+            ("grid.csv", "0\n", "grid.csv: expected a 2-D height matrix of at least 2 x 2"),
+            ("grid.csv", "0,0\n", "grid.csv: expected a 2-D height matrix of at least 2 x 2"),
+        ],
+        ids=["empty-json", "one-column-json", "one-row-json", "one-value-csv", "one-column-csv"],
+    )
+    def test_a_grid_under_2_by_2_is_refused(self, tmp_path, capsys, name, text, refusal):
+        path = tmp_path / name
+        path.write_text(text)
+        argv = ["validate", str(path), "--cell-width", "2", "--cell-length", "2", "--stroke", "1"]
+        if name.endswith(".json"):
+            argv = argv[:2]
+        assert main(argv) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert refusal in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestCannedScenarios:
     def test_all_parse(self):
@@ -613,3 +685,12 @@ class TestCannedScenarios:
         for bad in ("1..x", "1..2..3", "two", "-3", "-2..1", "4,-1"):
             with pytest.raises(sio.ScenarioError, match=f"--seeds '{bad}'"):
                 sio.parse_seed_list(bad)
+
+    @pytest.mark.parametrize("listing", ["0..100000", "5,0..99999", "0..1000000000000000000"])
+    def test_a_seed_listing_past_the_bound_is_refused_at_once(self, listing):
+        # counted from the range bounds: no list of the seeds is made
+        start = time.perf_counter()
+        with pytest.raises(sio.ScenarioError, match=f"--seeds '{listing}': at most 100000"):
+            sio.parse_seed_list(listing)
+        assert time.perf_counter() - start < 1.0
+        assert sio.parse_seed_list("0..99999") == list(range(sio.MAX_SEEDS))

@@ -2,7 +2,6 @@ import dataclasses
 import math
 import sys
 import tracemalloc
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -26,12 +25,10 @@ from morphsurf.engine import (
     Scenario,
     SimTrace,
     _grid_orientation_terms,
-    arrival_times,
     batch,
     compute_metrics,
     initial_state,
     run,
-    seed_sweep,
 )
 from morphsurf.scenario import load_scenario
 from morphsurf.surface import FieldError
@@ -39,6 +36,7 @@ from morphsurf.surface import FieldError
 from conftest import (
     arrival_times_reference,
     gravity_field,
+    inline_pool,
     orientation_field,
     path_lengths_reference,
     random_config,
@@ -420,6 +418,19 @@ class TestTraceRecording:
             assert np.array(metrics.path_lengths).tobytes() == want.tobytes()
             assert metrics.arrival_times == arrival_times_reference(trace, cfg)
 
+    @pytest.mark.parametrize("rows", [1, 2])
+    @pytest.mark.parametrize("objects", [1, 5])
+    def test_metrics_of_one_and_two_row_traces(self, rows, objects):
+        # a trace of one row has no steps; one of two rows has one step
+        rng = np.random.default_rng(10 * rows + objects)
+        for _ in range(20):
+            cfg = random_config(rng)
+            trace = random_trace(rng, cfg, rows, objects)
+            metrics = compute_metrics(trace, cfg, settle=0.1, converged=False, wall_clock=0.0)
+            want = path_lengths_reference(trace)
+            assert np.array(metrics.path_lengths).tobytes() == want.tobytes()
+            assert metrics.arrival_times == arrival_times_reference(trace, cfg)
+
     def test_metrics_temporaries_stay_under_0_6_of_the_states(self):
         # at most three (_METRIC_ROWS, objects) arrays at once: the path
         # lengths' block and scratch, or one axis's quotients and cell
@@ -638,7 +649,8 @@ class TestConvergenceTime:
         t = np.arange(0, 10.0, 0.1)
         xs = np.where(t < 2.0, 0.5, (cfg.ref_col - 0.5) * cfg.W)
         trace = synthetic_trace(t, xs, cfg)
-        assert arrival_times(trace, cfg) == [pytest.approx(2.0)]
+        metrics = compute_metrics(trace, cfg, settle=0.1, converged=False, wall_clock=0.0)
+        assert metrics.arrival_times == [pytest.approx(2.0)]
 
 
 class TestBatch:
@@ -649,10 +661,10 @@ class TestBatch:
         base = small_scenario(objects=None, random_count=4, seed=0, t_max=120.0)
         seeds = [1, 2, 3, 4]
         monkeypatch.setenv("MORPHSURF_THREADS", "2")
-        entries = batch(seed_sweep(base, seeds))
+        entries = batch([dataclasses.replace(base, seed=s) for s in seeds])
         assert [e.scenario.seed for e in entries] == seeds
         monkeypatch.setenv("MORPHSURF_THREADS", "1")
-        again = batch(seed_sweep(base, seeds))
+        again = batch([dataclasses.replace(base, seed=s) for s in seeds])
         assert [e.metrics.convergence_time for e in entries] == [
             e.metrics.convergence_time for e in again
         ]
@@ -673,26 +685,9 @@ class TestBatch:
         [(2, "500", 5, 2), (4, None, 3, 3), (4, "3", 8, 3), (3, None, 8, 3), (1, "4", 4, None)],
     )
     def test_workers_capped_by_cpus_and_scenarios(self, monkeypatch, cpus, env, runs, workers):
-        # a pool that records its size and runs each job inline: no process starts
         pools = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                done = Future()
-                done.set_result(fn(*args))
-                return done
-
         monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", inline_pool(pools))
         if env is None:
             monkeypatch.delenv("MORPHSURF_THREADS", raising=False)
         else:

@@ -232,7 +232,7 @@ def test_compare_summary(tmp_path):
 
 
 def test_compare_loads_the_scenario_once_per_mode(tmp_path, monkeypatch):
-    # each mode's seeds are variants of one load (engine.seed_sweep), with
+    # each mode's seeds are variants of one load (dataclasses.replace), with
     # the summary of one load per mode and seed
     loads = []
     load = sio.load_scenario
