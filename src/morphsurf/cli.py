@@ -95,12 +95,13 @@ def _cmd_compare(args) -> int:
     for k, mode in enumerate(modes):
         per_seed = []
         times = []
-        for seed, entry in zip(seeds, entries[k * len(seeds) :]):
+        runs = slice(k * len(seeds), (k + 1) * len(seeds))
+        for job, entry in zip(jobs[runs], entries[runs]):
             if entry.error is not None:
-                per_seed.append({"seed": seed, "error": entry.error})
+                per_seed.append({"seed": job.seed, "error": entry.error})
                 continue
-            md = sio.metrics_dict(entry.metrics, entry.scenario)
-            md["seed"] = seed
+            md = sio.metrics_dict(entry.metrics, job)
+            md["seed"] = job.seed
             per_seed.append(md)
             if entry.metrics.convergence_time is not None:
                 times.append(entry.metrics.convergence_time)

@@ -98,12 +98,14 @@ class Scenario:
                     f"objects[{k}]", f"at ({o.x}, {o.y}) lies outside the workspace "
                                      f"[0, {cfg.width}] x [0, {cfg.length}]"
                 )
+        if not isinstance(self.reference_schedule, (list, tuple)):
+            raise FieldError("reference_schedule", "must be a list of [time, column, row]")
         schedule = []
         for k, entry in enumerate(self.reference_schedule):
-            when, col, row = (
-                checked(value, kind, f"reference_schedule[{k}] {part}")
-                for value, (kind, part) in zip(entry, _SCHEDULE_KINDS, strict=True)
-            )
+            if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+                raise FieldError(f"reference_schedule[{k}]", "must be [time, column, row]")
+            when, col, row = (checked(value, kind, f"reference_schedule[{k}] {part}")
+                              for value, (kind, part) in zip(entry, _SCHEDULE_KINDS))
             if not (when >= 0.0 and 1 <= col <= cfg.n and 1 <= row <= cfg.m):
                 raise FieldError(
                     f"reference_schedule[{k}]", f"[{when}, {col}, {row}] needs a time "
@@ -163,7 +165,8 @@ class SimTrace:
 
 @dataclass
 class RunMetrics:
-    """Outcome of one run.
+    """Outcome of one run; its fields, in order, are the keys of
+    metrics.json ahead of the scenario echo.
 
     convergence_time is trace-based: the earliest time after which every
     object stays inside the reference cell through the end of the trace
@@ -270,14 +273,9 @@ def run(sc: Scenario) -> tuple[SimTrace, RunMetrics]:
         advance(x, y, vx, vy, gx, gy, cfg, p.friction, p.dt, substeps)
 
     trace = SimTrace(*(column[: tick + 1] for column in columns))
-    metrics = compute_metrics(
-        trace,
-        ref_cfgs[-1],
-        settle=period,
-        converged=converged,
-        wall_clock=time.perf_counter() - start,
-    )
-    return trace, metrics
+    wall_clock = time.perf_counter() - start
+    convergence, arrivals, lengths = compute_metrics(trace, ref_cfgs[-1], settle=period)
+    return trace, RunMetrics(convergence, converged, arrivals, lengths, wall_clock)
 
 
 def _settled(
@@ -310,13 +308,10 @@ def _contained(x: np.ndarray, y: np.ndarray, cfg: SurfaceConfig) -> np.ndarray:
 
 
 def compute_metrics(
-    trace: SimTrace,
-    cfg: SurfaceConfig,
-    settle: float,
-    converged: bool,
-    wall_clock: float,
-) -> RunMetrics:
-    """RunMetrics of ``trace`` for the reference surface ``cfg``.
+    trace: SimTrace, cfg: SurfaceConfig, settle: float
+) -> tuple[float | None, list[float | None], list[float]]:
+    """(convergence_time, arrival_times, path_lengths) of ``trace`` for the
+    reference surface ``cfg``, as RunMetrics states them.
 
     One pass reads the trace in blocks of _METRIC_ROWS steps.  Each block
     notes every object's last row outside the reference cell, whose next
@@ -361,13 +356,7 @@ def compute_metrics(
     latest = None if None in arrivals else max(arrivals)
     if latest is not None and trace.t[-1] - latest < settle - 1e-12:
         latest = None
-    return RunMetrics(
-        convergence_time=latest,
-        converged=converged,
-        arrival_times=arrivals,
-        path_lengths=[float(v) for v in total],
-        wall_clock=wall_clock,
-    )
+    return latest, arrivals, [float(v) for v in total]
 
 
 def _run_metrics_only(sc: Scenario) -> RunMetrics:
@@ -378,9 +367,9 @@ def _run_metrics_only(sc: Scenario) -> RunMetrics:
 
 @dataclass
 class BatchEntry:
-    """One batch slot: either metrics or the error that aborted that run."""
+    """One batch slot, in the order of the scenarios given: either metrics
+    or the error that aborted that run."""
 
-    scenario: Scenario
     metrics: RunMetrics | None
     error: str | None = None
 
@@ -405,15 +394,15 @@ def batch(scenarios: list[Scenario]) -> list[BatchEntry]:
     workers = min(workers, cpus, len(scenarios))
 
     if workers <= 1:
-        return [_entry(sc, partial(_run_metrics_only, sc)) for sc in scenarios]
+        return [_entry(partial(_run_metrics_only, sc)) for sc in scenarios]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_run_metrics_only, sc) for sc in scenarios]
-        return [_entry(sc, fut.result) for sc, fut in zip(scenarios, futures)]
+        return [_entry(fut.result) for fut in futures]
 
 
-def _entry(sc: Scenario, metrics) -> BatchEntry:
-    """The batch slot of ``sc``, whose metrics the call ``metrics`` returns."""
+def _entry(metrics) -> BatchEntry:
+    """The batch slot whose metrics the call ``metrics`` returns."""
     try:
-        return BatchEntry(sc, metrics())
+        return BatchEntry(metrics())
     except Exception as exc:  # noqa: BLE001 - reported, not raised
-        return BatchEntry(sc, None, error=str(exc))
+        return BatchEntry(None, error=str(exc))

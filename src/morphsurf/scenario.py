@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -164,12 +164,6 @@ def scenario_from_dict(
         if "objects" in doc:
             objects = tuple(_build(ObjectState, flat, OBJECT_FIELDS, f"objects[{k}].")
                             for k in range(len(listed)))
-        schedule = doc.get("reference_schedule", [])
-        for k, entry in enumerate(schedule):
-            if not isinstance(entry, list) or len(entry) != 3:
-                raise ScenarioError(
-                    f"reference_schedule[{k}] must be [time, column, row]"
-                )
         gains = None
         if "gains" in doc.get("control", {}):
             gains = _build(SingleCellGains, flat, FIELDS)
@@ -179,7 +173,7 @@ def scenario_from_dict(
             physics=_build(PhysicsParams, flat, FIELDS),
             params=_build(ControllerParams, flat, FIELDS, gains=gains),
             objects=objects,
-            reference_schedule=schedule,
+            reference_schedule=doc.get("reference_schedule", ()),
         )
     except ScenarioError:
         raise
@@ -250,14 +244,8 @@ def read_trace_csv(path: str | Path, n: int, m: int) -> SimTrace:
 
 
 def metrics_dict(metrics: RunMetrics, sc: Scenario) -> dict:
-    return {
-        "convergence_time": metrics.convergence_time,
-        "converged": metrics.converged,
-        "arrival_times": metrics.arrival_times,
-        "path_lengths": metrics.path_lengths,
-        "wall_clock": metrics.wall_clock,
-        "scenario": scenario_echo(sc),
-    }
+    """The RunMetrics fields in order, then the scenario echo."""
+    return {**asdict(metrics), "scenario": scenario_echo(sc)}
 
 
 def write_metrics_json(metrics: RunMetrics, sc: Scenario, path: str | Path) -> None:

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import morphsurf
@@ -19,6 +20,7 @@ PUBLIC_ENTRY_POINTS = (
 )
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_star_import_provides_every_exported_name():
@@ -139,3 +141,14 @@ def test_every_field_kind_is_in_use():
     assert {"SurfaceConfig", "SingleCellGains", "Scenario"} <= {c.__name__ for c in classes}
     used = {f.type for cls in classes for f in dataclasses.fields(cls)}
     assert set(surface._KINDS) <= used
+
+
+def test_readme_python_examples_run():
+    # the ```python blocks, in order and in one namespace, as a reader would
+    # paste them; the library use block converges at 96.7 s
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert len(blocks) >= 3
+    namespace: dict = {}
+    for k, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {k + 1}", "exec"), namespace)
+    assert namespace["metrics"].convergence_time == 96.7

@@ -146,6 +146,10 @@ class TestHostileInput:
               "control": {"mode": "single_cell", "rate": 10.0,
                           "gains": {"kx": 0.25, "ky": 0.25, "sat_y": None}}},
              "control.gains.sat_y"),
+            ({"reference_schedule": "x"}, "reference_schedule must be a list"),
+            ({"reference_schedule": {"a": 1}}, "reference_schedule must be a list"),
+            ({"reference_schedule": [[0.5, 1]]}, "reference_schedule[0] must be [time, column"),
+            ({"reference_schedule": [5]}, "reference_schedule[0] must be [time, column"),
         ],
     )
     def test_refused_at_load(self, tmp_path, capsys, overrides, field):
@@ -327,6 +331,13 @@ class TestScenarioEcho:
         with pytest.raises(sio.ScenarioError, match="objects_random.seed"):
             sio.scenario_from_dict(doc)
 
+    def test_metrics_keys_are_the_run_metrics_fields_then_the_scenario(self, tmp_path):
+        path = tiny_scenario(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "-o", str(out)]) == EXIT_OK
+        keys = list(json.loads((out / "metrics.json").read_text()))
+        assert keys == [f.name for f in dataclasses.fields(engine.RunMetrics)] + ["scenario"]
+
     def test_metrics_file_scenario_reloads(self, tmp_path):
         path = tiny_scenario(tmp_path)
         out = tmp_path / "out"
@@ -360,9 +371,10 @@ class TestTraceRoundTrip:
         sc = sio.load_scenario(path)
         reparsed = sio.read_trace_csv(out / "trace.csv", sc.cfg.n, sc.cfg.m)
         metrics = json.loads((out / "metrics.json").read_text())
-        recomputed = compute_metrics(reparsed, sc.cfg, settle=sc.control_period,
-                                     converged=metrics["converged"], wall_clock=0.0)
-        assert recomputed.convergence_time == metrics["convergence_time"]
+        recomputed = compute_metrics(reparsed, sc.cfg, settle=sc.control_period)
+        assert recomputed == tuple(
+            metrics[key] for key in ("convergence_time", "arrival_times", "path_lengths")
+        )
 
     def test_byte_identical_reruns(self, tmp_path):
         path = tiny_scenario(tmp_path)

@@ -189,6 +189,20 @@ class TestFieldChecks:
         with pytest.raises(FieldError, match=rf"^reference_schedule\[0\] {part} must be"):
             build(Scenario, reference_schedule=(entry,))
 
+    @pytest.mark.parametrize("schedule, field", [
+        (((1.0, 2),), "reference_schedule[0]"),
+        ((5,), "reference_schedule[0]"),
+        (((1.0, 2, 1), (2.0, 1, 1, 1)), "reference_schedule[1]"),
+        ("x", "reference_schedule"),
+        ({"a": 1}, "reference_schedule"),
+        (None, "reference_schedule"),
+    ])
+    def test_malformed_schedule_names_the_field(self, schedule, field):
+        # not a list, or an entry that is not [time, column, row]
+        with pytest.raises(FieldError, match=r"must be (a list of )?\[time, column, row\]$") as exc:
+            build(Scenario, reference_schedule=schedule)
+        assert exc.value.field == field
+
     def test_schedule_is_kept_sorted_by_time(self):
         sc = build(Scenario, reference_schedule=((9.0, 1, 1), (2, 3, 2), (5.0, 2, 2)))
         assert sc.reference_schedule == ((2.0, 3, 2), (5.0, 2, 2), (9.0, 1, 1))
@@ -338,9 +352,8 @@ class TestRun:
     def test_metrics_consistent_with_trace(self):
         sc = small_scenario()
         trace, metrics = run(sc)
-        recomputed = compute_metrics(trace, CFG, settle=sc.control_period,
-                                     converged=metrics.converged, wall_clock=0.0)
-        assert recomputed.convergence_time == metrics.convergence_time
+        assert compute_metrics(trace, CFG, settle=sc.control_period) == (
+            metrics.convergence_time, metrics.arrival_times, metrics.path_lengths)
 
 
 def recorded_scenario(name: str) -> Scenario:
@@ -395,10 +408,10 @@ class TestTraceRecording:
             trace = random_trace(
                 rng, cfg, int(rng.integers(1, 40)), int(rng.integers(1, 12))
             )
-            metrics = compute_metrics(trace, cfg, settle=0.1, converged=False, wall_clock=0.0)
+            _, arrivals, lengths = compute_metrics(trace, cfg, settle=0.1)
             want = path_lengths_reference(trace)
-            assert np.array(metrics.path_lengths).tobytes() == want.tobytes()
-            assert metrics.arrival_times == arrival_times_reference(trace, cfg)
+            assert np.array(lengths).tobytes() == want.tobytes()
+            assert arrivals == arrival_times_reference(trace, cfg)
 
     @pytest.mark.parametrize("block", [1, 2, 7])
     def test_metrics_across_block_boundaries(self, block, monkeypatch):
@@ -413,10 +426,10 @@ class TestTraceRecording:
             objects = 1 if k % 3 == 0 else int(rng.integers(2, 12))
             rows = int(rng.integers(9 if objects == 1 else 1, 301))
             trace = random_trace(rng, cfg, rows, objects)
-            metrics = compute_metrics(trace, cfg, settle=0.1, converged=False, wall_clock=0.0)
+            _, arrivals, lengths = compute_metrics(trace, cfg, settle=0.1)
             want = path_lengths_reference(trace)
-            assert np.array(metrics.path_lengths).tobytes() == want.tobytes()
-            assert metrics.arrival_times == arrival_times_reference(trace, cfg)
+            assert np.array(lengths).tobytes() == want.tobytes()
+            assert arrivals == arrival_times_reference(trace, cfg)
 
     @pytest.mark.parametrize("rows", [1, 2])
     @pytest.mark.parametrize("objects", [1, 5])
@@ -426,10 +439,10 @@ class TestTraceRecording:
         for _ in range(20):
             cfg = random_config(rng)
             trace = random_trace(rng, cfg, rows, objects)
-            metrics = compute_metrics(trace, cfg, settle=0.1, converged=False, wall_clock=0.0)
+            _, arrivals, lengths = compute_metrics(trace, cfg, settle=0.1)
             want = path_lengths_reference(trace)
-            assert np.array(metrics.path_lengths).tobytes() == want.tobytes()
-            assert metrics.arrival_times == arrival_times_reference(trace, cfg)
+            assert np.array(lengths).tobytes() == want.tobytes()
+            assert arrivals == arrival_times_reference(trace, cfg)
 
     def test_metrics_temporaries_stay_under_0_6_of_the_states(self):
         # at most three (_METRIC_ROWS, objects) arrays at once: the path
@@ -441,7 +454,7 @@ class TestTraceRecording:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            compute_metrics(trace, cfg, settle=0.1, converged=False, wall_clock=0.0)
+            compute_metrics(trace, cfg, settle=0.1)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -458,12 +471,12 @@ class TestTraceRecording:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            metrics = compute_metrics(trace, cfg, settle=0.1, converged=False, wall_clock=0.0)
+            lengths = compute_metrics(trace, cfg, settle=0.1)[2]
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert peak <= 16 * (rows - 1) + (1 << 12)
-        assert np.array(metrics.path_lengths).tobytes() == path_lengths_reference(trace).tobytes()
+        assert np.array(lengths).tobytes() == path_lengths_reference(trace).tobytes()
 
 
 def count_calls(monkeypatch, fn) -> list:
@@ -610,8 +623,7 @@ class TestFieldBuild:
 def convergence_time(trace, cfg):
     """The convergence time compute_metrics gives ``trace`` over a 0.1 s
     settle window."""
-    return compute_metrics(trace, cfg, settle=0.1, converged=False,
-                           wall_clock=0.0).convergence_time
+    return compute_metrics(trace, cfg, settle=0.1)[0]
 
 
 class TestConvergenceTime:
@@ -649,8 +661,7 @@ class TestConvergenceTime:
         t = np.arange(0, 10.0, 0.1)
         xs = np.where(t < 2.0, 0.5, (cfg.ref_col - 0.5) * cfg.W)
         trace = synthetic_trace(t, xs, cfg)
-        metrics = compute_metrics(trace, cfg, settle=0.1, converged=False, wall_clock=0.0)
-        assert metrics.arrival_times == [pytest.approx(2.0)]
+        assert compute_metrics(trace, cfg, settle=0.1)[1] == [pytest.approx(2.0)]
 
 
 class TestBatch:
@@ -661,10 +672,13 @@ class TestBatch:
         base = small_scenario(objects=None, random_count=4, seed=0, t_max=120.0)
         seeds = [1, 2, 3, 4]
         monkeypatch.setenv("MORPHSURF_THREADS", "2")
-        entries = batch([dataclasses.replace(base, seed=s) for s in seeds])
-        assert [e.scenario.seed for e in entries] == seeds
+        jobs = [dataclasses.replace(base, seed=s) for s in seeds]
+        entries = batch(jobs)
+        assert [e.metrics.arrival_times for e in entries] == [
+            run(job)[1].arrival_times for job in jobs
+        ]
         monkeypatch.setenv("MORPHSURF_THREADS", "1")
-        again = batch([dataclasses.replace(base, seed=s) for s in seeds])
+        again = batch(jobs)
         assert [e.metrics.convergence_time for e in entries] == [
             e.metrics.convergence_time for e in again
         ]
