@@ -9,7 +9,6 @@ from .control import (
 from .dynamics import (
     ObjectState,
     PhysicsParams,
-    locate_cell,
 )
 from .engine import (
     RunMetrics,
@@ -49,7 +48,6 @@ __all__ = [
     "batch",
     "cell_orientation",
     "dof_count",
-    "locate_cell",
     "occupancy_sets",
     "planar_completion",
     "reconstruct_actuator_grid",

@@ -20,7 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from .dynamics import ObjectState, cell_indices, locate_cell
+from .dynamics import cell_indices
 from .surface import (
     ActuatorGrid,
     ControlInput,
@@ -84,13 +84,13 @@ def occupancy_sets(
     x: np.ndarray, y: np.ndarray, cfg: SurfaceConfig
 ) -> tuple[list[int], list[int]]:
     """The sorted 0-based columns and rows occupied by objects at positions
-    (x[k], y[k]).  Raises locate_cell's ValueError for the first object
-    outside the workspace."""
-    if x.size and not (
-        x.min() >= 0.0 and x.max() <= cfg.width and y.min() >= 0.0 and y.max() <= cfg.length
-    ):
-        for px, py in zip(x.tolist(), y.tolist()):
-            locate_cell(ObjectState(px, py), cfg)  # raises for the first one outside
+    (x[k], y[k]).  Raises a ValueError naming the first position outside
+    the workspace; NaN lies outside."""
+    inside = (x >= 0.0) & (x <= cfg.width) & (y >= 0.0) & (y <= cfg.length)
+    if not inside.all():
+        k = int(inside.argmin())
+        raise ValueError(f"position ({float(x[k])}, {float(y[k])}) outside workspace "
+                         f"[0,{cfg.width}]x[0,{cfg.length}]")
     ci, cj = cell_indices(x, y, cfg)
     return sorted(set(ci.tolist())), sorted(set(cj.tolist()))
 

@@ -76,22 +76,6 @@ _HELD_BLOCK = 1 << 15
 _RESTART_ROWS = 16
 
 
-def locate_cell(s: ObjectState, cfg: SurfaceConfig) -> tuple[int, int]:
-    """1-based (column, row) of the cell containing the object.
-
-    A position exactly on an interior cell boundary belongs to the
-    higher-index cell (``cell_index``).
-    """
-    if not (0.0 <= s.x <= cfg.width and 0.0 <= s.y <= cfg.length):
-        raise ValueError(
-            f"position ({s.x}, {s.y}) outside workspace "
-            f"[0,{cfg.width}]x[0,{cfg.length}]"
-        )
-    col = int(cell_index(s.x, cfg.W, cfg.n - 1)) + 1
-    row = int(cell_index(s.y, cfg.L, cfg.m - 1)) + 1
-    return col, row
-
-
 def cell_index(pos, size, last):
     """0-based index of the cell holding ``pos`` (inside the workspace) on an
     axis of cells of ``size``: ``floor(pos / size)``, capped at the ``last``

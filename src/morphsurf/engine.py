@@ -40,6 +40,9 @@ _TRACE_RESERVE = 1 << 28
 # Most objects a scenario may place: one trace row of their states, 32 bytes
 # each, fits in the reserve.
 MAX_OBJECTS = _TRACE_RESERVE // 32
+# Most cells a scenario's surface may have: a field build or a grid check
+# takes at most 64 bytes per cell, so either fits in the reserve.
+MAX_CELLS = _TRACE_RESERVE // 64
 
 # Trace steps the metrics read at a time; their temporaries are a few arrays
 # of this many rows, however long the trace.
@@ -82,6 +85,11 @@ class Scenario:
             ("mode", self.mode in control.MODES, f"one of {', '.join(control.MODES)}"),
         ))
         cfg = self.cfg
+        if not math.isfinite(self.t_max / self.control_period):
+            raise FieldError("t_max", f"must give a finite number of ticks at "
+                                      f"{self.control_rate} Hz, got {self.t_max}")
+        if cfg.n * cfg.m > MAX_CELLS:
+            raise FieldError("n", f"x m must be at most {MAX_CELLS} cells, got {cfg.n}x{cfg.m}")
         if self.mode == "single_cell":
             if (cfg.n, cfg.m) != (1, 1):
                 raise FieldError("mode", f"single_cell needs a 1x1 surface, got {cfg.n}x{cfg.m}")

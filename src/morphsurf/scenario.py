@@ -229,18 +229,22 @@ def write_trace_csv(trace: SimTrace, path: str | Path) -> None:
             fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
-def read_trace_csv(path: str | Path, n: int, m: int) -> SimTrace:
-    """Re-load a trace written by write_trace_csv (exact float round-trip)."""
+def read_trace_csv(path: str | Path) -> SimTrace:
+    """Re-load a trace written by write_trace_csv (exact float round-trip),
+    its object and grid counts read from the header."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        data = np.array(
-            [[float(v) for v in line.split(",")] for line in fh if line.strip()]
-        )
-    n_obj = (len(header) - len(trace_header(0, n, m))) // 4
-    if len(header) != len(trace_header(n_obj, n, m)):
-        raise ScenarioError(f"{path}: column count does not match n={n}, m={m}")
-    t, states, *grids = np.split(data, np.cumsum([1, 4 * n_obj, n, m, n + 1]), axis=1)
-    return SimTrace(t[:, 0], states.reshape(len(t), n_obj, 4), *grids)
+        rows = [line.split(",") for line in fh if line.strip()]
+    obj_cols, n, m = (sum(c.startswith(key) for c in header) for key in ("obj", "dz1[", "dz2["))
+    if header != trace_header(obj_cols // 4, n, m):
+        raise ScenarioError(f"{path}: the header is not a trace header")
+    try:  # a row of another length is left out, so the reshape fails
+        data = np.array([float(v) for row in rows if len(row) == len(header) for v in row])
+        data = data.reshape(len(rows), len(header))
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: a row does not hold one number per column") from exc
+    t, states, *grids = np.split(data, np.cumsum([1, obj_cols, n, m, n + 1]), axis=1)
+    return SimTrace(t[:, 0], states.reshape(len(t), obj_cols // 4, 4), *grids)
 
 
 def metrics_dict(metrics: RunMetrics, sc: Scenario) -> dict:

@@ -15,7 +15,7 @@ from morphsurf import (
     reconstruct_actuator_grid,
 )
 from morphsurf.control import SINGLE_CELL_KD, split_fractions
-from morphsurf.dynamics import cell_indices, locate_cell
+from morphsurf.dynamics import cell_indices
 from morphsurf.engine import SETTLE_SPEED, SINGLE_CELL_SETTLE, RunMetrics, SimTrace
 from morphsurf.scenario import FLOAT_FMT, trace_header
 from morphsurf.surface import ANGLE_TOL, PLANARITY_TOL, ConstraintReport
@@ -245,20 +245,27 @@ class OccupancySets:
     rows_above: tuple[int, ...]
 
 
+def locate_cell(x: float, y: float, cfg: SurfaceConfig) -> tuple[int, int]:
+    """1-based (column, row) of the cell holding the point (x, y), one
+    scalar at a time: the workspace check and the cell rule, stated apart
+    from control.occupancy_sets and dynamics.cell_indices to check them.  A
+    point outside [0, width] x [0, length], NaN included, raises."""
+    if not (0.0 <= x <= cfg.width and 0.0 <= y <= cfg.length):
+        raise ValueError(f"position ({x}, {y}) outside the workspace")
+    return min(math.floor(x / cfg.W), cfg.n - 1) + 1, min(math.floor(y / cfg.L), cfg.m - 1) + 1
+
+
 def occupancy_reference(x, y, cfg: SurfaceConfig) -> OccupancySets:
     """The occupied columns/rows on each side of the reference cell, for
     objects at positions (x[k], y[k])."""
-    for px, py in zip(x.tolist(), y.tolist()):
-        locate_cell(ObjectState(px, py), cfg)  # raises for the first one outside
-    ci, cj = cell_indices(x, y, cfg)
-    cols = sorted(set(ci.tolist()))  # 0-based
-    rows = sorted(set(cj.tolist()))
-    ref_i, ref_j = cfg.ref_col - 1, cfg.ref_row - 1
+    cells = [locate_cell(px, py, cfg) for px, py in zip(x.tolist(), y.tolist())]
+    cols = sorted({c for c, _ in cells})  # 1-based
+    rows = sorted({r for _, r in cells})
     return OccupancySets(
-        cols_left=tuple(c + 1 for c in cols if c < ref_i),
-        cols_right=tuple(c + 1 for c in cols if c > ref_i),
-        rows_below=tuple(r + 1 for r in rows if r < ref_j),
-        rows_above=tuple(r + 1 for r in rows if r > ref_j),
+        cols_left=tuple(c for c in cols if c < cfg.ref_col),
+        cols_right=tuple(c for c in cols if c > cfg.ref_col),
+        rows_below=tuple(r for r in rows if r < cfg.ref_row),
+        rows_above=tuple(r for r in rows if r > cfg.ref_row),
     )
 
 

@@ -212,6 +212,35 @@ class TestHostileInput:
         with pytest.raises(sio.ScenarioError, match="objects_random.count"):
             sio.load_scenario(path)
 
+    @pytest.mark.parametrize("command", ["run", "validate", "compare"])
+    @pytest.mark.parametrize("overrides, field", [
+        ({"t_max": 1e308}, "t_max"),  # 1e309 ticks at 10 Hz: not a number of ticks
+        ({"surface": {**SURFACE, "n": 200000, "m": 200000}}, "surface.n"),  # 298 GiB a field
+    ])
+    def test_an_endless_run_or_an_unholdable_grid_is_refused_at_load(
+        self, tmp_path, capsys, overrides, field, command
+    ):
+        path = tiny_scenario(tmp_path, **overrides)
+        out = tmp_path / "out"
+        argv = {"run": ["run", str(path), "-o", str(out)],
+                "validate": ["validate", str(path)],
+                "compare": ["compare", str(path), "-o", str(out)]}[command]
+        assert main(argv) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert field in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_the_cell_bound_fits_a_field_build_in_the_reserve(self, tmp_path):
+        # 64 bytes a cell: 2**22 cells, a 2048x2048 surface, fill the 256 MB
+        # reserve; checked at load only
+        assert engine.MAX_CELLS * 64 == engine._TRACE_RESERVE == 2**28
+        path = tiny_scenario(tmp_path, surface={**SURFACE, "n": 2048, "m": 2048})
+        assert sio.load_scenario(path).cfg.n * 2048 == engine.MAX_CELLS
+        path = tiny_scenario(tmp_path, surface={**SURFACE, "n": 2048, "m": 2049})
+        with pytest.raises(sio.ScenarioError, match="surface.n"):
+            sio.load_scenario(path)
+
     def test_a_tiny_dt_is_refused_at_once(self, tmp_path, capsys):
         # 1e299 substeps per tick: refused by the substep bound, not run
         path = uturn(tmp_path, physics={"dt": 1e-300})
@@ -369,7 +398,7 @@ class TestTraceRoundTrip:
         out = tmp_path / "out"
         assert main(["run", str(path), "-o", str(out)]) == EXIT_OK
         sc = sio.load_scenario(path)
-        reparsed = sio.read_trace_csv(out / "trace.csv", sc.cfg.n, sc.cfg.m)
+        reparsed = sio.read_trace_csv(out / "trace.csv")
         metrics = json.loads((out / "metrics.json").read_text())
         recomputed = compute_metrics(reparsed, sc.cfg, settle=sc.control_period)
         assert recomputed == tuple(
@@ -382,6 +411,34 @@ class TestTraceRoundTrip:
         main(["run", str(path), "-o", str(out1)])
         main(["run", str(path), "-o", str(out2)])
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
+
+    def test_dimensions_are_read_from_the_header(self, tmp_path):
+        # a 5x6 trace of 2 objects reads back as one, every field to the bit
+        trace = random_trace(np.random.default_rng(3), rows=4, objects=2, n=5, m=6)
+        sio.write_trace_csv(trace, tmp_path / "trace.csv")
+        back = sio.read_trace_csv(tmp_path / "trace.csv")
+        for name in ("t", "states", "dz_col", "dz_row", "col_heights", "row_heights"):
+            got, want = getattr(back, name), getattr(trace, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda lines: [lines[0].replace("dz1[5],", "")] + lines[1:], "header"),
+        (lambda lines: [lines[0].replace("obj2.vy", "obj2.v")] + lines[1:], "header"),
+        (lambda lines: [lines[0].replace("dz1", "dz2")] + lines[1:], "header"),
+        (lambda lines: ["t,obj1.x"] + lines[1:], "header"),
+        (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:], "row"),
+        (lambda lines: lines[:2] + [lines[2] + ",0"] + lines[3:], "row"),
+        (lambda lines: lines[:-1] + [lines[-1].replace(",", ",x,", 1)], "row"),
+        (lambda lines: lines + ["1,2"], "row"),
+    ])
+    def test_a_header_or_row_that_does_not_match_is_refused(self, tmp_path, edit, reason):
+        trace = random_trace(np.random.default_rng(4), rows=3, objects=2, n=5, m=6)
+        path = tmp_path / "trace.csv"
+        sio.write_trace_csv(trace, path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(sio.ScenarioError, match=reason) as exc:
+            sio.read_trace_csv(path)
+        assert str(path) in str(exc.value)
 
 
 def random_trace(rng, rows, objects, n, m):
@@ -550,7 +607,7 @@ class TestValidateCommand:
         out = tmp_path / "out"
         main(["run", str(path), "-o", str(out)])
         sc = sio.load_scenario(path)
-        trace = sio.read_trace_csv(out / "trace.csv", sc.cfg.n, sc.cfg.m)
+        trace = sio.read_trace_csv(out / "trace.csv")
         heights = np.add.outer(trace.col_heights[-1], trace.row_heights[-1])
         grid_path = tmp_path / "grid.json"
         grid_path.write_text(json.dumps({

@@ -11,7 +11,6 @@ from morphsurf import (
     Scenario,
     SingleCellGains,
     SurfaceConfig,
-    locate_cell,
     planar_completion,
     single_cell_feedback,
     validate_grid,
@@ -21,7 +20,7 @@ from morphsurf.control import SINGLE_CELL_KD, axis_drops
 from morphsurf.dynamics import cell_indices
 from morphsurf.engine import _grid_orientation_terms
 from morphsurf.surface import FieldError
-from conftest import allocation_reference, object_arrays
+from conftest import allocation_reference, locate_cell, object_arrays
 
 # The running example: S(5,4) with reference cell (3,1) and stroke 100.
 CFG = SurfaceConfig(n=5, m=4, W=2.0, L=2.0, stroke=100.0, ref_col=3, ref_row=1)
@@ -70,7 +69,7 @@ class TestOccupancySets:
 
     @staticmethod
     def sets_by_locate_cell(xs, ys, cfg):
-        cells = [locate_cell(ObjectState(a, b), cfg) for a, b in zip(xs, ys)]
+        cells = [locate_cell(a, b, cfg) for a, b in zip(xs, ys)]
         return sorted({c - 1 for c, _ in cells}), sorted({r - 1 for _, r in cells})
 
     @pytest.mark.parametrize("cfg", [
@@ -84,7 +83,7 @@ class TestOccupancySets:
         xs, ys = (a.ravel().tolist() for a in grid)
         assert 0.0 <= min(xs) and max(xs) == cfg.width and max(ys) == cfg.length
         ci, cj = cell_indices(np.array(xs), np.array(ys), cfg)
-        cells = [locate_cell(ObjectState(a, b), cfg) for a, b in zip(xs, ys)]
+        cells = [locate_cell(a, b, cfg) for a, b in zip(xs, ys)]
         assert list(zip((ci + 1).tolist(), (cj + 1).tolist())) == cells
         for a, b in zip(xs, ys):
             got = control.occupancy_sets(np.array([a]), np.array([b]), cfg)
@@ -105,11 +104,21 @@ class TestOccupancySets:
         (1.0, float("-inf")),
     ])
     def test_outside_workspace_raises_like_locate_cell(self, x, y):
-        with pytest.raises(ValueError) as expected:
-            locate_cell(ObjectState(x, y), CFG)
-        with pytest.raises(ValueError) as got:
-            control.occupancy_sets(np.array([1.0, x]), np.array([1.0, y]), CFG)
-        assert str(got.value) == str(expected.value)
+        # the first position outside the workspace is named, in x and in y;
+        # the one after it is not
+        with pytest.raises(ValueError):
+            locate_cell(x, y, CFG)
+        xs, ys, still = np.array([1.0, x, -1.0]), np.array([1.0, y, -1.0]), np.zeros(3)
+        text = (f"position ({float(x)}, {float(y)}) outside workspace "
+                f"[0,{CFG.width}]x[0,{CFG.length}]")
+        calls = [lambda: control.occupancy_sets(xs, ys, CFG)] + [
+            lambda mode=mode: control.command(xs, ys, still, still, mode, ControllerParams(), CFG)
+            for mode in ("distributed", "wave")
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as got:
+                call()
+            assert str(got.value) == text
 
 
 def edges(count, size, extent):

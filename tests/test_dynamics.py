@@ -11,7 +11,6 @@ from morphsurf import (
     ObjectState,
     PhysicsParams,
     SurfaceConfig,
-    locate_cell,
     reconstruct_actuator_grid,
 )
 from morphsurf import dynamics
@@ -41,22 +40,26 @@ def huge_plane(pitch: float, roll: float = 0.0):
 
 
 class TestLocateCell:
+    """cell_indices, the array form of the cell rule, locates each position's
+    0-based cell."""
+
+    @staticmethod
+    def cells(xs, ys):
+        ci, cj = cell_indices(np.array(xs), np.array(ys), CFG)
+        return list(zip(ci.tolist(), cj.tolist()))
+
     def test_interior(self):
-        assert locate_cell(ObjectState(0.5 * CFG.W, 0.5 * CFG.L), CFG) == (1, 1)
+        assert self.cells([0.5 * CFG.W], [0.5 * CFG.L]) == [(0, 0)]
 
     def test_boundary_goes_to_higher_index(self):
-        assert locate_cell(ObjectState(CFG.W, 0.5 * CFG.L), CFG) == (2, 1)
+        assert self.cells([CFG.W, 0.5 * CFG.W], [0.5 * CFG.L, 2 * CFG.L]) == [(1, 0), (0, 2)]
 
     def test_ceiling_arithmetic(self):
-        assert locate_cell(ObjectState(4.5 * CFG.W, 3.2 * CFG.L), CFG) == (5, 4)
+        assert self.cells([4.5 * CFG.W], [3.2 * CFG.L]) == [(4, 3)]
 
     def test_outer_walls(self):
-        assert locate_cell(ObjectState(0.0, 0.0), CFG) == (1, 1)
-        assert locate_cell(ObjectState(CFG.width, CFG.length), CFG) == (5, 4)
-
-    def test_outside_raises(self):
-        with pytest.raises(ValueError):
-            locate_cell(ObjectState(-0.1, 1.0), CFG)
+        # the near walls to the first cell, the far walls to the last
+        assert self.cells([0.0, CFG.width], [0.0, CFG.length]) == [(0, 0), (4, 3)]
 
 
 class TestAcceleration:

@@ -16,6 +16,7 @@ from morphsurf import (
     SingleCellGains,
     SurfaceConfig,
     reconstruct_actuator_grid,
+    validate_grid,
 )
 from morphsurf import control, dynamics, engine
 from morphsurf.dynamics import first_order_lag
@@ -181,6 +182,12 @@ class TestFieldChecks:
     def test_integer_beyond_the_float_range_is_not_finite(self):
         with pytest.raises(FieldError, match="^t_max must be a finite number"):
             build(Scenario, t_max=10**400)
+
+    def test_t_max_must_give_a_finite_number_of_ticks(self):
+        # 1e308 s at 10 Hz is 1e309 ticks, beyond the floats; 1e300 s is not
+        with pytest.raises(FieldError, match="^t_max must give a finite number of ticks"):
+            build(Scenario, t_max=1e308)
+        assert build(Scenario, t_max=1e300).t_max == 1e300
 
     @pytest.mark.parametrize("entry, part", [
         ((0.5, 1.5, 1), "column"), ((0.5, 1, True), "row"), ((NAN, 1, 1), "time"),
@@ -477,6 +484,29 @@ class TestTraceRecording:
             tracemalloc.stop()
         assert peak <= 16 * (rows - 1) + (1 << 12)
         assert np.array(lengths).tobytes() == path_lengths_reference(trace).tobytes()
+
+
+def test_a_field_build_and_a_grid_check_take_at_most_64_bytes_a_cell():
+    # engine.MAX_CELLS allows 64 bytes a cell: on a 64x64 surface the field
+    # build and the check of its commanded, feasible grid stay within them
+    cfg = SurfaceConfig(n=64, m=64, W=2.0, L=2.0, stroke=1.0, ref_col=32, ref_row=32)
+    still = np.zeros(1)
+    grid = control.command(still + 1.0, still + 1.0, still, still, "funnel",
+                           ControllerParams(), cfg)[1]
+    col, row = np.asarray(grid.col_heights), np.asarray(grid.row_heights)
+    results, peaks = [], []
+    tracemalloc.start()
+    try:
+        for check in (lambda: _grid_orientation_terms(col, row, cfg, 9.81),
+                      lambda: validate_grid(grid, cfg)):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            results.append(check())
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert results[1].ok
+    assert max(peaks) <= 64 * cfg.n * cfg.m
 
 
 def count_calls(monkeypatch, fn) -> list:

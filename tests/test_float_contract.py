@@ -72,6 +72,6 @@ def test_trace_csv_round_trips_every_bit(tmp_path):
     trace = trace_of(np.array([[PAIRWISE], [1.0 - TINY]]))
     trace.t[:] = PAIRWISE, 1.0 + 2.0**-52
     write_trace_csv(trace, tmp_path / "trace.csv")
-    back = read_trace_csv(tmp_path / "trace.csv", 1, 1)
+    back = read_trace_csv(tmp_path / "trace.csv")
     assert back.t.tobytes() == trace.t.tobytes()
     assert back.states.tobytes() == trace.states.tobytes()
