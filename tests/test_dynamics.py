@@ -14,6 +14,7 @@ from morphsurf import (
     reconstruct_actuator_grid,
 )
 from morphsurf import dynamics
+from morphsurf.control import occupancy_sets
 from morphsurf.dynamics import advance, cell_indices, first_order_lag
 from morphsurf.engine import _grid_orientation_terms
 from conftest import (
@@ -60,6 +61,12 @@ class TestLocateCell:
     def test_outer_walls(self):
         # the near walls to the first cell, the far walls to the last
         assert self.cells([0.0, CFG.width], [0.0, CFG.length]) == [(0, 0), (4, 3)]
+
+    def test_outside_raises(self):
+        # cell_indices takes the workspace as given; occupancy_sets, which
+        # locates the objects' cells each tick, refuses a point outside it
+        with pytest.raises(ValueError, match=r"position \(-0\.1, 1\.0\) outside workspace"):
+            occupancy_sets(np.array([-0.1]), np.array([1.0]), CFG)
 
 
 class TestAcceleration:
