@@ -13,7 +13,6 @@ import bisect
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -44,9 +43,11 @@ MAX_OBJECTS = _TRACE_RESERVE // 32
 # takes at most 64 bytes per cell, so either fits in the reserve.
 MAX_CELLS = _TRACE_RESERVE // 64
 
-# Trace steps the metrics read at a time; their temporaries are a few arrays
-# of this many rows, however long the trace.
-_METRIC_ROWS = 1024
+# Object-steps the metrics read at a time, as dynamics._HELD_BLOCK bounds
+# advance: a block is max(1, _METRIC_STEPS // objects) steps, so its
+# temporaries are a few arrays of about this many floats, however long the
+# trace and however many its objects.
+_METRIC_STEPS = 1 << 15
 
 _SCHEDULE_KINDS = (("float", "time"), ("int", "column"), ("int", "row"))
 
@@ -321,10 +322,11 @@ def compute_metrics(
     """(convergence_time, arrival_times, path_lengths) of ``trace`` for the
     reference surface ``cfg``, as RunMetrics states them.
 
-    One pass reads the trace in blocks of _METRIC_ROWS steps.  Each block
-    notes every object's last row outside the reference cell, whose next
-    row's time is its arrival (0.0 if never outside, None if outside on the
-    last row).  The path lengths have the arithmetic and summation order of
+    One pass reads the trace in blocks of about _METRIC_STEPS object-steps.
+    Each block notes every object's last row outside the reference cell,
+    whose next row's time is its arrival (0.0 if never outside, None if
+    outside on the last row).  The path lengths have the arithmetic and
+    summation order of
     sqrt((diff(states[:, :, :2], axis=0)**2).sum(axis=2)).sum(axis=0):
     numpy adds the rows of a (steps, objects) array one after another, so
     each block's steps are summed under the running total, which heads the
@@ -337,8 +339,9 @@ def compute_metrics(
     last_out = np.full(objects, -1)
     total = np.zeros(objects)
     kept = np.empty((rows - 1, 1)) if objects == 1 else None
-    for lo in range(0, max(rows - 1, 1), _METRIC_ROWS):
-        x, y = states[lo : lo + _METRIC_ROWS + 1, :, :2].transpose(2, 0, 1)
+    span = max(1, _METRIC_STEPS // objects)
+    for lo in range(0, max(rows - 1, 1), span):
+        x, y = states[lo : lo + span + 1, :, :2].transpose(2, 0, 1)
         outside = ~_contained(x, y, cfg)
         found = outside.any(axis=0)
         last_out[found] = lo + len(x) - 1 - outside[::-1].argmax(axis=0)[found]
@@ -403,6 +406,9 @@ def batch(scenarios: list[Scenario]) -> list[BatchEntry]:
 
     if workers <= 1:
         return [_entry(partial(_run_metrics_only, sc)) for sc in scenarios]
+    # Imported here, so that a serial batch loads no process machinery.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_run_metrics_only, sc) for sc in scenarios]
         return [_entry(fut.result) for fut in futures]

@@ -26,9 +26,9 @@ from .engine import RunMetrics, Scenario, SimTrace
 from .surface import FieldError, SurfaceConfig, checked
 
 FLOAT_FMT = "%.17g"  # lossless float64 round-trip
-# Trace rows write_trace_csv formats at a time: a block's floats, formatted
-# as one string, take several times their bytes.
-_CSV_ROWS = 64
+# Trace values write_trace_csv formats at a time (at least one row): a
+# block's floats, formatted as one string, take several times their bytes.
+_CSV_FLOATS = 1 << 13
 # Most seeds one --seeds listing may give: about 6 CPU-hours per mode on
 # paper-s5x6.
 MAX_SEEDS = 10**5
@@ -212,20 +212,22 @@ def trace_header(n_objects: int, n: int, m: int) -> list[str]:
 def write_trace_csv(trace: SimTrace, path: str | Path) -> None:
     """One row per tick: the SimTrace fields in order, states flattened.
 
-    The rows are gathered and formatted _CSV_ROWS at a time, so no copy of
-    the whole trace is made.
+    The rows are gathered and formatted in blocks of at most _CSV_FLOATS
+    values (one row if a row holds more), so no copy of the whole trace is
+    made, however many objects it has.
     """
     rows = len(trace.t)
     fields = (trace.t[:, None], trace.states.reshape(rows, -1), trace.dz_col, trace.dz_row,
               trace.col_heights, trace.row_heights)
     header = trace_header(trace.n_objects, trace.dz_col.shape[1], trace.dz_row.shape[1])
     line = ",".join([FLOAT_FMT] * len(header)) + "\n"
-    table = np.empty((min(rows, _CSV_ROWS), len(header)))
+    span = max(1, _CSV_FLOATS // len(header))
+    table = np.empty((min(rows, span), len(header)))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, rows, _CSV_ROWS):
-            block = table[: min(_CSV_ROWS, rows - lo)]
-            np.concatenate([f[lo : lo + _CSV_ROWS] for f in fields], axis=1, out=block)
+        for lo in range(0, rows, span):
+            block = table[: min(span, rows - lo)]
+            np.concatenate([f[lo : lo + span] for f in fields], axis=1, out=block)
             fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
@@ -258,8 +260,8 @@ def write_metrics_json(metrics: RunMetrics, sc: Scenario, path: str | Path) -> N
 
 def parse_seed_list(listing: str) -> list[int]:
     """Parse seed listings like "1..20" or "1,4,9" (ranges are inclusive);
-    every seed must be >= 0, and there may be at most MAX_SEEDS, counted
-    from the range bounds before any list is made."""
+    every seed must be >= 0 and given once, and there may be at most
+    MAX_SEEDS, counted from the range bounds before any list is made."""
     ranges: list[range] = []
     try:
         for part in listing.split(","):
@@ -276,6 +278,8 @@ def parse_seed_list(listing: str) -> list[int]:
         raise ScenarioError(f"--seeds {listing!r}: empty seed list")
     if min(seeds) < 0:
         raise ScenarioError(f"--seeds {listing!r}: seeds must be >= 0, got {min(seeds)}")
+    if len(set(seeds)) < len(seeds):
+        raise ScenarioError(f"--seeds {listing!r}: give each seed once")
     return seeds
 
 

@@ -1,5 +1,9 @@
+import concurrent.futures
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -454,9 +458,19 @@ def random_trace(rng, rows, objects, n, m):
                     values(rows, n + 1), values(rows, m + 1))
 
 
+def csv_peak_bound(width):
+    """Most bytes write_trace_csv may hold at once for rows of ``width``
+    values: under 96 bytes for each value of a block of at most
+    max(_CSV_FLOATS, width) values (its floats as a list and a tuple of
+    Python floats, 40 bytes each, its table, repeated format string and
+    text, at most 24 characters a float), 128 bytes a column for the header
+    and the line format, plus the file's buffers."""
+    return 96 * max(sio._CSV_FLOATS, width) + 128 * width + (1 << 15)
+
+
 class TestTraceCsv:
-    """write_trace_csv formats the trace in blocks of _CSV_ROWS rows, to the
-    bytes of the row-by-row oracle write_trace_csv_reference."""
+    """write_trace_csv formats the trace in blocks of at most _CSV_FLOATS
+    values, to the bytes of the row-by-row oracle write_trace_csv_reference."""
 
     @pytest.mark.parametrize("name", ["paper-s1x10", "paper-s5x6", "uturn"])
     def test_canned_traces_match_the_row_by_row_writer(self, name, tmp_path):
@@ -467,34 +481,37 @@ class TestTraceCsv:
 
     @pytest.mark.parametrize("block", [1, 2, 7])
     def test_random_traces_match_under_small_blocks(self, block, tmp_path, monkeypatch):
-        monkeypatch.setattr(sio, "_CSV_ROWS", block)
+        # _CSV_FLOATS is set so that each trace is written in blocks of
+        # ``block`` rows, its floor division included
         rng = np.random.default_rng(block)
-        for _ in range(30):
+        for trial in range(30):
             rows, objects, n, m = (int(rng.integers(1, k)) for k in (40, 6, 5, 5))
             trace = random_trace(rng, rows, objects, n, m)
+            width = len(sio.trace_header(objects, n, m))
+            monkeypatch.setattr(sio, "_CSV_FLOATS", block * width + trial % width)
             sio.write_trace_csv(trace, tmp_path / "got.csv")
             write_trace_csv_reference(trace, tmp_path / "want.csv")
             assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_writing_copies_one_block_not_the_trace(self, tmp_path):
-        # a block's floats as a list and a tuple of Python floats (40 bytes
-        # each), its table, repeated format string and text (at most 24
-        # characters a float): under 96 bytes a value, plus the file's
-        # buffers.  The 6000-row trace holds 8 bytes a value, five times
-        # the bound.
-        rng = np.random.default_rng(3)
-        shapes = ((), (1, 4), (1,), (1,), (2,), (2,))
-        trace = SimTrace(*(rng.uniform(0.0, 2.0, (6000, *shape)) for shape in shapes))
-        width = len(sio.trace_header(1, 1, 1))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            sio.write_trace_csv(trace, tmp_path / "trace.csv")
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak <= 96 * sio._CSV_ROWS * width + (1 << 15)
+        # 11, 851 and 8051 values a row: blocks of 744 rows, 9 rows and one
+        # row.  Formatted as one block, each whole trace takes 3.6 to 7.2 MB,
+        # about four times the bound or more.
+        for objects, rows, n in ((1, 6000, 1), (200, 60, 12), (2000, 12, 12)):
+            rng = np.random.default_rng(objects)
+            shapes = ((), (objects, 4), (n,), (n,), (n + 1,), (n + 1,))
+            trace = SimTrace(*(rng.uniform(0.0, 2.0, (rows, *shape)) for shape in shapes))
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                sio.write_trace_csv(trace, tmp_path / "got.csv")
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak <= csv_peak_bound(len(sio.trace_header(objects, n, n))), objects
+            write_trace_csv_reference(trace, tmp_path / "want.csv")
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestCompareCommand:
@@ -559,7 +576,7 @@ class TestCompareCommand:
 
         monkeypatch.setattr(engine, "batch", recorded)
         monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", inline_pool(pools))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", inline_pool(pools))
         monkeypatch.delenv("MORPHSURF_THREADS", raising=False)
         argv = ["compare", str(path), "--seeds", "1..2", "-o", str(tmp_path / "cmp")]
         assert main(argv) == EXIT_OK
@@ -588,6 +605,37 @@ class TestCompareCommand:
         assert main(["compare", str(path), "--modes", modes, "-o", str(out)]) == EXIT_INVALID
         assert "--modes" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", ["1..2,2", "3,1..5", "4,4"])
+    def test_repeated_seeds_are_refused(self, tmp_path, capsys, seeds):
+        # a seed given twice would run twice and count twice in the summary
+        path = tiny_scenario(tmp_path, objects=None, objects_random={"count": 2, "seed": 1})
+        out = tmp_path / "cmp"
+        argv = ["compare", str(path), "--modes", "wave", "--seeds", seeds, "-o", str(out)]
+        assert main(argv) == EXIT_INVALID
+        assert f"--seeds {seeds!r}: give each seed once" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_serial_compare_loads_no_process_machinery(self, tmp_path):
+        # with one worker a batch runs in the calling process, and neither
+        # the pool nor multiprocessing is imported, at import or at run time
+        path = tiny_scenario(tmp_path, objects=None, objects_random={"count": 2, "seed": 1},
+                             t_max=5.0)
+        script = (
+            "import sys\n"
+            "from morphsurf.cli import main\n"
+            f"code = main(['compare', {str(path)!r}, '--seeds', '1..2', "
+            f"'-o', {str(tmp_path / 'cmp')!r}])\n"
+            "print(code, sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
+            " if m in sys.modules))\n"
+        )
+        src = str(Path(engine.__file__).resolve().parents[1])
+        env = {**os.environ, "MORPHSURF_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.stdout.splitlines()[-1:] == [f"{EXIT_OK} []"], done.stdout + done.stderr
+        assert (tmp_path / "cmp" / "summary.json").exists()
 
     def test_unknown_mode_rejected(self, tmp_path):
         path = tiny_scenario(tmp_path)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 import sys
@@ -395,7 +396,7 @@ def random_trace(rng, cfg, rows, objects):
 
 class TestTraceRecording:
     """run reserves the trace up front and writes each tick's row in place;
-    compute_metrics reads it in blocks of _METRIC_ROWS rows."""
+    compute_metrics reads it in blocks of about _METRIC_STEPS object-steps."""
 
     @pytest.mark.parametrize("name", ["paper-s1x10", "paper-s5x6", "uturn", "lagged"])
     def test_a_small_reserve_grows_to_the_same_trace(self, name, monkeypatch):
@@ -425,14 +426,15 @@ class TestTraceRecording:
         # a running total and each object's last row outside carried from
         # block to block; one object's steps are summed whole, by numpy's
         # pairwise sum, which differs from summing in order once there are 8
-        # or more of them
-        monkeypatch.setattr(engine, "_METRIC_ROWS", block)
+        # or more of them.  _METRIC_STEPS is set so that each trace is read in
+        # blocks of ``block`` steps, its floor division included.
         rng = np.random.default_rng(block)
         for k in range(60):
             cfg = random_config(rng)
             objects = 1 if k % 3 == 0 else int(rng.integers(2, 12))
             rows = int(rng.integers(9 if objects == 1 else 1, 301))
             trace = random_trace(rng, cfg, rows, objects)
+            monkeypatch.setattr(engine, "_METRIC_STEPS", block * objects + k % objects)
             _, arrivals, lengths = compute_metrics(trace, cfg, settle=0.1)
             want = path_lengths_reference(trace)
             assert np.array(lengths).tobytes() == want.tobytes()
@@ -452,27 +454,29 @@ class TestTraceRecording:
             assert arrivals == arrival_times_reference(trace, cfg)
 
     def test_metrics_temporaries_stay_under_0_6_of_the_states(self):
-        # at most three (_METRIC_ROWS, objects) arrays at once: the path
-        # lengths' block and scratch, or one axis's quotients and cell
-        # indices; however many rows the trace has
+        # at most three arrays of about _METRIC_STEPS floats at once: the
+        # path lengths' block and scratch, or one axis's quotients and cell
+        # indices; however many rows and objects the trace has.  Each of
+        # these traces holds 12.8 MB of states, fifteen times the bound.
         cfg = SurfaceConfig(n=12, m=12, W=2.0, L=2.0, stroke=1.0, ref_col=6, ref_row=6)
-        trace = random_trace(np.random.default_rng(5), cfg, rows=2000, objects=200)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            compute_metrics(trace, cfg, settle=0.1)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * engine._METRIC_ROWS * trace.n_objects * 8
+        for objects, rows in ((20, 20000), (200, 2000), (2000, 200)):
+            trace = random_trace(np.random.default_rng(5), cfg, rows=rows, objects=objects)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                compute_metrics(trace, cfg, settle=0.1)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * engine._METRIC_STEPS * 8 + (1 << 16), objects
 
     def test_one_object_path_temporaries_are_two_floats_per_step(self):
-        # one object's steps are summed whole: the step lengths and one
-        # scratch array, 16 bytes per step; the arrival times' blocks, read
-        # afterwards, are smaller
+        # one object's steps are summed whole: the step lengths, 8 bytes a
+        # step, and one block's block and scratch arrays, 16 bytes for each
+        # of a third of the steps here
         cfg = SurfaceConfig(n=4, m=3, W=2.0, L=2.0, stroke=1.0, ref_col=2, ref_row=2)
-        rows = 3 * engine._METRIC_ROWS + 1
+        rows = 3 * engine._METRIC_STEPS + 1
         trace = random_trace(np.random.default_rng(6), cfg, rows=rows, objects=1)
         tracemalloc.start()
         try:
@@ -731,7 +735,7 @@ class TestBatch:
     def test_workers_capped_by_cpus_and_scenarios(self, monkeypatch, cpus, env, runs, workers):
         pools = []
         monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", inline_pool(pools))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", inline_pool(pools))
         if env is None:
             monkeypatch.delenv("MORPHSURF_THREADS", raising=False)
         else:

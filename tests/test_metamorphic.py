@@ -1,0 +1,68 @@
+"""Metamorphic properties of engine.run: two changes to a scenario's object
+list whose effect on the run is known without an oracle.
+
+The objects are paper-s5x6's 20 seeded placements at seed 7, listed
+explicitly, in the three multi-cell modes whose command depends only on
+which cells are occupied (hardware_split folds the objects in order, and
+single_cell follows the first).  Every comparison is bitwise.
+"""
+
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+from morphsurf import engine
+from morphsurf.dynamics import ObjectState
+from morphsurf.engine import run
+from morphsurf.scenario import load_scenario
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+# The SimTrace fields that do not depend on the objects' order or count.
+SHARED = ("t", "dz_col", "dz_row", "col_heights", "row_heights")
+
+
+def placed(mode):
+    """paper-s5x6 at seed 7 in ``mode``, its placements listed as objects."""
+    sc = load_scenario(SCENARIOS / "paper-s5x6.json", mode=mode, seed=7)
+    x, y, _, _ = engine.initial_state(sc)
+    objects = tuple(ObjectState(float(a), float(b)) for a, b in zip(x, y))
+    return dataclasses.replace(sc, objects=objects, random_count=0)
+
+
+@pytest.fixture(scope="module", params=["wave", "distributed", "funnel"])
+def base(request):
+    sc = placed(request.param)
+    return sc, *run(sc)
+
+
+def assert_shared_fields_equal(got, want):
+    for name in SHARED:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def test_an_object_at_rest_at_the_reference_centre_changes_nothing_else(base):
+    # 21 objects are read in other metric blocks than 20 (engine._METRIC_STEPS),
+    # so on the longer runs this also shows that block boundaries move no bit
+    sc, trace, metrics = base
+    cfg = sc.cfg
+    centre = ObjectState((cfg.ref_col - 0.5) * cfg.W, (cfg.ref_row - 0.5) * cfg.L)
+    got_trace, got = run(dataclasses.replace(sc, objects=sc.objects + (centre,)))
+    count = len(sc.objects)
+    assert got_trace.states[:, :count].tobytes() == trace.states.tobytes()
+    assert_shared_fields_equal(got_trace, trace)
+    assert got.arrival_times[:count] == metrics.arrival_times
+    assert got.path_lengths[:count] == metrics.path_lengths
+    assert got.convergence_time == metrics.convergence_time
+    assert (got.arrival_times[count], got.path_lengths[count]) == (0.0, 0.0)
+
+
+def test_reversing_the_objects_reverses_their_columns(base):
+    sc, trace, metrics = base
+    got_trace, got = run(dataclasses.replace(sc, objects=sc.objects[::-1]))
+    assert got_trace.states[:, ::-1].tobytes() == trace.states.tobytes()
+    assert_shared_fields_equal(got_trace, trace)
+    assert got.arrival_times[::-1] == metrics.arrival_times
+    assert got.path_lengths[::-1] == metrics.path_lengths
+    assert got.convergence_time == metrics.convergence_time
