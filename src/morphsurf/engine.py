@@ -44,9 +44,10 @@ MAX_OBJECTS = _TRACE_RESERVE // 32
 MAX_CELLS = _TRACE_RESERVE // 64
 
 # Object-steps the metrics read at a time, as dynamics._HELD_BLOCK bounds
-# advance: a block is max(1, _METRIC_STEPS // objects) steps, so its
-# temporaries are a few arrays of about this many floats, however long the
-# trace and however many its objects.
+# advance: a block is max(1, _METRIC_STEPS // objects) steps, so up to about
+# 2**14 objects its temporaries are a few arrays of about this many floats,
+# however long the trace.  Above that a block is two rows, whose arrays hold
+# 2 * objects floats each.
 _METRIC_STEPS = 1 << 15
 
 _SCHEDULE_KINDS = (("float", "time"), ("int", "column"), ("int", "row"))

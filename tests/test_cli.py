@@ -493,12 +493,20 @@ class TestTraceCsv:
             write_trace_csv_reference(trace, tmp_path / "want.csv")
             assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
-    def test_writing_copies_one_block_not_the_trace(self, tmp_path):
-        # 11, 851 and 8051 values a row: blocks of 744 rows, 9 rows and one
-        # row.  Formatted as one block, each whole trace takes 3.6 to 7.2 MB,
-        # about four times the bound or more.
-        for objects, rows, n in ((1, 6000, 1), (200, 60, 12), (2000, 12, 12)):
-            rng = np.random.default_rng(objects)
+    def test_writing_copies_one_block_not_the_trace(self, tmp_path, monkeypatch):
+        # The bound grows with _CSV_FLOATS and the writer's path does not
+        # depend on its value, so each case lowers it, to keep its trace
+        # short: 11 values a row in blocks of 93 rows, 131 in blocks of 7
+        # rows, and 851 (200 objects) in blocks of one row, as 8051 (2000
+        # objects) are under the shipped constant.  Each trace is made so
+        # long that its own float64 bytes, 8 a value, are five times the
+        # bound, so that a copy of the whole trace cannot pass: 7528, 706
+        # and 165 rows, 0.66, 0.74 and 1.1 MB.
+        for objects, n, floats in ((1, 1, 1 << 10), (20, 12, 1 << 10), (200, 12, 1 << 9)):
+            monkeypatch.setattr(sio, "_CSV_FLOATS", floats)
+            width = len(sio.trace_header(objects, n, n))
+            rows = 5 * csv_peak_bound(width) // (8 * width) + 1
+            rng = np.random.default_rng(floats + objects)
             shapes = ((), (objects, 4), (n,), (n,), (n + 1,), (n + 1,))
             trace = SimTrace(*(rng.uniform(0.0, 2.0, (rows, *shape)) for shape in shapes))
             tracemalloc.start()
@@ -509,7 +517,7 @@ class TestTraceCsv:
                 peak = tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
-            assert peak <= csv_peak_bound(len(sio.trace_header(objects, n, n))), objects
+            assert peak <= csv_peak_bound(width), (objects, floats)
             write_trace_csv_reference(trace, tmp_path / "want.csv")
             assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
