@@ -32,7 +32,7 @@ import numpy as np
 from .surface import FIELD_LIMIT, FieldError, SurfaceConfig, check_fields, require
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObjectState:
     """Planar position/velocity of one transported object (SI units)."""
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import control
 from .control import ControllerParams
 from .dynamics import ObjectState, PhysicsParams, advance, cell_index, first_order_lag
-from .surface import FieldError, SurfaceConfig, check_fields, checked, require
+from .surface import FIELD_LIMIT, FieldError, SurfaceConfig, check_fields, checked, require
 
 DEFAULT_CONTROL_RATE = 10.0  # Hz
 SETTLE_SPEED = 1e-3  # m/s; "at rest" threshold for the stop rule
@@ -64,8 +64,8 @@ STEP_CELLS = 2.0**40
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything needed to reproduce one run; the reference schedule is
-    kept sorted by time."""
+    """Everything needed to reproduce one run; the objects are kept as a
+    tuple and the reference schedule sorted by time."""
 
     cfg: SurfaceConfig
     physics: PhysicsParams
@@ -80,6 +80,8 @@ class Scenario:
 
     def __post_init__(self):
         check_fields(self)
+        if self.objects is not None:
+            object.__setattr__(self, "objects", tuple(self.objects))
         require(self, (
             ("control_rate", self.control_rate > 0, "positive"),
             ("t_max", self.t_max > 0, "positive"),
@@ -92,6 +94,9 @@ class Scenario:
                                       f"{self.control_rate} Hz, got {self.t_max}")
         if cfg.n * cfg.m > MAX_CELLS:
             raise FieldError("n", f"x m must be at most {MAX_CELLS} cells, got {cfg.n}x{cfg.m}")
+        for name, axis, extent in (("W", "n", cfg.width), ("L", "m", cfg.length)):
+            if extent > FIELD_LIMIT:  # so that a step between two positions squares finitely
+                raise FieldError(name, f"x {axis} must be at most 2**500, got {extent:g}")
         if self.mode == "single_cell":
             if (cfg.n, cfg.m) != (1, 1):
                 raise FieldError("mode", f"single_cell needs a 1x1 surface, got {cfg.n}x{cfg.m}")
@@ -132,14 +137,15 @@ class Scenario:
             raise FieldError("dt", f"{p.dt} does not divide the control period {period}")
         # Half of STEP_CELLS may come from an object's initial speed and half
         # from the speed gravity adds: at most g per second, g / b in all.
-        reach = STEP_CELLS / 2 * min(cfg.W, cfg.L) / p.dt
+        # Neither half passes FIELD_LIMIT, so a speed squared cannot overflow.
+        reach = min(STEP_CELLS / 2 * min(cfg.W, cfg.L) / p.dt, FIELD_LIMIT)
         horizon = min(self.t_max + period, 1.0 / p.friction if p.friction else math.inf)
         limits = [(f"objects[{k}].v{axis}", abs(getattr(o, "v" + axis)), reach)
                   for k, o in enumerate(self.objects or ()) for axis in "xy"]
         for name, value, limit in limits + [("gravity", p.gravity, reach / horizon)]:
             if value > limit:
-                raise FieldError(name, f"must be at most {limit:g} here, or an object may "
-                                       f"cross more than 2**40 cells in one step")
+                raise FieldError(name, f"must be at most {limit:g} here, or an object may cross "
+                                       f"more than 2**40 cells in one step or pass 2**500 m/s")
 
     @property
     def control_period(self) -> float:
@@ -326,20 +332,17 @@ def compute_metrics(
     One pass reads the trace in blocks of about _METRIC_STEPS object-steps.
     Each block notes every object's last row outside the reference cell,
     whose next row's time is its arrival (0.0 if never outside, None if
-    outside on the last row).  The path lengths have the arithmetic and
-    summation order of
-    sqrt((diff(states[:, :, :2], axis=0)**2).sum(axis=2)).sum(axis=0):
-    numpy adds the rows of a (steps, objects) array one after another, so
-    each block's steps are summed under the running total, which heads the
-    block.  One object's steps are kept and summed whole, as numpy's
-    pairwise sum does.  The convergence time is the latest arrival, if the
+    outside on the last row).  The path lengths are running sums: each
+    step's length sqrt(dx*dx + dy*dy) is added to its object's total in
+    trace order, by np.add.accumulate over a block whose first row is the
+    running total, so a path length does not depend on how many objects
+    share the trace.  The convergence time is the latest arrival, if the
     trace runs on for the ``settle`` window after it.
     """
     states = trace.states
     rows, objects = states.shape[:2]
     last_out = np.full(objects, -1)
     total = np.zeros(objects)
-    kept = np.empty((rows - 1, 1)) if objects == 1 else None
     span = max(1, _METRIC_STEPS // objects)
     for lo in range(0, max(rows - 1, 1), span):
         x, y = states[lo : lo + span + 1, :, :2].transpose(2, 0, 1)
@@ -347,6 +350,7 @@ def compute_metrics(
         found = outside.any(axis=0)
         last_out[found] = lo + len(x) - 1 - outside[::-1].argmax(axis=0)[found]
         block = np.empty((len(x), objects))
+        block[0] = total
         steps = block[1:]
         np.subtract(x[1:], x[:-1], out=steps)
         steps *= steps
@@ -354,15 +358,10 @@ def compute_metrics(
         dy *= dy
         steps += dy
         np.sqrt(steps, out=steps)
-        if kept is None:
-            block[0] = total
-            total = block.sum(axis=0)
-        else:
-            kept[lo : lo + len(steps)] = steps
+        np.add.accumulate(block, axis=0, out=block)
+        total = block[-1].copy()
         # freed before the next block's containment makes its own temporaries
         del block, steps, dy
-    if kept is not None:
-        total = kept.sum(axis=0)
     arrivals = [0.0 if k < 0 else None if k == rows - 1 else float(trace.t[k + 1])
                 for k in last_out.tolist()]
     latest = None if None in arrivals else max(arrivals)

@@ -240,6 +240,8 @@ def read_trace_csv(path: str | Path) -> SimTrace:
     obj_cols, n, m = (sum(c.startswith(key) for c in header) for key in ("obj", "dz1[", "dz2["))
     if header != trace_header(obj_cols // 4, n, m):
         raise ScenarioError(f"{path}: the header is not a trace header")
+    if not rows:
+        raise ScenarioError(f"{path}: the header is followed by no row")
     try:  # a row of another length is left out, so the reshape fails
         data = np.array([float(v) for row in rows if len(row) == len(header) for v in row])
         data = data.reshape(len(rows), len(header))

@@ -329,9 +329,11 @@ def allocation_reference(x, y, mode, params, cfg: SurfaceConfig):
 
 def path_lengths_reference(trace):
     """Oracle of the metrics' path lengths: the length of every step between
-    trace rows from np.diff over (rows - 1, objects, 2), summed per object."""
+    trace rows from np.diff over (rows - 1, objects, 2), added to a running
+    total from 0.0 in trace order, one whole-trace np.add.accumulate."""
     steps = np.diff(trace.states[:, :, :2], axis=0)
-    return np.sqrt((steps**2).sum(axis=2)).sum(axis=0)
+    lengths = np.sqrt((steps**2).sum(axis=2))
+    return np.add.accumulate(np.vstack((np.zeros(lengths.shape[1]), lengths)), axis=0)[-1]
 
 
 def arrival_times_reference(trace, cfg: SurfaceConfig):

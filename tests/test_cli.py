@@ -154,6 +154,16 @@ class TestHostileInput:
             ({"reference_schedule": {"a": 1}}, "reference_schedule must be a list"),
             ({"reference_schedule": [[0.5, 1]]}, "reference_schedule[0] must be [time, column"),
             ({"reference_schedule": [5]}, "reference_schedule[0] must be [time, column"),
+            # a workspace extent or a speed above 2**500 could overflow when squared
+            ({"surface": {**SURFACE, "W": 1e160, "L": 1e160},
+              "objects": [{"x": 1.0, "y": 1.0, "vx": 1e157}]}, "surface.W"),
+            ({"surface": {**SURFACE, "L": 2e150}}, "surface.L"),
+            ({"surface": {**SURFACE, "W": 1e150, "L": 1e150},
+              "objects": [{"x": 1.0, "y": 1.0, "vx": 1e157}]}, "objects[0].vx"),
+            ({"surface": {**SURFACE, "W": 1e150, "L": 1e150},
+              "objects": [{"x": 1.0, "y": 1.0, "vy": -4e150}]}, "objects[0].vy"),
+            ({"surface": {**SURFACE, "W": 1e150, "L": 1e150}, "physics": {**PHYSICS, "g": 1e150},
+              "objects": [{"x": 1.0, "y": 1.0}]}, "physics.g"),
         ],
     )
     def test_refused_at_load(self, tmp_path, capsys, overrides, field):
@@ -164,6 +174,18 @@ class TestHostileInput:
         assert main(["run", str(path), "-o", str(out)]) == EXIT_INVALID
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    def test_extents_and_speeds_just_under_2_500_run_cleanly(self, tmp_path):
+        # 3x2 cells of 1e150 m and speeds of 3e150 m/s on both axes: every
+        # square the engine forms stays finite, with RuntimeWarnings errors
+        path = tiny_scenario(tmp_path, surface={**SURFACE, "W": 1e150, "L": 1e150},
+                             objects=[{"x": 1e150, "y": 1e150, "vx": 3e150, "vy": -3e150}],
+                             t_max=5.0)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "-o", str(out)]) == EXIT_UNSETTLED
+        text = (out / "metrics.json").read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        assert json.loads(text)["path_lengths"][0] > 0.0
 
     @pytest.mark.parametrize(
         "overrides, field",
@@ -434,6 +456,7 @@ class TestTraceRoundTrip:
         (lambda lines: lines[:2] + [lines[2] + ",0"] + lines[3:], "row"),
         (lambda lines: lines[:-1] + [lines[-1].replace(",", ",x,", 1)], "row"),
         (lambda lines: lines + ["1,2"], "row"),
+        (lambda lines: lines[:1], "no row"),
     ])
     def test_a_header_or_row_that_does_not_match_is_refused(self, tmp_path, edit, reason):
         trace = random_trace(np.random.default_rng(4), rows=3, objects=2, n=5, m=6)

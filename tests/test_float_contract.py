@@ -39,22 +39,6 @@ def zigzag(objects: int) -> np.ndarray:
     return np.repeat(x[:, None], objects, axis=1)
 
 
-def test_one_column_sums_pairwise():
-    # numpy sums a 1-D array pairwise; compute_metrics sums one object's
-    # steps whole, so a one-object path length depends on it
-    assert np.sum(np.array(ADDENDS)) == PAIRWISE
-    assert compute_metrics(trace_of(zigzag(1)), CELL, settle=0.1)[2] == [PAIRWISE]
-
-
-def test_axis_0_sums_row_after_row():
-    # numpy sums a C-ordered (rows, columns) array along axis 0 one row
-    # after another (a transposed one, column by column, pairwise);
-    # compute_metrics sums the steps of several objects that way, block by
-    # block under the running total
-    assert np.array([[a, a] for a in ADDENDS]).sum(axis=0).tolist() == [1.0, 1.0]
-    assert compute_metrics(trace_of(zigzag(2)), CELL, settle=0.1)[2] == [1.0, 1.0]
-
-
 def test_add_accumulate_is_sequential():
     # np.add.accumulate adds in order; dynamics.advance forms the positions
     # of a held-cell recurrence with it, p[s] = p[s-1] + v[s] * dt
@@ -64,6 +48,11 @@ def test_add_accumulate_is_sequential():
     zero = np.zeros((1, 1))
     advance(x, y, vx, vy, zero, zero, CELL, friction=0.0, dt=0.5, substeps=15)
     assert x.tolist() == [1.0]
+    # compute_metrics adds each object's steps to its running path length
+    # with it, down a column of a (steps, objects) block, for one object as
+    # for several
+    assert compute_metrics(trace_of(zigzag(1)), CELL, settle=0.1)[2] == [1.0]
+    assert compute_metrics(trace_of(zigzag(2)), CELL, settle=0.1)[2] == [1.0, 1.0]
 
 
 def test_trace_csv_round_trips_every_bit(tmp_path):

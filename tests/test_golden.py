@@ -30,7 +30,7 @@ CANNED = {
     ),
     "uturn": (
         "1122d055e053592bb8722d4d464e89145ca13e4c9b73b7e41f6197956c3e2002",
-        "450d8fb8d62beb1ddce84b7d9280b4aadd7a9a03710fe53127e4b8144f23bca6",
+        "d7aac1db93f5b9b725d953475dca48de48717830c418a62f3e1b33358f018002",
     ),
 }
 
@@ -77,7 +77,7 @@ CROWD_DISTRIBUTED = (
 # its capped gains), with lagging actuators (tau 0.2 s).
 SINGLE_CELL = (
     "23b1603282d368f0b61ae963770d21319ef23fdc9dfe673cef0846109bcc9437",
-    "c8c4f9a0b4dbf7a58eac83a632b055d2516dfe2de3b25a8c44aeae46edea10bc",
+    "e5de8c930f729869b60a46fe374fb896ff2dc1f80d5900697aed8ba190da8271",
 )
 
 # The outcome of each run above whose hashes were re-pinned when the field

@@ -1,10 +1,11 @@
 """Metamorphic properties of engine.run: two changes to a scenario's object
 list whose effect on the run is known without an oracle.
 
-The objects are paper-s5x6's 20 seeded placements at seed 7, listed
-explicitly, in the three multi-cell modes whose command depends only on
-which cells are occupied (hardware_split folds the objects in order, and
-single_cell follows the first).  Every comparison is bitwise.
+The objects are paper-s5x6's seeded placements, listed explicitly, in the
+three multi-cell modes whose command depends only on which cells are
+occupied (hardware_split folds the objects in order, and single_cell
+follows the first): all 20 at seed 7, or one of the first four at the
+file's seed 1 alone.  Every comparison is bitwise.
 """
 
 import dataclasses
@@ -22,9 +23,9 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 SHARED = ("t", "dz_col", "dz_row", "col_heights", "row_heights")
 
 
-def placed(mode):
-    """paper-s5x6 at seed 7 in ``mode``, its placements listed as objects."""
-    sc = load_scenario(SCENARIOS / "paper-s5x6.json", mode=mode, seed=7)
+def placed(mode, seed=7):
+    """paper-s5x6 at ``seed`` in ``mode``, its placements listed as objects."""
+    sc = load_scenario(SCENARIOS / "paper-s5x6.json", mode=mode, seed=seed)
     x, y, _, _ = engine.initial_state(sc)
     objects = tuple(ObjectState(float(a), float(b)) for a, b in zip(x, y))
     return dataclasses.replace(sc, objects=objects, random_count=0)
@@ -34,6 +35,13 @@ def placed(mode):
 def base(request):
     sc = placed(request.param)
     return sc, *run(sc)
+
+
+def with_centre_object(sc):
+    """``sc`` with one more object, at rest at the reference cell's centre."""
+    cfg = sc.cfg
+    centre = ObjectState((cfg.ref_col - 0.5) * cfg.W, (cfg.ref_row - 0.5) * cfg.L)
+    return dataclasses.replace(sc, objects=sc.objects + (centre,))
 
 
 def assert_shared_fields_equal(got, want):
@@ -46,9 +54,7 @@ def test_an_object_at_rest_at_the_reference_centre_changes_nothing_else(base):
     # 21 objects are read in other metric blocks than 20 (engine._METRIC_STEPS),
     # so on the longer runs this also shows that block boundaries move no bit
     sc, trace, metrics = base
-    cfg = sc.cfg
-    centre = ObjectState((cfg.ref_col - 0.5) * cfg.W, (cfg.ref_row - 0.5) * cfg.L)
-    got_trace, got = run(dataclasses.replace(sc, objects=sc.objects + (centre,)))
+    got_trace, got = run(with_centre_object(sc))
     count = len(sc.objects)
     assert got_trace.states[:, :count].tobytes() == trace.states.tobytes()
     assert_shared_fields_equal(got_trace, trace)
@@ -66,3 +72,18 @@ def test_reversing_the_objects_reverses_their_columns(base):
     assert got.arrival_times[::-1] == metrics.arrival_times
     assert got.path_lengths[::-1] == metrics.path_lengths
     assert got.convergence_time == metrics.convergence_time
+
+
+@pytest.mark.parametrize("mode", ["wave", "distributed", "funnel"])
+@pytest.mark.parametrize("k", range(4))
+def test_an_object_at_rest_at_the_reference_centre_leaves_a_lone_object_as_it_was(mode, k):
+    # a lone object's path length is summed in the order of each of several,
+    # so the count of objects in the run moves none of its bits
+    sc = placed(mode, seed=1)
+    alone = dataclasses.replace(sc, objects=sc.objects[k : k + 1])
+    trace, metrics = run(alone)
+    got_trace, got = run(with_centre_object(alone))
+    assert got_trace.states[:, :1].tobytes() == trace.states.tobytes()
+    assert_shared_fields_equal(got_trace, trace)
+    assert got.arrival_times[:1] == metrics.arrival_times
+    assert got.path_lengths[:1] == metrics.path_lengths
