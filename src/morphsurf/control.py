@@ -91,8 +91,13 @@ def occupancy_sets(
         k = int(inside.argmin())
         raise ValueError(f"position ({float(x[k])}, {float(y[k])}) outside workspace "
                          f"[0,{cfg.width}]x[0,{cfg.length}]")
-    ci, cj = cell_indices(x, y, cfg)
-    return sorted(set(ci.tolist())), sorted(set(cj.tolist()))
+    return _occupied(cell_indices(x, y, cfg))
+
+
+def _occupied(cells) -> tuple[list[int], list[int]]:
+    """The sorted 0-based columns and rows in ``cells``, a pair of column
+    and row index arrays such as ``cell_indices`` gives."""
+    return sorted(set(cells[0].tolist())), sorted(set(cells[1].tolist()))
 
 
 def axis_drops(
@@ -192,6 +197,7 @@ def command(
     mode: str,
     params: ControllerParams,
     cfg: SurfaceConfig,
+    cells: np.ndarray | None = None,
 ) -> tuple[ControlInput, ActuatorGrid]:
     """Commanded (input, grid) pair for this tick, for objects with positions
     (x[k], y[k]) and velocities (vx[k], vy[k]).
@@ -202,6 +208,12 @@ def command(
     about the cell midlines instead of leveling the reference actuators.  It
     takes the surface, gains and objects as a Scenario accepts them, so no
     tick checks them again.
+
+    distributed and wave read the occupied lines from ``cells``, the (2, N)
+    column and row indices of the objects' cells, where given: ``engine.run``
+    looks them up once per tick, in ``dynamics.advance``, and hands them
+    on.  Without them, ``occupancy_sets`` looks the cells up and refuses a
+    position outside the workspace.
     """
     if mode == "single_cell":
         e_x, e_y = float(x[0]) - cfg.W / 2.0, float(y[0]) - cfg.L / 2.0
@@ -213,7 +225,7 @@ def command(
         cols, rows = range(cfg.n), range(cfg.m)
     elif mode in ("distributed", "wave"):
         a, b = split_fractions(x, y, params, cfg)
-        cols, rows = occupancy_sets(x, y, cfg)
+        cols, rows = occupancy_sets(x, y, cfg) if cells is None else _occupied(cells)
     else:
         raise ValueError(f"unknown controller mode {mode!r}")
     wave = mode == "wave"

@@ -20,6 +20,12 @@ from its starting cell, and checks afterwards that no object left that cell
 or the workspace.  At the first substep where one did, it reflects that
 substep and restarts the recurrence from there, with the cells looked up
 again.  The result is bit-for-bit the per-substep loop's.
+
+The check looks up the cell of every row it tests, so a call that ends on
+a passing recurrence already holds the cells of the positions it leaves.
+``advance`` returns them, and ``engine.run`` hands them to the next tick's
+controller, settle rule and ``advance``: a run looks each object's cell up
+once per tick, in that check, and a quiet tick makes no other lookup.
 """
 
 from __future__ import annotations
@@ -103,20 +109,28 @@ def advance(
     friction: float,
     dt: float,
     substeps: int = 1,
-) -> None:
-    """Advance object arrays in place by ``substeps`` semi-implicit Euler steps.
+    cells: np.ndarray | None = None,
+) -> np.ndarray:
+    """Advance object arrays in place by ``substeps`` semi-implicit Euler
+    steps and return the (2, N) column and row indices of the cells they
+    are left in, as ``cell_indices`` gives them.
 
     The orientation field is held fixed; each object's acceleration is looked
     up from the cell it currently occupies.  Wall hits reflect the position
     about the wall and negate the normal velocity (no energy loss).
+    ``cells``, where given, are the cells the objects start in, such as the
+    previous call returned.
 
     The substeps run as a loop of held-cell recurrences on (x, y) stacked.
-    Each recurrence looks every object's cell up once and computes, for
-    substep s, ``v[s] = v[s-1] * keep + g * dt`` and ``p[s] = p[s-1] + v[s] *
-    dt`` with that cell's ``g``.  It is then checked in whole-array
-    operations: row s passes if every position in it lies inside the
-    workspace and, unless it is the recurrence's last row, in its object's
-    starting cell by ``cell_index``; NaN fails.  Before the first failing row
+    Each recurrence takes every object's starting cell, gathers that cell's
+    ``g`` and computes, for substep s, ``v[s] = v[s-1] * keep + g * dt`` and
+    ``p[s] = p[s-1] + v[s] * dt``.  It is then checked in whole-array
+    operations, with one ``cell_index`` call over all its rows: row s passes
+    if every position in it lies inside the workspace and, unless it is the
+    recurrence's last row, in its object's starting cell; NaN fails.  The
+    first recurrence starts from ``cells`` or looks them up; one that
+    follows a passing recurrence starts from its last row's cells, and one
+    that follows a reflected row looks them up.  Before the first failing row
     r, every object computed what the per-substep loop (look the cell up,
     step, reflect) computes, because that loop would gather the same ``g``
     and its reflection leaves positions inside the workspace untouched;
@@ -126,19 +140,19 @@ def advance(
     ``max(2r, _RESTART_ROWS)`` rows.  A quiet call runs one recurrence and
     no reflection.  A recurrence records at most ``_HELD_BLOCK``
     object-substeps; a longer call continues from the last row as from an
-    event.  The result is bit-for-bit the per-substep loop's.
+    event.  The result is bit-for-bit the per-substep loop's.  The cells
+    returned are the last check's last row, or are looked up once more if
+    the call ended on a reflected row, or ran no substep without ``cells``.
     """
     keep = 1.0 - friction * dt
-    size, last, ext = (
-        np.array([[cfg.W], [cfg.L]]),
-        np.array([[cfg.n - 1], [cfg.m - 1]]),
-        np.array([[cfg.width], [cfg.length]]),
-    )
+    size, last, ext = cfg.axes
     block = min(substeps, max(1, _HELD_BLOCK // max(x.size, 1)))
     p = np.empty((block + 1, 2, x.size))  # positions, row s after s substeps
     v = np.empty((block + 1, 2, x.size))  # velocities, likewise
+    a = np.empty((2, x.size))  # each object's acceleration times dt
     p[0] = x, y
     v[0] = vx, vy
+    c = cells  # the cells of p[0], or None until they are looked up
     r, k = 0, block  # the row the last recurrence stopped at, and its rows
     while substeps:
         if r:
@@ -146,8 +160,11 @@ def advance(
             k = max(2 * r, _RESTART_ROWS)
         k = min(substeps, block, k)
         pk, vk = p[:k + 1], v[:k + 1]
-        c = cell_index(pk[0], size, last)  # each object's starting cell
-        a = np.array((gx_cell[c[0], c[1]], gy_cell[c[0], c[1]]))
+        if c is None:
+            c = cell_index(pk[0], size, last)
+        flat = c[0] * cfg.m + c[1]
+        gx_cell.take(flat, out=a[0])
+        gy_cell.take(flat, out=a[1])
         a *= dt
         rows = list(vk)
         for prev, cur in zip(rows, rows[1:]):
@@ -158,17 +175,20 @@ def advance(
 
         # ok[s - 1]: row s is inside the workspace and, unless it is the
         # last, still in the starting cell.
+        held = cell_index(pk[1:], size, last)
         ok = (pk[1:] >= 0.0) & (pk[1:] <= ext)
-        ok[:-1] &= cell_index(pk[1:-1], size, last) == c
+        ok[:-1] &= held[:-1] == c
         if ok.all():
-            r = k
+            r, c = k, held[-1]
         else:
             r = int(np.argmin(ok.all(axis=(1, 2)))) + 1
             _reflect(p[r, 0], v[r, 0], cfg.width)
             _reflect(p[r, 1], v[r, 1], cfg.length)
+            c = None
         substeps -= r
     x[:], y[:] = p[r]
     vx[:], vy[:] = v[r]
+    return cell_index(p[r], size, last) if c is None else c
 
 
 def _reflect(pos: np.ndarray, vel: np.ndarray, hi: float) -> None:

@@ -20,7 +20,14 @@ import numpy as np
 
 from . import control
 from .control import ControllerParams
-from .dynamics import ObjectState, PhysicsParams, advance, cell_index, first_order_lag
+from .dynamics import (
+    ObjectState,
+    PhysicsParams,
+    advance,
+    cell_index,
+    cell_indices,
+    first_order_lag,
+)
 from .surface import FIELD_LIMIT, FieldError, SurfaceConfig, check_fields, checked, require
 
 DEFAULT_CONTROL_RATE = 10.0  # Hz
@@ -255,18 +262,21 @@ def run(sc: Scenario) -> tuple[SimTrace, RunMetrics]:
     columns = [np.empty((capacity, *shape)) for shape in row_shapes]
     settle_streak = 0
     converged = False
+    # The (2, N) cells of the objects, looked up here once; from then on each
+    # advance returns the cells of the positions it leaves.
+    cells = np.array(cell_indices(x, y, cfg))
 
     for tick in range(n_ticks + 1):
         t = tick * period
         ref_cfg = ref_cfgs[bisect.bisect_right(ref_times, t) - 1]
 
         # Stop once containment + rest has held for one full control period.
-        if _settled(x, y, vx, vy, ref_cfg, centred):
+        if _settled(x, y, vx, vy, cells, ref_cfg, centred):
             settle_streak += 1
         else:
             settle_streak = 0
 
-        u, commanded = control.command(x, y, vx, vy, sc.mode, sc.params, ref_cfg)
+        u, commanded = control.command(x, y, vx, vy, sc.mode, sc.params, ref_cfg, cells)
         grid_col = first_order_lag(grid_col, np.asarray(commanded.col_heights), p.tau, period)
         grid_row = first_order_lag(grid_row, np.asarray(commanded.row_heights), p.tau, period)
 
@@ -286,7 +296,7 @@ def run(sc: Scenario) -> tuple[SimTrace, RunMetrics]:
             break
 
         gx, gy = _grid_orientation_terms(grid_col, grid_row, cfg, p.gravity)
-        advance(x, y, vx, vy, gx, gy, cfg, p.friction, p.dt, substeps)
+        cells = advance(x, y, vx, vy, gx, gy, cfg, p.friction, p.dt, substeps, cells)
 
     trace = SimTrace(*(column[: tick + 1] for column in columns))
     wall_clock = time.perf_counter() - start
@@ -299,12 +309,13 @@ def _settled(
     y: np.ndarray,
     vx: np.ndarray,
     vy: np.ndarray,
+    cells: np.ndarray,
     cfg: SurfaceConfig,
     centred: bool,
 ) -> bool:
-    """Every object in the reference cell and at rest; with ``centred``
-    (single_cell mode) the first object also within SINGLE_CELL_SETTLE of
-    the cell centre."""
+    """Every object, at (x[k], y[k]) in the cell (cells[0, k], cells[1, k]),
+    in the reference cell and at rest; with ``centred`` (single_cell mode)
+    the first object also within SINGLE_CELL_SETTLE of the cell centre."""
     if (vx * vx + vy * vy > SETTLE_SPEED * SETTLE_SPEED).any():
         return False
     if centred and not (
@@ -312,7 +323,7 @@ def _settled(
         and abs(y[0] - (cfg.ref_row - 0.5) * cfg.L) <= SINGLE_CELL_SETTLE * cfg.L
     ):
         return False
-    return bool(_contained(x, y, cfg).all())
+    return bool(((cells[0] == cfg.ref_col - 1) & (cells[1] == cfg.ref_row - 1)).all())
 
 
 def _contained(x: np.ndarray, y: np.ndarray, cfg: SurfaceConfig) -> np.ndarray:

@@ -233,13 +233,16 @@ def write_trace_csv(trace: SimTrace, path: str | Path) -> None:
 
 def read_trace_csv(path: str | Path) -> SimTrace:
     """Re-load a trace written by write_trace_csv (exact float round-trip),
-    its object and grid counts read from the header."""
+    its object and grid counts read from the header, which must name at
+    least one object."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         rows = [line.split(",") for line in fh if line.strip()]
     obj_cols, n, m = (sum(c.startswith(key) for c in header) for key in ("obj", "dz1[", "dz2["))
     if header != trace_header(obj_cols // 4, n, m):
         raise ScenarioError(f"{path}: the header is not a trace header")
+    if not obj_cols:
+        raise ScenarioError(f"{path}: the header names no object")
     if not rows:
         raise ScenarioError(f"{path}: the header is followed by no row")
     try:  # a row of another length is left out, so the reshape fails

@@ -130,6 +130,17 @@ class SurfaceConfig:
         """Workspace extent along y."""
         return self.m * self.L
 
+    @functools.cached_property
+    def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(cell size, last 0-based cell, workspace extent) of the x and y
+        axes, each a read-only (2, 1) array, made once per config for the
+        whole-array cell lookups of the dynamics."""
+        arrays = (np.array([[self.W], [self.L]]), np.array([[self.n - 1], [self.m - 1]]),
+                  np.array([[self.width], [self.length]]))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
 
 @dataclass(frozen=True)
 class ControlInput:

@@ -457,6 +457,9 @@ class TestTraceRoundTrip:
         (lambda lines: lines[:-1] + [lines[-1].replace(",", ",x,", 1)], "row"),
         (lambda lines: lines + ["1,2"], "row"),
         (lambda lines: lines[:1], "no row"),
+        # the 8 object columns of both objects dropped from every line
+        (lambda lines: [",".join(line.split(",")[:1] + line.split(",")[9:]) for line in lines],
+         "no object"),
     ])
     def test_a_header_or_row_that_does_not_match_is_refused(self, tmp_path, edit, reason):
         trace = random_trace(np.random.default_rng(4), rows=3, objects=2, n=5, m=6)

@@ -284,6 +284,21 @@ class TestAllocationOracle:
         assert same_bits(got_grid.col_heights, want_grid.col_heights)
         assert same_bits(got_grid.row_heights, want_grid.row_heights)
 
+    @settings(max_examples=300, deadline=None)
+    @given(allocation_cases())
+    def test_handed_cells_give_the_same_command(self, case):
+        # engine.run hands command the cells it holds, and funnel and
+        # hardware_split, which do not read them, are drawn too
+        x, y, mode, params, cfg = case
+        still = np.zeros_like(x)
+        cells = np.array(cell_indices(x, y, cfg))
+        got_u, got_grid = control.command(x, y, still, still, mode, params, cfg, cells)
+        want_u, want_grid = control.command(x, y, still, still, mode, params, cfg)
+        assert same_bits(got_u.dz_col, want_u.dz_col)
+        assert same_bits(got_u.dz_row, want_u.dz_row)
+        assert same_bits(got_grid.col_heights, want_grid.col_heights)
+        assert same_bits(got_grid.row_heights, want_grid.row_heights)
+
 
 class TestSingleCellFeedback:
     CELL = SurfaceConfig(1, 1, 2.0, 2.0, 1.0, 1, 1)

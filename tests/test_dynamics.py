@@ -1,5 +1,6 @@
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -64,7 +65,8 @@ class TestLocateCell:
 
     def test_outside_raises(self):
         # cell_indices takes the workspace as given; occupancy_sets, which
-        # locates the objects' cells each tick, refuses a point outside it
+        # locates the objects' cells for a command given none, refuses a
+        # point outside it
         with pytest.raises(ValueError, match=r"position \(-0\.1, 1\.0\) outside workspace"):
             occupancy_sets(np.array([-0.1]), np.array([1.0]), CFG)
 
@@ -493,6 +495,61 @@ class TestRestartRows:
         vy = np.array([0.0, speed / 3, 0.2, -0.1])
         assert_bitwise((x, y, vx, vy), gx, gy, cfg, 0.1, 1e-3, 600)
         assert_bitwise((x[3:], y[3:], vx[3:], vy[3:]), gx, gy, cfg, 0.0, 1e-3, 600)
+
+
+class TestCellsLeft:
+    """advance returns the (2, N) cells of the positions it leaves, which
+    the engine hands to the next tick's advance as its starting cells."""
+
+    @staticmethod
+    def check(state, gx, gy, cfg, friction, dt, substeps):
+        left = [np.array(a, dtype=float) for a in state]
+        cells = advance(*left, gx, gy, cfg, friction, dt, substeps)
+        assert cells.shape == (2, len(left[0])) and cells.dtype == np.intp
+        assert np.array_equal(cells, np.array(cell_indices(left[0], left[1], cfg)))
+        # handed the starting cells, the same state and cells, bit for bit
+        given = [np.array(a, dtype=float) for a in state]
+        start = np.array(cell_indices(given[0], given[1], cfg))
+        again = advance(*given, gx, gy, cfg, friction, dt, substeps, start)
+        assert np.array_equal(again, cells)
+        for g, w in zip(given, left):
+            assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_grids_and_states(self, data):
+        state, gx, gy, cfg, friction, dt, substeps = random_case(data)
+        if data.draw(st.booleans(), label="no substeps"):
+            substeps = 0
+        with pytest.MonkeyPatch.context() as patch:
+            if data.draw(st.booleans(), label="short recurrences"):
+                patch.setattr(dynamics, "_HELD_BLOCK", 8)
+            self.check(state, gx, gy, cfg, friction, dt, substeps)
+
+    @pytest.mark.parametrize("k", [9, 10])
+    def test_a_wall_hit_in_the_last_substep(self, monkeypatch, k):
+        # The object reaches the far wall halfway through substep k of 10.
+        # With k = 9 a second recurrence restarts from the reflected row and
+        # looks its cells up; with k = 10 the call ends on the reflected row
+        # and looks them up once after it.
+        seen = Counter()  # cell_index calls by the dimensions of the positions
+        lookup = dynamics.cell_index
+
+        def spy(pos, *args):
+            seen[pos.ndim] += 1
+            return lookup(pos, *args)
+
+        monkeypatch.setattr(dynamics, "cell_index", spy)
+        cfg = TestHeldCellRecurrence.CFG
+        zero = np.zeros((cfg.n, cfg.m))
+        dt, v = 0.01, 0.5
+        state = ([cfg.width - (k - 0.5) * v * dt], [0.6], [v], [0.0])
+        self.check(state, zero, zero, cfg, 0.0, dt, 10)
+        # two advance calls, the second handed its starting cells: each
+        # makes one lookup after its reflected row, the first one more
+        # for its starting cells
+        recurrences = 2 if k == 9 else 1
+        assert (seen[2], seen[3]) == (3, 2 * recurrences)  # one row, a check's rows
 
 
 @pytest.fixture

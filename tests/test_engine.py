@@ -3,6 +3,7 @@ import dataclasses
 import math
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -503,13 +504,14 @@ def test_a_field_build_and_a_grid_check_take_at_most_64_bytes_a_cell():
     assert max(peaks) <= 64 * cfg.n * cfg.m
 
 
-def count_calls(monkeypatch, fn) -> list:
+def count_calls(monkeypatch, fn, note=lambda: None) -> list:
     """Route every morphsurf module's binding of ``fn`` through a wrapper
-    that appends to the returned list once per call."""
+    that appends ``note()`` to the returned list once per call, before the
+    call."""
     calls: list = []
 
     def counted(*args, **kwargs):
-        calls.append(None)
+        calls.append(note())
         return fn(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -535,6 +537,40 @@ class TestPerTickCalls:
         trace = run(recorded_scenario(name))[0]
         rows = len(trace.t)
         assert (len(commands), len(fields), len(advances)) == (rows, rows - 1, rows - 1)
+
+
+class TestOneLookupPerTick:
+    """engine.run looks the objects' cells up before its first tick; from
+    then on advance looks them up in the check it already makes and hands
+    them to the next tick's command, settle rule and advance."""
+
+    def test_paper_s5x6_wave(self, monkeypatch):
+        commands = count_calls(monkeypatch, control.command)
+        occupancy = count_calls(monkeypatch, control.occupancy_sets, lambda: len(commands))
+        advances = count_calls(monkeypatch, dynamics.advance, Counter)
+        lookup, reflect = dynamics.cell_index, dynamics._reflect
+
+        def spy_lookup(pos, *args):
+            # inside advance: a check of a recurrence's rows, or one row
+            if advances and pos.ndim > 1:
+                call = advances[-1]
+                call["checks" if pos.ndim == 3 else "lookups"] += 1
+                call["reflected"] = 0
+            return lookup(pos, *args)
+
+        def spy_reflect(*args):
+            advances[-1]["reflected"] = 1  # until the next check
+            reflect(*args)
+
+        monkeypatch.setattr(dynamics, "cell_index", spy_lookup)
+        monkeypatch.setattr(dynamics, "_reflect", spy_reflect)
+        run(load_scenario(SCENARIOS / "paper-s5x6.json", mode="wave"))
+        assert all(tick <= 1 for tick in occupancy)  # never after tick 0
+        # Each call is handed its starting cells: a recurrence looks them up
+        # only after a reflected row, and a call that ends on one once more.
+        for call in advances:
+            assert call["lookups"] <= call["checks"] - 1 + call["reflected"]
+        assert any(call["checks"] > 1 for call in advances)  # some calls restart
 
 
 class TestReferenceSchedule:
