@@ -175,11 +175,11 @@ def advance(
 
         # ok[s - 1]: row s is inside the workspace and, unless it is the
         # last, still in the starting cell.
-        held = cell_index(pk[1:], size, last)
+        row_cells = cell_index(pk[1:], size, last)
         ok = (pk[1:] >= 0.0) & (pk[1:] <= ext)
-        ok[:-1] &= held[:-1] == c
+        ok[:-1] &= row_cells[:-1] == c
         if ok.all():
-            r, c = k, held[-1]
+            r, c = k, row_cells[-1]
         else:
             r = int(np.argmin(ok.all(axis=(1, 2)))) + 1
             _reflect(p[r, 0], v[r, 0], cfg.width)
