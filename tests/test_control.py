@@ -275,29 +275,17 @@ class TestAllocationOracle:
     @settings(max_examples=300, deadline=None)
     @given(allocation_cases())
     def test_command_matches_the_reference(self, case):
-        x, y, mode, params, cfg = case
-        want_u, want_grid = allocation_reference(x, y, mode, params, cfg)
-        got_u, got_grid = control.command(x, y, np.zeros_like(x), np.zeros_like(y),
-                                          mode, params, cfg)
-        assert same_bits(got_u.dz_col, want_u.dz_col)
-        assert same_bits(got_u.dz_row, want_u.dz_row)
-        assert same_bits(got_grid.col_heights, want_grid.col_heights)
-        assert same_bits(got_grid.row_heights, want_grid.row_heights)
-
-    @settings(max_examples=300, deadline=None)
-    @given(allocation_cases())
-    def test_handed_cells_give_the_same_command(self, case):
-        # engine.run hands command the cells it holds, and funnel and
+        # with and without the cells engine.run hands command; funnel and
         # hardware_split, which do not read them, are drawn too
         x, y, mode, params, cfg = case
+        want_u, want_grid = allocation_reference(x, y, mode, params, cfg)
         still = np.zeros_like(x)
-        cells = np.array(cell_indices(x, y, cfg))
-        got_u, got_grid = control.command(x, y, still, still, mode, params, cfg, cells)
-        want_u, want_grid = control.command(x, y, still, still, mode, params, cfg)
-        assert same_bits(got_u.dz_col, want_u.dz_col)
-        assert same_bits(got_u.dz_row, want_u.dz_row)
-        assert same_bits(got_grid.col_heights, want_grid.col_heights)
-        assert same_bits(got_grid.row_heights, want_grid.row_heights)
+        for cells in (None, np.array(cell_indices(x, y, cfg))):
+            got_u, got_grid = control.command(x, y, still, still, mode, params, cfg, cells)
+            assert same_bits(got_u.dz_col, want_u.dz_col)
+            assert same_bits(got_u.dz_row, want_u.dz_row)
+            assert same_bits(got_grid.col_heights, want_grid.col_heights)
+            assert same_bits(got_grid.row_heights, want_grid.row_heights)
 
 
 class TestSingleCellFeedback:

@@ -468,8 +468,8 @@ class TestRestartRows:
 
     def test_an_event_on_every_substep(self, monkeypatch):
         # At 3e5 m/s the object crosses the 2 m cell 150 times a substep.
-        # Rows are counted as advance checks them: the starting cells of a
-        # recurrence are one row, its check one row per inner row.
+        # Rows are counted as advance looks them up: a recurrence's check
+        # one row per row it computed, the cells after a reflected row one.
         rows, lookup = [0], dynamics.cell_index
 
         def counted(pos, *args):
@@ -554,13 +554,14 @@ class TestCellsLeft:
 
 @pytest.fixture
 def events(monkeypatch):
-    """Counts what advance does: its recurrences (each looks the starting
-    cells up once) and its _reflect calls (two for each reflected row)."""
+    """Counts what advance does: its recurrences (each checks its rows with
+    one cell_index call) and its _reflect calls (two for each reflected
+    row)."""
     seen = {"recurrences": 0, "reflections": 0}
     lookup, reflect = dynamics.cell_index, dynamics._reflect
 
     def spy_lookup(pos, *args):
-        seen["recurrences"] += pos.ndim == 2  # the check passes (rows, 2, N)
+        seen["recurrences"] += pos.ndim == 3  # the check passes (rows, 2, N)
         return lookup(pos, *args)
 
     def spy_reflect(*args):

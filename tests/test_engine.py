@@ -545,17 +545,17 @@ class TestOneLookupPerTick:
     them to the next tick's command, settle rule and advance."""
 
     def test_paper_s5x6_wave(self, monkeypatch):
-        commands = count_calls(monkeypatch, control.command)
-        occupancy = count_calls(monkeypatch, control.occupancy_sets, lambda: len(commands))
+        occupancy = count_calls(monkeypatch, control.occupancy_sets)
         advances = count_calls(monkeypatch, dynamics.advance, Counter)
         lookup, reflect = dynamics.cell_index, dynamics._reflect
 
         def spy_lookup(pos, *args):
             # inside advance: a check of a recurrence's rows, or one row
-            if advances and pos.ndim > 1:
-                call = advances[-1]
-                call["checks" if pos.ndim == 3 else "lookups"] += 1
-                call["reflected"] = 0
+            if advances and pos.ndim == 3:
+                advances[-1]["checks"] += 1
+                advances[-1]["reflected"] = 0
+            elif advances and pos.ndim == 2:
+                advances[-1]["lookups"] += 1
             return lookup(pos, *args)
 
         def spy_reflect(*args):
@@ -565,7 +565,7 @@ class TestOneLookupPerTick:
         monkeypatch.setattr(dynamics, "cell_index", spy_lookup)
         monkeypatch.setattr(dynamics, "_reflect", spy_reflect)
         run(load_scenario(SCENARIOS / "paper-s5x6.json", mode="wave"))
-        assert all(tick <= 1 for tick in occupancy)  # never after tick 0
+        assert occupancy == []  # every command is handed the cells
         # Each call is handed its starting cells: a recurrence looks them up
         # only after a reflected row, and a call that ends on one once more.
         for call in advances:
