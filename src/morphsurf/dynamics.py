@@ -17,15 +17,24 @@ The field is held fixed over the substeps of a control tick, and an object
 rarely leaves its cell or reaches a wall within one tick.  So ``advance``
 runs a tick as one array recurrence with each object's acceleration taken
 from its starting cell, and checks afterwards that no object left that cell
-or the workspace.  At the first substep where one did, it reflects that
-substep and restarts the recurrence from there, with the cells looked up
-again.  The result is bit-for-bit the per-substep loop's.
+or the workspace.  An event costs only the objects that had it: if they owe
+at most ``_SCALAR_STEPS`` substeps in all, each is finished alone from its
+first failing row, one substep at a time in Python floats, since a
+recurrence costs about 30 us of numpy calls even over one object and a
+scalar substep under 1 us.  Otherwise the recurrence restarts from the
+earliest failing row for every object, so crowded or very fast calls stay
+vectorized and linear in their substeps.  Rows of at least
+``_ROW_SUM_WIDTH`` values are summed into positions row by row: over the
+11 rows of a 10-substep tick that takes about 5.6 us at 200 objects, where
+one ``np.add.accumulate`` takes 16.5, and 5.3 us at 20, where it takes
+2.2.  The result is bit-for-bit the per-substep loop's.
 
 The check looks up the cell of every row it tests, so a call that ends on
-a passing recurrence already holds the cells of the positions it leaves.
+a passing recurrence already holds the cells of the positions it leaves,
+and an object finished alone has its cell looked up in scalar code.
 ``advance`` returns them, and ``engine.run`` hands them to the next tick's
 controller, settle rule and ``advance``: a run looks each object's cell up
-once per tick, in that check, and a quiet tick makes no other lookup.
+once per tick, and a quiet tick makes no other lookup.
 """
 
 from __future__ import annotations
@@ -80,6 +89,12 @@ _HELD_BLOCK = 1 << 15
 # A recurrence after an event at row r computes at most max(2r, _RESTART_ROWS)
 # rows, so the rows of a call stay linear in its substeps whatever its events.
 _RESTART_ROWS = 16
+# Most substeps a failing recurrence finishes one object at a time; the
+# objects that failed it owing more restart it from the first failing row.
+_SCALAR_STEPS = 32
+# Rows of at least this many values are summed into positions row by row,
+# narrower ones by one np.add.accumulate; both add in the same order.
+_ROW_SUM_WIDTH = 128
 
 
 def cell_index(pos, size, last):
@@ -124,25 +139,32 @@ def advance(
     The substeps run as a loop of held-cell recurrences on (x, y) stacked.
     Each recurrence takes every object's starting cell, gathers that cell's
     ``g`` and computes, for substep s, ``v[s] = v[s-1] * keep + g * dt`` and
-    ``p[s] = p[s-1] + v[s] * dt``.  It is then checked in whole-array
-    operations, with one ``cell_index`` call over all its rows: row s passes
-    if every position in it lies inside the workspace and, unless it is the
-    recurrence's last row, in its object's starting cell; NaN fails.  The
-    first recurrence starts from ``cells`` or looks them up; one that
-    follows a passing recurrence starts from its last row's cells, and one
-    that follows a reflected row looks them up.  Before the first failing row
-    r, every object computed what the per-substep loop (look the cell up,
-    step, reflect) computes, because that loop would gather the same ``g``
-    and its reflection leaves positions inside the workspace untouched;
+    ``p[s] = p[s-1] + v[s] * dt``, the positions by one ``np.add.accumulate``
+    or, on rows of at least ``_ROW_SUM_WIDTH`` values, row by row (the same
+    order).  It is then checked in whole-array operations, with one
+    ``cell_index`` call over all its rows: an object's row s passes if it
+    lies inside the workspace and, unless it is the recurrence's last row,
+    in the object's starting cell; NaN fails.  Before an object's first
+    failing row r, it computed what the per-substep loop (look the cell up,
+    step, fold at the walls) computes, because that loop would gather the
+    same ``g`` and its fold leaves positions inside the workspace untouched;
     numpy's elementwise IEEE operations do not depend on the other elements.
-    So row r is reflected, as the loop reflects it, and the next recurrence
-    starts from there with the cells looked up again, computing at most
-    ``max(2r, _RESTART_ROWS)`` rows.  A quiet call runs one recurrence and
-    no reflection.  A recurrence records at most ``_HELD_BLOCK``
-    object-substeps; a longer call continues from the last row as from an
-    event.  The result is bit-for-bit the per-substep loop's.  The cells
-    returned are the last check's last row, or are looked up once more if
-    the call ended on a reflected row, or ran no substep without ``cells``.
+    So every object that passed keeps the recurrence's last row, and a
+    failing object is right up to its row r before the fold.
+
+    If the failing objects owe at most ``_SCALAR_STEPS`` substeps in all to
+    the last row, ``_finish`` completes each from its row r one substep at a
+    time in Python floats: fold, then look the cell up, step and fold.  If
+    they owe more, the recurrence restarts from the earliest failing row r
+    for every object: the objects outside the workspace there are folded,
+    the cells looked up again, and the next recurrence computes at most
+    ``max(2r, _RESTART_ROWS)`` rows, so a call's rows and scalar substeps
+    stay linear in its substeps.  A recurrence records at most
+    ``_HELD_BLOCK`` object-substeps; a longer call continues from its last
+    row.  The result is bit-for-bit the per-substep loop's.  The cells
+    returned are those of the last recurrence's last row, from its check or
+    from ``_finish``, or are looked up when the call ran no substep without
+    ``cells``.
     """
     keep = 1.0 - friction * dt
     size, last, ext = cfg.axes
@@ -150,8 +172,8 @@ def advance(
     p = np.empty((block + 1, 2, x.size))  # positions, row s after s substeps
     v = np.empty((block + 1, 2, x.size))  # velocities, likewise
     a = np.empty((2, x.size))  # each object's acceleration times dt
-    p[0] = x, y
-    v[0] = vx, vy
+    p[0, 0], p[0, 1] = x, y
+    v[0, 0], v[0, 1] = vx, vy
     c = cells  # the cells of p[0], or None until they are looked up
     r, k = 0, block  # the row the last recurrence stopped at, and its rows
     while substeps:
@@ -171,48 +193,75 @@ def advance(
             np.multiply(prev, keep, out=cur)
             cur += a
         np.multiply(vk[1:], dt, out=pk[1:])
-        np.add.accumulate(pk, axis=0, out=pk)  # p[s] = p[s-1] + v[s] * dt, in order
+        if 2 * x.size < _ROW_SUM_WIDTH:
+            np.add.accumulate(pk, axis=0, out=pk)  # p[s] = p[s-1] + v[s] * dt, in order
+        else:
+            rows = list(pk)
+            for prev, cur in zip(rows, rows[1:]):
+                cur += prev
 
         # ok[s - 1]: row s is inside the workspace and, unless it is the
         # last, still in the starting cell.
         row_cells = cell_index(pk[1:], size, last)
         ok = (pk[1:] >= 0.0) & (pk[1:] <= ext)
         ok[:-1] &= row_cells[:-1] == c
-        if ok.all():
-            r, c = k, row_cells[-1]
-        else:
-            r = int(np.argmin(ok.all(axis=(1, 2)))) + 1
-            _reflect(p[r, 0], v[r, 0], cfg.width)
-            _reflect(p[r, 1], v[r, 1], cfg.length)
-            c = None
+        r, c = k, row_cells[-1]
+        if not ok.all():
+            bad = ~ok.all(axis=1)  # (rows, N)
+            failed = np.flatnonzero(bad.any(axis=0))
+            first = bad[:, failed].argmax(axis=0) + 1  # each one's first failing row
+            if k * failed.size - int(first.sum()) <= _SCALAR_STEPS:
+                for i, s in zip(failed.tolist(), first.tolist()):
+                    p[k, :, i], v[k, :, i], c[:, i] = _finish(
+                        *p[s, :, i].tolist(), *v[s, :, i].tolist(), k - s,
+                        gx_cell, gy_cell, cfg, keep, dt)
+            else:
+                r, c = int(first.min()), None
+                outside = ((p[r] < 0.0) | (p[r] > ext)).any(axis=0)
+                for i in np.flatnonzero(outside).tolist():
+                    for axis, hi in enumerate((cfg.width, cfg.length)):
+                        p[r, axis, i], v[r, axis, i] = _fold(p[r, axis, i], v[r, axis, i], hi)
         substeps -= r
-    x[:], y[:] = p[r]
-    vx[:], vy[:] = v[r]
+    x[:], y[:] = p[r, 0], p[r, 1]
+    vx[:], vy[:] = v[r, 0], v[r, 1]
     return cell_index(p[r], size, last) if c is None else c
 
 
-def _reflect(pos: np.ndarray, vel: np.ndarray, hi: float) -> None:
-    lo, top = pos.min(), pos.max()
-    if lo >= 0.0 and top <= hi:
-        return  # nothing reached a wall this substep
-    if lo < -hi or top > 2.0 * hi:
-        # Overshoots beyond one extent fold in closed form: a position k
-        # extents past 0 has bounced |k| times, so odd k mirrors it and
-        # reverses its velocity.
-        far = (pos < -hi) | (pos > 2.0 * hi)
-        k = np.floor(pos[far] / hi)
-        r = pos[far] - k * hi
-        odd = k % 2 != 0
-        pos[far] = np.where(odd, hi - r, r)
-        vel[far] = np.where(odd, -vel[far], vel[far])
-    below = pos < 0.0
-    if below.any():
-        pos[below] = -pos[below]
-        vel[below] = -vel[below]
-    above = pos > hi
-    if above.any():
-        pos[above] = 2.0 * hi - pos[above]
-        vel[above] = -vel[above]
+def _finish(
+    x: float, y: float, vx: float, vy: float, steps: int, gx_cell: np.ndarray,
+    gy_cell: np.ndarray, cfg: SurfaceConfig, keep: float, dt: float,
+) -> tuple[tuple[float, float], tuple[float, float], tuple[int, int]]:
+    """One object's state (x, y, vx, vy) at a row where it left its held
+    cell or the workspace, folded at the walls and taken ``steps`` substeps
+    further as the per-substep loop takes it, in Python floats: look the cell
+    up, step, fold.  Returns its ((x, y), (vx, vy), (column, row))."""
+    width, length, last_col, last_row = cfg.width, cfg.length, cfg.n - 1, cfg.m - 1
+    x, vx = _fold(x, vx, width)
+    y, vy = _fold(y, vy, length)
+    for _ in range(steps):
+        i, j = min(math.floor(x / cfg.W), last_col), min(math.floor(y / cfg.L), last_row)
+        vx = vx * keep + gx_cell.item(i, j) * dt
+        vy = vy * keep + gy_cell.item(i, j) * dt
+        x, vx = _fold(x + vx * dt, vx, width)
+        y, vy = _fold(y + vy * dt, vy, length)
+    return (x, y), (vx, vy), (min(math.floor(x / cfg.W), last_col), min(math.floor(y / cfg.L), last_row))
+
+
+def _fold(pos: float, vel: float, hi: float) -> tuple[float, float]:
+    """One coordinate and its velocity reflected elastically into [0, hi].
+    An overshoot beyond one extent folds in closed form: a position k
+    extents past 0 has bounced |k| times, so odd k mirrors it and reverses
+    its velocity."""
+    if pos < -hi or pos > 2.0 * hi:
+        k = math.floor(pos / hi)
+        pos -= k * hi
+        if k % 2:
+            pos, vel = hi - pos, -vel
+    if pos < 0.0:
+        return -pos, -vel
+    if pos > hi:
+        return 2.0 * hi - pos, -vel
+    return pos, vel
 
 
 def first_order_lag(z, z_com, tau: float, dt: float):

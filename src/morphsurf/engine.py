@@ -64,7 +64,7 @@ MAX_SUBSTEPS = 10**6
 
 # Most cells (of the smaller of W and L) an object may cross in one physics
 # step.  Positions then stay far below 2**52 workspace extents, past which
-# the wall fold of dynamics._reflect is no longer exact, and the cell
+# the wall fold of dynamics._fold is no longer exact, and the cell
 # indices of a held-cell recurrence far inside the integers.
 STEP_CELLS = 2.0**40
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterator
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
@@ -198,33 +199,37 @@ def scenario_echo(sc: Scenario) -> dict:
     return doc
 
 
-def trace_header(n_objects: int, n: int, m: int) -> list[str]:
-    cols = ["t"]
+def trace_header(n_objects: int, n: int, m: int) -> Iterator[str]:
+    """The column names of a trace CSV, in order, one at a time."""
+    yield "t"
     for k in range(1, n_objects + 1):
-        cols += [f"obj{k}.x", f"obj{k}.y", f"obj{k}.vx", f"obj{k}.vy"]
-    cols += [f"dz1[{i}]" for i in range(1, n + 1)]
-    cols += [f"dz2[{j}]" for j in range(1, m + 1)]
-    cols += [f"za_i[{i}]" for i in range(1, n + 2)]
-    cols += [f"za_j[{j}]" for j in range(1, m + 2)]
-    return cols
+        yield from (f"obj{k}.x", f"obj{k}.y", f"obj{k}.vx", f"obj{k}.vy")
+    yield from (f"dz1[{i}]" for i in range(1, n + 1))
+    yield from (f"dz2[{j}]" for j in range(1, m + 1))
+    yield from (f"za_i[{i}]" for i in range(1, n + 2))
+    yield from (f"za_j[{j}]" for j in range(1, m + 2))
 
 
 def write_trace_csv(trace: SimTrace, path: str | Path) -> None:
     """One row per tick: the SimTrace fields in order, states flattened.
 
-    The rows are gathered and formatted in blocks of at most _CSV_FLOATS
-    values (one row if a row holds more), so no copy of the whole trace is
-    made, however many objects it has.
+    The header is written one name at a time, and the rows are gathered and
+    formatted in blocks of at most _CSV_FLOATS values (one row if a row holds
+    more), so no copy of the whole trace or list of its columns is made,
+    however many objects it has.
     """
     rows = len(trace.t)
     fields = (trace.t[:, None], trace.states.reshape(rows, -1), trace.dz_col, trace.dz_row,
               trace.col_heights, trace.row_heights)
-    header = trace_header(trace.n_objects, trace.dz_col.shape[1], trace.dz_row.shape[1])
-    line = ",".join([FLOAT_FMT] * len(header)) + "\n"
-    span = max(1, _CSV_FLOATS // len(header))
-    table = np.empty((min(rows, span), len(header)))
+    width = sum(f.shape[1] for f in fields)
+    line = (FLOAT_FMT + ",") * (width - 1) + FLOAT_FMT + "\n"
+    span = max(1, _CSV_FLOATS // width)
+    table = np.empty((min(rows, span), width))
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+        names = trace_header(trace.n_objects, trace.dz_col.shape[1], trace.dz_row.shape[1])
+        fh.write(next(names))
+        fh.writelines("," + name for name in names)
+        fh.write("\n")
         for lo in range(0, rows, span):
             block = table[: min(span, rows - lo)]
             np.concatenate([f[lo : lo + span] for f in fields], axis=1, out=block)
@@ -239,7 +244,7 @@ def read_trace_csv(path: str | Path) -> SimTrace:
         header = fh.readline().strip().split(",")
         rows = [line.split(",") for line in fh if line.strip()]
     obj_cols, n, m = (sum(c.startswith(key) for c in header) for key in ("obj", "dz1[", "dz2["))
-    if header != trace_header(obj_cols // 4, n, m):
+    if header != list(trace_header(obj_cols // 4, n, m)):
         raise ScenarioError(f"{path}: the header is not a trace header")
     if not obj_cols:
         raise ScenarioError(f"{path}: the header names no object")

@@ -489,9 +489,10 @@ def csv_peak_bound(width):
     values: under 96 bytes for each value of a block of at most
     max(_CSV_FLOATS, width) values (its floats as a list and a tuple of
     Python floats, 40 bytes each, its table, repeated format string and
-    text, at most 24 characters a float), 128 bytes a column for the header
-    and the line format, plus the file's buffers."""
-    return 96 * max(sio._CSV_FLOATS, width) + 128 * width + (1 << 15)
+    text, at most 24 characters a float), 8 bytes a column for the line
+    format (6 characters a column; the header is written one name at a
+    time), plus the file's buffers."""
+    return 96 * max(sio._CSV_FLOATS, width) + 8 * width + (1 << 15)
 
 
 class TestTraceCsv:
@@ -513,7 +514,7 @@ class TestTraceCsv:
         for trial in range(30):
             rows, objects, n, m = (int(rng.integers(1, k)) for k in (40, 6, 5, 5))
             trace = random_trace(rng, rows, objects, n, m)
-            width = len(sio.trace_header(objects, n, m))
+            width = len(list(sio.trace_header(objects, n, m)))
             monkeypatch.setattr(sio, "_CSV_FLOATS", block * width + trial % width)
             sio.write_trace_csv(trace, tmp_path / "got.csv")
             write_trace_csv_reference(trace, tmp_path / "want.csv")
@@ -530,7 +531,7 @@ class TestTraceCsv:
         # and 165 rows, 0.66, 0.74 and 1.1 MB.
         for objects, n, floats in ((1, 1, 1 << 10), (20, 12, 1 << 10), (200, 12, 1 << 9)):
             monkeypatch.setattr(sio, "_CSV_FLOATS", floats)
-            width = len(sio.trace_header(objects, n, n))
+            width = len(list(sio.trace_header(objects, n, n)))
             rows = 5 * csv_peak_bound(width) // (8 * width) + 1
             rng = np.random.default_rng(floats + objects)
             shapes = ((), (objects, 4), (n,), (n,), (n + 1,), (n + 1,))
@@ -546,6 +547,29 @@ class TestTraceCsv:
             assert peak <= csv_peak_bound(width), (objects, floats)
             write_trace_csv_reference(trace, tmp_path / "want.csv")
             assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+    def test_a_wide_header_is_written_one_name_at_a_time(self, tmp_path):
+        # 2000 objects, 8051 columns, in one-row blocks under the shipped
+        # _CSV_FLOATS: a list of the column names and their join took about
+        # 136 bytes a column (1.10 MB in all), which csv_peak_bound refuses.
+        objects, n, rows = 2000, 12, 3
+        width = len(list(sio.trace_header(objects, n, n)))
+        assert sio._CSV_FLOATS // width == 1  # one row a block
+        rng = np.random.default_rng(2000)
+        shapes = ((), (objects, 4), (n,), (n,), (n + 1,), (n + 1,))
+        trace = SimTrace(*(rng.uniform(0.0, 2.0, (rows, *shape)) for shape in shapes))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            sio.write_trace_csv(trace, tmp_path / "got.csv")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= csv_peak_bound(width) < 136 * width
+        write_trace_csv_reference(trace, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestCompareCommand:

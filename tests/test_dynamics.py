@@ -394,35 +394,57 @@ class TestHeldCellRecurrence:
         x, y = np.array([0.35, 1.05, 2.45]), np.array([0.65, 1.95, 3.25])  # cell centres
         zero = np.zeros(3)
         assert_bitwise((x, y, zero, zero), gx, gy, cfg, 0.1, 0.01, 10)
-        assert events == {"recurrences": 1, "reflections": 0}
+        assert events == {"recurrences": 1, "lookups": 1, "tails": []}
 
-    def test_restarts_at_each_crossing(self, events):
+    def test_finishes_each_crossing_alone(self, events):
         # One object crosses into the next column in substep 3, the other
-        # in substep 7: three recurrences, each restart reflecting one row.
+        # in substep 7: one recurrence, then 7 and 3 substeps in scalar code,
+        # and no other object is computed again.
         cfg = self.CFG
         zero = np.zeros((cfg.n, cfg.m))
         dt, v = 0.01, 0.5
-        x = np.array([cfg.W - 2.5 * v * dt, 2 * cfg.W - 6.5 * v * dt])
-        y = np.array([0.6, 0.6])
-        assert_bitwise((x, y, [v, v], [0.0, 0.0]), zero, zero, cfg, 0.0, dt, 10)
-        assert events == {"recurrences": 3, "reflections": 4}
+        x = np.array([cfg.W - 2.5 * v * dt, 2 * cfg.W - 6.5 * v * dt, 0.35])
+        y = np.array([0.6, 0.6, 0.6])
+        assert_bitwise((x, y, [v, v, 0.0], [0.0, 0.0, 0.0]), zero, zero, cfg, 0.0, dt, 10)
+        assert events == {"recurrences": 1, "lookups": 1, "tails": [7, 3]}
+
+    def test_restarts_when_the_crossings_owe_more_than_the_budget(self, events):
+        # Five objects cross in substep 2 of 10 and owe 8 substeps each, 40
+        # in all: the recurrence restarts from row 2 with the cells looked up
+        # again, and the second one passes.
+        cfg = self.CFG
+        zero = np.zeros((cfg.n, cfg.m))
+        dt, v = 0.01, 0.5
+        x = np.array([1, 2, 3, 1, 2]) * cfg.W - 1.5 * v * dt
+        y = np.array([0.6, 0.6, 0.6, 1.9, 1.9])
+        assert 5 * 8 > dynamics._SCALAR_STEPS
+        assert_bitwise((x, y, [v] * 5, [0.0] * 5), zero, zero, cfg, 0.0, dt, 10)
+        assert events == {"recurrences": 2, "lookups": 2, "tails": []}
 
     def test_held_against_the_walls(self, events):
         # The corner cell slopes into both walls, so the object at rest in
-        # its corner bounces off them on every other substep.
+        # its corner bounces off them on every other substep.  It leaves the
+        # workspace in substep 1 and is finished alone from there.
         cfg = self.CFG
         gx, gy = np.zeros((cfg.n, cfg.m)), np.zeros((cfg.n, cfg.m))
         gx[0, -1], gy[0, -1] = -5.0, 5.0
         assert_bitwise(([0.0], [cfg.length], [0.0], [0.0]), gx, gy, cfg, 0.1, 0.01, 20)
-        assert events == {"recurrences": 11, "reflections": 20}
+        assert events == {"recurrences": 1, "lookups": 1, "tails": [19]}
 
     @pytest.mark.parametrize("friction", [0.0, 0.1])
-    def test_back_and_forth_across_a_boundary(self, events, friction):
+    @pytest.mark.parametrize("substeps, counts", [
+        # it leaves its starting cell in substep 1 and owes the rest
+        (20, {"recurrences": 1, "lookups": 1, "tails": [19]}),
+        # owing 59, it restarts from row 1; then recurrences of 16, 32 and
+        # the last 11 rows each leave it in their row 2
+        (60, {"recurrences": 4, "lookups": 2, "tails": [14, 30, 9]}),
+    ])
+    def test_back_and_forth_across_a_boundary(self, events, friction, substeps, counts):
         cfg = self.CFG
         gx, gy = np.zeros((cfg.n, cfg.m)), np.zeros((cfg.n, cfg.m))
         gx[0], gx[1] = 1.0, -1.0  # both columns slope toward x = W
-        assert_bitwise(([cfg.W], [0.6], [0.0], [0.0]), gx, gy, cfg, friction, 0.01, 20)
-        assert events["recurrences"] >= 10
+        assert_bitwise(([cfg.W], [0.6], [0.0], [0.0]), gx, gy, cfg, friction, 0.01, substeps)
+        assert events == counts
 
     def test_no_substeps_change_nothing(self):
         cfg = self.CFG
@@ -459,30 +481,52 @@ class TestHeldCellRecurrence:
             patch.setattr(dynamics, "_HELD_BLOCK", 8)
             assert_bitwise(*random_case(data))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.booleans())
+    def test_crowds_of_fast_objects(self, data, short):
+        # Rows of at least 128 values, summed row by row, and failing sets
+        # that owe more than the scalar budget as well as less; with short
+        # recurrences every recurrence is one row.
+        with pytest.MonkeyPatch.context() as patch:
+            if short:
+                patch.setattr(dynamics, "_HELD_BLOCK", 8)
+            assert_bitwise(*crowd_case(data))
+
 
 class TestRestartRows:
     """After an event at row r, advance's next recurrence computes at most
-    max(2r, 16) rows, so a call's rows stay linear in its substeps."""
+    max(2r, 16) rows, and a failing recurrence finishes at most
+    _SCALAR_STEPS substeps in scalar code, so a call's cost stays linear in
+    its substeps."""
 
     CELL = SurfaceConfig(n=1, m=1, W=2.0, L=2.0, stroke=1.0, ref_col=1, ref_row=1)
 
     def test_an_event_on_every_substep(self, monkeypatch):
         # At 3e5 m/s the object crosses the 2 m cell 150 times a substep.
         # Rows are counted as advance looks them up: a recurrence's check
-        # one row per row it computed, the cells after a reflected row one.
-        rows, lookup = [0], dynamics.cell_index
+        # one row per row it computed, the cells after a restart one; the
+        # scalar substeps per recurrence as _finish is handed them.
+        rows, scalar, lookup, finish = [0], [], dynamics.cell_index, dynamics._finish
 
         def counted(pos, *args):
             rows[0] += pos.size // 2  # a row holds x and y of the one object
+            if pos.ndim == 3:
+                scalar.append(0)  # a new recurrence
             return lookup(pos, *args)
 
+        def finished(*args):
+            scalar[-1] += args[4]
+            return finish(*args)
+
         monkeypatch.setattr(dynamics, "cell_index", counted)
+        monkeypatch.setattr(dynamics, "_finish", finished)
         zero = np.zeros((1, 1))
         state = [np.array([v]) for v in (1.0, 1.0, 3e5, 0.0)]
         start = time.perf_counter()
         advance(*state, zero, zero, self.CELL, 0.1, 1e-3, 4000)
         assert time.perf_counter() - start < 2.0
         assert rows[0] <= 32 * 4000  # a full block per restart is about 4000**2 / 2
+        assert max(scalar) <= dynamics._SCALAR_STEPS
 
     @pytest.mark.parametrize("speed", [3e5, 30.0, 0.9])
     def test_long_ticks_match_the_loop(self, speed):
@@ -529,47 +573,54 @@ class TestCellsLeft:
     @pytest.mark.parametrize("k", [9, 10])
     def test_a_wall_hit_in_the_last_substep(self, monkeypatch, k):
         # The object reaches the far wall halfway through substep k of 10.
-        # With k = 9 a second recurrence restarts from the reflected row and
-        # looks its cells up; with k = 10 the call ends on the reflected row
-        # and looks them up once after it.
+        # One recurrence leaves it outside from row k on, and _finish folds
+        # it back and takes it through the 10 - k substeps left, so its
+        # cells come from _finish, not from a lookup.
         seen = Counter()  # cell_index calls by the dimensions of the positions
-        lookup = dynamics.cell_index
+        tails = []
+        lookup, finish = dynamics.cell_index, dynamics._finish
 
         def spy(pos, *args):
             seen[pos.ndim] += 1
             return lookup(pos, *args)
 
+        def spy_finish(*args):
+            tails.append(args[4])
+            return finish(*args)
+
         monkeypatch.setattr(dynamics, "cell_index", spy)
+        monkeypatch.setattr(dynamics, "_finish", spy_finish)
         cfg = TestHeldCellRecurrence.CFG
         zero = np.zeros((cfg.n, cfg.m))
         dt, v = 0.01, 0.5
         state = ([cfg.width - (k - 0.5) * v * dt], [0.6], [v], [0.0])
         self.check(state, zero, zero, cfg, 0.0, dt, 10)
-        # two advance calls, the second handed its starting cells: each
-        # makes one lookup after its reflected row, the first one more
-        # for its starting cells
-        recurrences = 2 if k == 9 else 1
-        assert (seen[2], seen[3]) == (3, 2 * recurrences)  # one row, a check's rows
+        # two advance calls of one recurrence each, the second handed its
+        # starting cells: only the first looks up a row, its starting cells
+        assert (seen[2], seen[3]) == (1, 2)  # one row, a check's rows
+        assert tails == [10 - k] * 2
 
 
 @pytest.fixture
 def events(monkeypatch):
     """Counts what advance does: its recurrences (each checks its rows with
-    one cell_index call) and its _reflect calls (two for each reflected
-    row)."""
-    seen = {"recurrences": 0, "reflections": 0}
-    lookup, reflect = dynamics.cell_index, dynamics._reflect
+    one cell_index call), its lookups of one row's cells (the starting cells
+    when it is not handed them, and after each restart) and, per _finish
+    call, the substeps that call takes one object in scalar code."""
+    seen = {"recurrences": 0, "lookups": 0, "tails": []}
+    lookup, finish = dynamics.cell_index, dynamics._finish
 
     def spy_lookup(pos, *args):
         seen["recurrences"] += pos.ndim == 3  # the check passes (rows, 2, N)
+        seen["lookups"] += pos.ndim == 2  # one row, (2, N)
         return lookup(pos, *args)
 
-    def spy_reflect(*args):
-        seen["reflections"] += 1
-        reflect(*args)
+    def spy_finish(*args):
+        seen["tails"].append(args[4])  # its steps
+        return finish(*args)
 
     monkeypatch.setattr(dynamics, "cell_index", spy_lookup)
-    monkeypatch.setattr(dynamics, "_reflect", spy_reflect)
+    monkeypatch.setattr(dynamics, "_finish", spy_finish)
     return seen
 
 
@@ -597,6 +648,24 @@ def random_case(data):
     dt = data.draw(st.sampled_from([1e-3, 0.01, 0.1]), label="dt")
     substeps = data.draw(st.integers(1, 12), label="substeps")
     return (x, y, vx, vy), gx.reshape(n, m), gy.reshape(n, m), cfg, friction, dt, substeps
+
+
+def crowd_case(data):
+    """random_case with 64-300 objects in all, the added ones drawn by numpy
+    from a drawn seed, a fifth of their coordinates on cell edges, at speeds
+    up to a drawn bound of 0.5 m/s to 1e12 m/s."""
+    (x, y, vx, vy), gx, gy, cfg, friction, dt, substeps = random_case(data)
+    more = data.draw(st.integers(64, 300), label="objects") - len(x)
+    bound = data.draw(st.sampled_from([0.5, 30.0, 1e3, 1e12]), label="speed")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    def coordinate(cell, cells):
+        edges = rng.integers(0, cells + 1, more) * cell
+        return np.where(rng.random(more) < 0.2, edges, rng.uniform(0.0, cells * cell, more))
+
+    x, y = np.append(x, coordinate(cfg.W, cfg.n)), np.append(y, coordinate(cfg.L, cfg.m))
+    vx, vy = (np.append(v, rng.uniform(-bound, bound, more)) for v in (vx, vy))
+    return (x, y, vx, vy), gx, gy, cfg, friction, dt, substeps
 
 
 def gathered_cells(x, y, cfg):

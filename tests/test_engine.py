@@ -547,30 +547,35 @@ class TestOneLookupPerTick:
     def test_paper_s5x6_wave(self, monkeypatch):
         occupancy = count_calls(monkeypatch, control.occupancy_sets)
         advances = count_calls(monkeypatch, dynamics.advance, Counter)
-        lookup, reflect = dynamics.cell_index, dynamics._reflect
+        lookup, finish = dynamics.cell_index, dynamics._finish
 
         def spy_lookup(pos, *args):
             # inside advance: a check of a recurrence's rows, or one row
             if advances and pos.ndim == 3:
                 advances[-1]["checks"] += 1
-                advances[-1]["reflected"] = 0
             elif advances and pos.ndim == 2:
                 advances[-1]["lookups"] += 1
             return lookup(pos, *args)
 
-        def spy_reflect(*args):
-            advances[-1]["reflected"] = 1  # until the next check
-            reflect(*args)
+        def spy_finish(*args):
+            advances[-1]["tails"] += 1
+            advances[-1]["scalar"] += args[4]  # its substeps
+            return finish(*args)
 
         monkeypatch.setattr(dynamics, "cell_index", spy_lookup)
-        monkeypatch.setattr(dynamics, "_reflect", spy_reflect)
+        monkeypatch.setattr(dynamics, "_finish", spy_finish)
         run(load_scenario(SCENARIOS / "paper-s5x6.json", mode="wave"))
         assert occupancy == []  # every command is handed the cells
-        # Each call is handed its starting cells: a recurrence looks them up
-        # only after a reflected row, and a call that ends on one once more.
-        for call in advances:
-            assert call["lookups"] <= call["checks"] - 1 + call["reflected"]
-        assert any(call["checks"] > 1 for call in advances)  # some calls restart
+        # Each call is handed its starting cells and looks them up only
+        # after a restart, which is followed by another recurrence.  At most
+        # 20 objects owe at most 9 substeps each in a tick of 10, and here no
+        # tick's failing objects owe more than _SCALAR_STEPS: every call
+        # runs one recurrence, and 63 of them finish 68 objects alone over
+        # 367 substeps in all (counts of the trace the goldens pin).
+        assert all(call["lookups"] == call["checks"] - 1 == 0 for call in advances)
+        total = sum(advances, Counter())
+        assert (total["tails"], total["scalar"]) == (68, 367)
+        assert sum(call["tails"] > 0 for call in advances) == 63
 
 
 class TestReferenceSchedule:

@@ -41,13 +41,18 @@ def zigzag(objects: int) -> np.ndarray:
 
 def test_add_accumulate_is_sequential():
     # np.add.accumulate adds in order; dynamics.advance forms the positions
-    # of a held-cell recurrence with it, p[s] = p[s-1] + v[s] * dt
+    # of a held-cell recurrence with it, p[s] = p[s-1] + v[s] * dt, or on
+    # wide rows with one addition per row in the same order
     assert np.add.accumulate(np.array(ADDENDS))[-1] == 1.0
     # with no force and no friction each of 15 substeps of 0.5 s adds 2**-53
     x, y, vx, vy = np.array([1.0]), np.array([1.0]), np.array([2 * TINY]), np.zeros(1)
     zero = np.zeros((1, 1))
     advance(x, y, vx, vy, zero, zero, CELL, friction=0.0, dt=0.5, substeps=15)
     assert x.tolist() == [1.0]
+    # on rows of 128 values or more advance adds the rows one after another
+    x, y, vx, vy = np.ones(64), np.ones(64), np.full(64, 2 * TINY), np.zeros(64)
+    advance(x, y, vx, vy, zero, zero, CELL, friction=0.0, dt=0.5, substeps=15)
+    assert x.tolist() == [1.0] * 64
     # compute_metrics adds each object's steps to its running path length
     # with it, down a column of a (steps, objects) block, for one object as
     # for several
