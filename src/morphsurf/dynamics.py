@@ -17,13 +17,12 @@ The field is held fixed over the substeps of a control tick, and an object
 rarely leaves its cell or reaches a wall within one tick.  So ``advance``
 runs a tick as one array recurrence with each object's acceleration taken
 from its starting cell, and checks afterwards that no object left that cell
-or the workspace.  An event costs only the objects that had it: if they owe
-at most ``_SCALAR_STEPS`` substeps in all, each is finished alone from its
-first failing row, one substep at a time in Python floats, since a
-recurrence costs about 30 us of numpy calls even over one object and a
-scalar substep under 1 us.  Otherwise the recurrence restarts from the
-earliest failing row for every object, so crowded or very fast calls stay
-vectorized and linear in their substeps.  Rows of at least
+or the workspace.  An event costs only the objects that had it: each is
+finished alone from its first failing row, one substep at a time in Python
+floats, since a recurrence costs about 30 us of numpy calls even over one
+object and a scalar substep under 1 us.  Each object-substep is computed at
+most once in the recurrence and at most once in scalar code, so a call's
+cost stays linear in its substeps whatever its events.  Rows of at least
 ``_ROW_SUM_WIDTH`` values are summed into positions row by row: over the
 11 rows of a 10-substep tick that takes about 5.6 us at 200 objects, where
 one ``np.add.accumulate`` takes 16.5, and 5.3 us at 20, where it takes
@@ -84,14 +83,8 @@ class PhysicsParams:
 
 
 # Most object-substeps one held-cell recurrence records; a longer call runs
-# several, each starting from freshly looked-up cells.
+# several, each starting from the last row of the one before.
 _HELD_BLOCK = 1 << 15
-# A recurrence after an event at row r computes at most max(2r, _RESTART_ROWS)
-# rows, so the rows of a call stay linear in its substeps whatever its events.
-_RESTART_ROWS = 16
-# Most substeps a failing recurrence finishes one object at a time; the
-# objects that failed it owing more restart it from the first failing row.
-_SCALAR_STEPS = 32
 # Rows of at least this many values are summed into positions row by row,
 # narrower ones by one np.add.accumulate; both add in the same order.
 _ROW_SUM_WIDTH = 128
@@ -152,19 +145,16 @@ def advance(
     So every object that passed keeps the recurrence's last row, and a
     failing object is right up to its row r before the fold.
 
-    If the failing objects owe at most ``_SCALAR_STEPS`` substeps in all to
-    the last row, ``_finish`` completes each from its row r one substep at a
-    time in Python floats: fold, then look the cell up, step and fold.  If
-    they owe more, the recurrence restarts from the earliest failing row r
-    for every object: the objects outside the workspace there are folded,
-    the cells looked up again, and the next recurrence computes at most
-    ``max(2r, _RESTART_ROWS)`` rows, so a call's rows and scalar substeps
-    stay linear in its substeps.  A recurrence records at most
+    ``_finish`` then completes each failing object from its row r to the
+    recurrence's last row one substep at a time in Python floats: fold, then
+    look the cell up, step and fold.  A call's scalar substeps are at most
+    its objects times its substeps.  A recurrence records at most
     ``_HELD_BLOCK`` object-substeps; a longer call continues from its last
-    row.  The result is bit-for-bit the per-substep loop's.  The cells
-    returned are those of the last recurrence's last row, from its check or
-    from ``_finish``, or are looked up when the call ran no substep without
-    ``cells``.
+    row.  The result is bit-for-bit the per-substep loop's.  The starting
+    cells are looked up once, at the start, when ``cells`` is not given;
+    the cells returned are those of the last recurrence's last row, from its
+    check or from ``_finish``, or the starting cells when the call ran no
+    substep.
     """
     keep = 1.0 - friction * dt
     size, last, ext = cfg.axes
@@ -174,16 +164,13 @@ def advance(
     a = np.empty((2, x.size))  # each object's acceleration times dt
     p[0, 0], p[0, 1] = x, y
     v[0, 0], v[0, 1] = vx, vy
-    c = cells  # the cells of p[0], or None until they are looked up
-    r, k = 0, block  # the row the last recurrence stopped at, and its rows
+    c = cell_index(p[0], size, last) if cells is None else cells  # the cells of p[0]
+    k = 0  # the rows of the last recurrence
     while substeps:
-        if r:
-            p[0], v[0] = p[r], v[r]
-            k = max(2 * r, _RESTART_ROWS)
-        k = min(substeps, block, k)
+        if k:
+            p[0], v[0] = p[k], v[k]
+        k = min(substeps, block)
         pk, vk = p[:k + 1], v[:k + 1]
-        if c is None:
-            c = cell_index(pk[0], size, last)
         flat = c[0] * cfg.m + c[1]
         gx_cell.take(flat, out=a[0])
         gy_cell.take(flat, out=a[1])
@@ -205,26 +192,19 @@ def advance(
         row_cells = cell_index(pk[1:], size, last)
         ok = (pk[1:] >= 0.0) & (pk[1:] <= ext)
         ok[:-1] &= row_cells[:-1] == c
-        r, c = k, row_cells[-1]
+        c = row_cells[-1]
         if not ok.all():
             bad = ~ok.all(axis=1)  # (rows, N)
             failed = np.flatnonzero(bad.any(axis=0))
             first = bad[:, failed].argmax(axis=0) + 1  # each one's first failing row
-            if k * failed.size - int(first.sum()) <= _SCALAR_STEPS:
-                for i, s in zip(failed.tolist(), first.tolist()):
-                    p[k, :, i], v[k, :, i], c[:, i] = _finish(
-                        *p[s, :, i].tolist(), *v[s, :, i].tolist(), k - s,
-                        gx_cell, gy_cell, cfg, keep, dt)
-            else:
-                r, c = int(first.min()), None
-                outside = ((p[r] < 0.0) | (p[r] > ext)).any(axis=0)
-                for i in np.flatnonzero(outside).tolist():
-                    for axis, hi in enumerate((cfg.width, cfg.length)):
-                        p[r, axis, i], v[r, axis, i] = _fold(p[r, axis, i], v[r, axis, i], hi)
-        substeps -= r
-    x[:], y[:] = p[r, 0], p[r, 1]
-    vx[:], vy[:] = v[r, 0], v[r, 1]
-    return cell_index(p[r], size, last) if c is None else c
+            for i, s in zip(failed.tolist(), first.tolist()):
+                p[k, :, i], v[k, :, i], c[:, i] = _finish(
+                    *p[s, :, i].tolist(), *v[s, :, i].tolist(), k - s,
+                    gx_cell, gy_cell, cfg, keep, dt)
+        substeps -= k
+    x[:], y[:] = p[k, 0], p[k, 1]
+    vx[:], vy[:] = v[k, 0], v[k, 1]
+    return c
 
 
 def _finish(

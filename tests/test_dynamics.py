@@ -396,30 +396,28 @@ class TestHeldCellRecurrence:
         assert_bitwise((x, y, zero, zero), gx, gy, cfg, 0.1, 0.01, 10)
         assert events == {"recurrences": 1, "lookups": 1, "tails": []}
 
-    def test_finishes_each_crossing_alone(self, events):
+    @pytest.mark.parametrize("runs, counts", [
         # One object crosses into the next column in substep 3, the other
         # in substep 7: one recurrence, then 7 and 3 substeps in scalar code,
         # and no other object is computed again.
+        ([(1, 0.6, 2.5), (2, 0.6, 6.5)], {"recurrences": 1, "lookups": 1, "tails": [7, 3]}),
+        # Five objects cross in substep 2 and owe 8 substeps each: however
+        # many they owe in all, each is finished alone.
+        ([(col, row, 1.5) for col, row in [(1, 0.6), (2, 0.6), (3, 0.6), (1, 1.9), (2, 1.9)]],
+         {"recurrences": 1, "lookups": 1, "tails": [8] * 5}),
+    ])
+    def test_finishes_each_crossing_alone(self, events, runs, counts):
+        # Each object starts ``steps`` substeps' run short of the boundary
+        # x = col * W, so it crosses it halfway through a substep; an object
+        # at rest rides along in its cell centre.
         cfg = self.CFG
         zero = np.zeros((cfg.n, cfg.m))
         dt, v = 0.01, 0.5
-        x = np.array([cfg.W - 2.5 * v * dt, 2 * cfg.W - 6.5 * v * dt, 0.35])
-        y = np.array([0.6, 0.6, 0.6])
-        assert_bitwise((x, y, [v, v, 0.0], [0.0, 0.0, 0.0]), zero, zero, cfg, 0.0, dt, 10)
-        assert events == {"recurrences": 1, "lookups": 1, "tails": [7, 3]}
-
-    def test_restarts_when_the_crossings_owe_more_than_the_budget(self, events):
-        # Five objects cross in substep 2 of 10 and owe 8 substeps each, 40
-        # in all: the recurrence restarts from row 2 with the cells looked up
-        # again, and the second one passes.
-        cfg = self.CFG
-        zero = np.zeros((cfg.n, cfg.m))
-        dt, v = 0.01, 0.5
-        x = np.array([1, 2, 3, 1, 2]) * cfg.W - 1.5 * v * dt
-        y = np.array([0.6, 0.6, 0.6, 1.9, 1.9])
-        assert 5 * 8 > dynamics._SCALAR_STEPS
-        assert_bitwise((x, y, [v] * 5, [0.0] * 5), zero, zero, cfg, 0.0, dt, 10)
-        assert events == {"recurrences": 2, "lookups": 2, "tails": []}
+        x = np.array([col * cfg.W - steps * v * dt for col, _, steps in runs] + [0.35])
+        y = np.array([row for _, row, _ in runs] + [0.6])
+        vx, vy = [v] * len(runs) + [0.0], [0.0] * x.size
+        assert_bitwise((x, y, vx, vy), zero, zero, cfg, 0.0, dt, 10)
+        assert events == counts
 
     def test_held_against_the_walls(self, events):
         # The corner cell slopes into both walls, so the object at rest in
@@ -433,11 +431,10 @@ class TestHeldCellRecurrence:
 
     @pytest.mark.parametrize("friction", [0.0, 0.1])
     @pytest.mark.parametrize("substeps, counts", [
-        # it leaves its starting cell in substep 1 and owes the rest
+        # it leaves its starting cell in substep 1 and is finished alone
+        # through the rest, however many they are
         (20, {"recurrences": 1, "lookups": 1, "tails": [19]}),
-        # owing 59, it restarts from row 1; then recurrences of 16, 32 and
-        # the last 11 rows each leave it in their row 2
-        (60, {"recurrences": 4, "lookups": 2, "tails": [14, 30, 9]}),
+        (60, {"recurrences": 1, "lookups": 1, "tails": [59]}),
     ])
     def test_back_and_forth_across_a_boundary(self, events, friction, substeps, counts):
         cfg = self.CFG
@@ -475,8 +472,8 @@ class TestHeldCellRecurrence:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_random_grids_and_states_in_short_recurrences(self, data):
-        # At most 8 object-substeps per recurrence, so restarts land on the
-        # ends of recurrences too.
+        # At most 8 object-substeps per recurrence, so events land on the
+        # ends of recurrences and calls run several recurrences.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dynamics, "_HELD_BLOCK", 8)
             assert_bitwise(*random_case(data))
@@ -484,34 +481,35 @@ class TestHeldCellRecurrence:
     @settings(max_examples=100, deadline=None)
     @given(st.data(), st.booleans())
     def test_crowds_of_fast_objects(self, data, short):
-        # Rows of at least 128 values, summed row by row, and failing sets
-        # that owe more than the scalar budget as well as less; with short
-        # recurrences every recurrence is one row.
+        # Rows of at least 128 values, summed row by row, and many objects
+        # finished alone in one recurrence; with short recurrences every
+        # recurrence is one row.
         with pytest.MonkeyPatch.context() as patch:
             if short:
                 patch.setattr(dynamics, "_HELD_BLOCK", 8)
             assert_bitwise(*crowd_case(data))
 
 
-class TestRestartRows:
-    """After an event at row r, advance's next recurrence computes at most
-    max(2r, 16) rows, and a failing recurrence finishes at most
-    _SCALAR_STEPS substeps in scalar code, so a call's cost stays linear in
-    its substeps."""
+class TestLinearCost:
+    """advance computes each object-substep at most once in a recurrence and
+    at most once in scalar code: a call takes at most objects x substeps
+    scalar substeps, so its cost stays linear in its substeps whatever its
+    events."""
 
     CELL = SurfaceConfig(n=1, m=1, W=2.0, L=2.0, stroke=1.0, ref_col=1, ref_row=1)
 
     def test_an_event_on_every_substep(self, monkeypatch):
         # At 3e5 m/s the object crosses the 2 m cell 150 times a substep.
-        # Rows are counted as advance looks them up: a recurrence's check
-        # one row per row it computed, the cells after a restart one; the
-        # scalar substeps per recurrence as _finish is handed them.
-        rows, scalar, lookup, finish = [0], [], dynamics.cell_index, dynamics._finish
+        # Rows are counted per recurrence as its check looks them up, the
+        # scalar substeps per recurrence as _finish is handed them.  The one
+        # recurrence leaves the cell in its row 1, and _finish takes the
+        # object through the other 3999 substeps.
+        rows, scalar, lookup, finish = [], [], dynamics.cell_index, dynamics._finish
 
         def counted(pos, *args):
-            rows[0] += pos.size // 2  # a row holds x and y of the one object
-            if pos.ndim == 3:
-                scalar.append(0)  # a new recurrence
+            if pos.ndim == 3:  # a recurrence's check: (rows, 2, N)
+                rows.append(len(pos))
+                scalar.append(0)
             return lookup(pos, *args)
 
         def finished(*args):
@@ -525,13 +523,13 @@ class TestRestartRows:
         start = time.perf_counter()
         advance(*state, zero, zero, self.CELL, 0.1, 1e-3, 4000)
         assert time.perf_counter() - start < 2.0
-        assert rows[0] <= 32 * 4000  # a full block per restart is about 4000**2 / 2
-        assert max(scalar) <= dynamics._SCALAR_STEPS
+        assert rows == [4000]
+        assert scalar == [3999]
 
     @pytest.mark.parametrize("speed", [3e5, 30.0, 0.9])
     def test_long_ticks_match_the_loop(self, speed):
         # events on every substep, every few substeps and now and then, so
-        # recurrences are cut short, grow back and reach the end of the call
+        # objects are finished alone from early, middle and late rows
         cfg = TestHeldCellRecurrence.CFG
         gx, gy = ramp_field(cfg)
         x, y = np.array([0.1, 1.5, 2.7, 0.4]), np.array([1.0, 0.2, 3.8, 2.2])
@@ -604,8 +602,8 @@ class TestCellsLeft:
 @pytest.fixture
 def events(monkeypatch):
     """Counts what advance does: its recurrences (each checks its rows with
-    one cell_index call), its lookups of one row's cells (the starting cells
-    when it is not handed them, and after each restart) and, per _finish
+    one cell_index call), its lookups of one row's cells (the starting cells,
+    when it is not handed them) and, per _finish
     call, the substeps that call takes one object in scalar code."""
     seen = {"recurrences": 0, "lookups": 0, "tails": []}
     lookup, finish = dynamics.cell_index, dynamics._finish

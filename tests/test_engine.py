@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 from morphsurf import (
     ControlInput,
@@ -45,6 +45,7 @@ from conftest import (
     random_config,
     random_feasible_input,
     run_reference,
+    whole_runs,
     slope_field,
 )
 
@@ -566,12 +567,10 @@ class TestOneLookupPerTick:
         monkeypatch.setattr(dynamics, "_finish", spy_finish)
         run(load_scenario(SCENARIOS / "paper-s5x6.json", mode="wave"))
         assert occupancy == []  # every command is handed the cells
-        # Each call is handed its starting cells and looks them up only
-        # after a restart, which is followed by another recurrence.  At most
-        # 20 objects owe at most 9 substeps each in a tick of 10, and here no
-        # tick's failing objects owe more than _SCALAR_STEPS: every call
-        # runs one recurrence, and 63 of them finish 68 objects alone over
-        # 367 substeps in all (counts of the trace the goldens pin).
+        # Each call is handed its starting cells, so it looks up no row of
+        # its own, and a tick of 10 substeps is one recurrence for 20
+        # objects.  63 calls finish 68 objects alone over 367 substeps in
+        # all (counts of the trace the goldens pin).
         assert all(call["lookups"] == call["checks"] - 1 == 0 for call in advances)
         total = sum(advances, Counter())
         assert (total["tails"], total["scalar"]) == (68, 367)
@@ -781,56 +780,6 @@ class TestBatch:
         entries = batch([good])
         assert entries[0].error is None
         assert isinstance(entries[0], BatchEntry)
-
-
-@st.composite
-def whole_runs(draw):
-    """A scenario of 1x1 to 6x6 cells (1x1 in single_cell mode) in any mode,
-    with 1-40 objects: listed, moving and some on cell boundaries or walls,
-    seeded at rest, or at rest in the reference cell.  Gravity, friction,
-    actuator lag, physics step, stroke split, hardware split, single-cell
-    gains and a reference schedule of up to three entries are drawn too."""
-    mode = draw(st.sampled_from(control.MODES))
-    n, m = (1, 1) if mode == "single_cell" else (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
-    size = st.sampled_from([0.5, 1.0, 2.0])
-    cfg = SurfaceConfig(n, m, draw(size), draw(size), 1.0,
-                        draw(st.integers(1, n)), draw(st.integers(1, m)))
-    physics = PhysicsParams(gravity=draw(st.sampled_from([0.0981, 9.81])),
-                            friction=draw(st.sampled_from([0.0, 0.1, 2.0])),
-                            tau=draw(st.sampled_from([0.0, 0.3])),
-                            dt=draw(st.sampled_from([0.01, 0.02, 0.05])))
-    t_max = draw(st.sampled_from([5.0, 30.0]))
-    gains = None
-    if mode == "single_cell" and draw(st.booleans()):
-        share = st.floats(0.05, 1.0)
-        gains = SingleCellGains(draw(share) * 0.5 / cfg.W, draw(share) * 0.5 / cfg.L)
-    a = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
-    params = ControllerParams(a, 1.0 - a, gains, draw(st.booleans()))
-    when = st.floats(0.0, t_max) | st.integers(0, int(t_max * 10)).map(lambda k: k / 10)
-    schedule = tuple(draw(st.lists(
-        st.tuples(when, st.integers(1, n), st.integers(1, m)), max_size=3)))
-
-    def coordinate(count, size, extent):
-        edges = [k * size for k in range(count + 1)]
-        return st.floats(0.0, extent) | st.sampled_from(edges)
-
-    speed = st.floats(-2.0, 2.0) | st.just(0.0) | st.floats(-1e3, 1e3)
-    objects, count = None, 0
-    placement = draw(st.sampled_from(["listed", "seeded", "home"]))
-    if placement == "listed":
-        objects = tuple(draw(st.lists(
-            st.builds(ObjectState, coordinate(n, cfg.W, cfg.width),
-                      coordinate(m, cfg.L, cfg.length), speed, speed),
-            min_size=1, max_size=40)))
-    elif placement == "home":  # at rest in the reference cell: settled at once
-        inside = st.floats(0.1, 0.9)
-        objects = tuple(draw(st.lists(st.builds(
-            lambda fx, fy: ObjectState((cfg.ref_col - fx) * cfg.W, (cfg.ref_row - fy) * cfg.L),
-            inside, inside), min_size=1, max_size=40)))
-    else:
-        count = draw(st.integers(1, 40))
-    return Scenario(cfg, physics, mode, params, objects, count, t_max=t_max,
-                    seed=draw(st.integers(0, 2**16)), reference_schedule=schedule)
 
 
 class TestWholeRunOracle:
