@@ -130,6 +130,11 @@ def _cmd_validate(args) -> int:
     path: Path = args.path
     dims = (args.cell_width, args.cell_length, args.stroke)
     doc = sio.read_json_object(path) if path.suffix == ".json" else None
+    if doc is not None and dims != (None, None, None):
+        raise sio.ScenarioError(
+            f"--cell-width, --cell-length and --stroke are for raw CSV grids only: "
+            f"{path} gives its own dimensions"
+        )
     if doc is not None and "heights" not in doc:
         sc = sio.scenario_from_dict(doc)
         grid = control.command(*engine.initial_state(sc), sc.mode, sc.params, sc.cfg)[1]
@@ -148,11 +153,6 @@ def _cmd_validate(args) -> int:
         cfg = SurfaceConfig(
             n=grid.shape[0] - 1, m=grid.shape[1] - 1,
             W=w, L=l_, stroke=stroke, ref_col=1, ref_row=1,
-        )
-    if doc is not None and dims != (None, None, None):
-        raise sio.ScenarioError(
-            f"--cell-width, --cell-length and --stroke are for raw CSV grids only: "
-            f"{path} gives its own dimensions"
         )
     report = validate_grid(grid, cfg)
     print(report.summary())

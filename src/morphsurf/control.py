@@ -95,8 +95,8 @@ def occupancy_sets(
 
 
 def _occupied(cells) -> tuple[list[int], list[int]]:
-    """The sorted 0-based columns and rows in ``cells``, a pair of column
-    and row index arrays such as ``cell_indices`` gives."""
+    """The sorted 0-based columns and rows in ``cells``, (2, N) column and
+    row indices such as ``cell_indices`` gives."""
     return sorted(set(cells[0].tolist())), sorted(set(cells[1].tolist()))
 
 

@@ -13,27 +13,10 @@ elastic reflection at the exterior walls.  An object at x lies in column
 a point on a boundary belongs to the higher cell.  ``cell_index`` is that
 rule, for the dynamics, the controllers and the metrics alike.
 
-The field is held fixed over the substeps of a control tick, and an object
-rarely leaves its cell or reaches a wall within one tick.  So ``advance``
-runs a tick as one array recurrence with each object's acceleration taken
-from its starting cell, and checks afterwards that no object left that cell
-or the workspace.  An event costs only the objects that had it: each is
-finished alone from its first failing row, one substep at a time in Python
-floats, since a recurrence costs about 30 us of numpy calls even over one
-object and a scalar substep under 1 us.  Each object-substep is computed at
-most once in the recurrence and at most once in scalar code, so a call's
-cost stays linear in its substeps whatever its events.  Rows of at least
-``_ROW_SUM_WIDTH`` values are summed into positions row by row: over the
-11 rows of a 10-substep tick that takes about 5.6 us at 200 objects, where
-one ``np.add.accumulate`` takes 16.5, and 5.3 us at 20, where it takes
-2.2.  The result is bit-for-bit the per-substep loop's.
-
-The check looks up the cell of every row it tests, so a call that ends on
-a passing recurrence already holds the cells of the positions it leaves,
-and an object finished alone has its cell looked up in scalar code.
-``advance`` returns them, and ``engine.run`` hands them to the next tick's
-controller, settle rule and ``advance``: a run looks each object's cell up
-once per tick, and a quiet tick makes no other lookup.
+``advance`` takes the cells its objects start in and returns the cells it
+leaves them in, so ``engine.run`` looks each object's cell up once before
+its first tick and hands each tick's cells to the next tick's controller,
+settle rule and ``advance``.
 """
 
 from __future__ import annotations
@@ -86,7 +69,10 @@ class PhysicsParams:
 # several, each starting from the last row of the one before.
 _HELD_BLOCK = 1 << 15
 # Rows of at least this many values are summed into positions row by row,
-# narrower ones by one np.add.accumulate; both add in the same order.
+# narrower ones by one np.add.accumulate; both add in the same order.  Over
+# the 11 rows of a 10-substep tick on a shared virtualised Xeon, row by row
+# takes about 5.6 us at 200 objects, where one np.add.accumulate takes 16.5,
+# and 5.3 us at 20, where it takes 2.2.
 _ROW_SUM_WIDTH = 128
 
 
@@ -98,12 +84,11 @@ def cell_index(pos, size, last):
     return np.minimum(np.floor(pos / size).astype(np.intp), last)
 
 
-def cell_indices(
-    x: np.ndarray, y: np.ndarray, cfg: SurfaceConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """0-based (column, row) index arrays of the cells holding positions
-    (x[k], y[k]) inside the workspace."""
-    return cell_index(x, cfg.W, cfg.n - 1), cell_index(y, cfg.L, cfg.m - 1)
+def cell_indices(x: np.ndarray, y: np.ndarray, cfg: SurfaceConfig) -> np.ndarray:
+    """The (2, *shape) 0-based column and row indices of the cells holding
+    positions (x, y) inside the workspace: the cells ``advance``,
+    ``control.command`` and the engine's settle rule take."""
+    return np.stack((cell_index(x, cfg.W, cfg.n - 1), cell_index(y, cfg.L, cfg.m - 1)))
 
 
 def advance(
@@ -116,18 +101,17 @@ def advance(
     cfg: SurfaceConfig,
     friction: float,
     dt: float,
-    substeps: int = 1,
-    cells: np.ndarray | None = None,
+    substeps: int,
+    cells: np.ndarray,
 ) -> np.ndarray:
     """Advance object arrays in place by ``substeps`` semi-implicit Euler
-    steps and return the (2, N) column and row indices of the cells they
-    are left in, as ``cell_indices`` gives them.
+    steps from the (2, N) ``cells`` they start in, as ``cell_indices`` gives
+    them or the previous call returned, and return the cells they are left
+    in likewise.
 
     The orientation field is held fixed; each object's acceleration is looked
     up from the cell it currently occupies.  Wall hits reflect the position
     about the wall and negate the normal velocity (no energy loss).
-    ``cells``, where given, are the cells the objects start in, such as the
-    previous call returned.
 
     The substeps run as a loop of held-cell recurrences on (x, y) stacked.
     Each recurrence takes every object's starting cell, gathers that cell's
@@ -150,11 +134,9 @@ def advance(
     look the cell up, step and fold.  A call's scalar substeps are at most
     its objects times its substeps.  A recurrence records at most
     ``_HELD_BLOCK`` object-substeps; a longer call continues from its last
-    row.  The result is bit-for-bit the per-substep loop's.  The starting
-    cells are looked up once, at the start, when ``cells`` is not given;
-    the cells returned are those of the last recurrence's last row, from its
-    check or from ``_finish``, or the starting cells when the call ran no
-    substep.
+    row.  The result is bit-for-bit the per-substep loop's.  The cells
+    returned are those of the last recurrence's last row, from its check or
+    from ``_finish``, or ``cells`` when the call ran no substep.
     """
     keep = 1.0 - friction * dt
     size, last, ext = cfg.axes
@@ -164,14 +146,13 @@ def advance(
     a = np.empty((2, x.size))  # each object's acceleration times dt
     p[0, 0], p[0, 1] = x, y
     v[0, 0], v[0, 1] = vx, vy
-    c = cell_index(p[0], size, last) if cells is None else cells  # the cells of p[0]
     k = 0  # the rows of the last recurrence
     while substeps:
         if k:
             p[0], v[0] = p[k], v[k]
         k = min(substeps, block)
         pk, vk = p[:k + 1], v[:k + 1]
-        flat = c[0] * cfg.m + c[1]
+        flat = cells[0] * cfg.m + cells[1]  # the cells of p[0]
         gx_cell.take(flat, out=a[0])
         gy_cell.take(flat, out=a[1])
         a *= dt
@@ -191,20 +172,20 @@ def advance(
         # last, still in the starting cell.
         row_cells = cell_index(pk[1:], size, last)
         ok = (pk[1:] >= 0.0) & (pk[1:] <= ext)
-        ok[:-1] &= row_cells[:-1] == c
-        c = row_cells[-1]
+        ok[:-1] &= row_cells[:-1] == cells
+        cells = row_cells[-1]
         if not ok.all():
             bad = ~ok.all(axis=1)  # (rows, N)
             failed = np.flatnonzero(bad.any(axis=0))
             first = bad[:, failed].argmax(axis=0) + 1  # each one's first failing row
             for i, s in zip(failed.tolist(), first.tolist()):
-                p[k, :, i], v[k, :, i], c[:, i] = _finish(
+                p[k, :, i], v[k, :, i], cells[:, i] = _finish(
                     *p[s, :, i].tolist(), *v[s, :, i].tolist(), k - s,
                     gx_cell, gy_cell, cfg, keep, dt)
         substeps -= k
     x[:], y[:] = p[k, 0], p[k, 1]
     vx[:], vy[:] = v[k, 0], v[k, 1]
-    return c
+    return cells
 
 
 def _finish(
@@ -214,7 +195,11 @@ def _finish(
     """One object's state (x, y, vx, vy) at a row where it left its held
     cell or the workspace, folded at the walls and taken ``steps`` substeps
     further as the per-substep loop takes it, in Python floats: look the cell
-    up, step, fold.  Returns its ((x, y), (vx, vy), (column, row))."""
+    up, step, fold.  Returns its ((x, y), (vx, vy), (column, row)).
+
+    A recurrence costs about 30 us of numpy calls even over one object and a
+    scalar substep here under 1 us, so an object that fails a recurrence is
+    finished alone, whatever it owes."""
     width, length, last_col, last_row = cfg.width, cfg.length, cfg.n - 1, cfg.m - 1
     x, vx = _fold(x, vx, width)
     y, vy = _fold(y, vy, length)

@@ -264,7 +264,7 @@ def run(sc: Scenario) -> tuple[SimTrace, RunMetrics]:
     converged = False
     # The (2, N) cells of the objects, looked up here once; from then on each
     # advance returns the cells of the positions it leaves.
-    cells = np.array(cell_indices(x, y, cfg))
+    cells = cell_indices(x, y, cfg)
 
     for tick in range(n_ticks + 1):
         t = tick * period
@@ -403,8 +403,6 @@ def batch(scenarios: list[Scenario]) -> list[BatchEntry]:
     variable where it is set, a positive integer; never more processes than
     CPUs or scenarios.
     """
-    if not scenarios:
-        return []
     workers = cpus = os.cpu_count() or 1
     if env := os.environ.get(THREADS_ENV):
         try:

@@ -28,7 +28,7 @@ from morphsurf import (
 from morphsurf import scenario as sio
 from morphsurf.cli import EXIT_OK, EXIT_UNSETTLED, main
 from morphsurf.control import command, single_cell_feedback
-from morphsurf.dynamics import advance
+from morphsurf.dynamics import advance, cell_indices
 from morphsurf.engine import batch, run
 
 from conftest import (
@@ -147,7 +147,7 @@ class TestC3DynamicsOracles:
         y = np.array([cfg.L / 2])
         vx = np.zeros(1)
         vy = np.zeros(1)
-        advance(x, y, vx, vy, gx, gy, cfg, p.friction, p.dt, 100000)
+        advance(x, y, vx, vy, gx, gy, cfg, p.friction, p.dt, 100000, cell_indices(x, y, cfg))
         expect = steady_speed(CellOrientation(pitch, 0.0), p)
         rel = abs(vx[0] - expect) / expect
         assert report("3b terminal-speed", rel < 5e-3, f"rel err {rel:.2e}")
@@ -175,7 +175,7 @@ class TestC3DynamicsOracles:
             e_prev, cell_prev = slaved_energy(x, y, vx, vy, col, row, cfg, p.gravity)
             for _ in range(800):
                 xp, yp = x.copy(), y.copy()
-                advance(x, y, vx, vy, gx, gy, cfg, p.friction, p.dt, 1)
+                advance(x, y, vx, vy, gx, gy, cfg, p.friction, p.dt, 1, cell_indices(x, y, cfg))
                 e_now, cell_now = slaved_energy(x, y, vx, vy, col, row, cfg, p.gravity)
                 clean = (
                     (cell_prev[0] == cell_now[0])

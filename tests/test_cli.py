@@ -781,6 +781,14 @@ class TestValidateCommand:
             assert captured.out == ""
             assert main(["validate", str(path)]) == EXIT_OK
             capsys.readouterr()
+        # refused before the document is read as a scenario: a malformed
+        # one gets the same refusal, not its scenario error
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"surface": {"n": 0}}))
+        assert main(["validate", str(bad), *flags]) == EXIT_INVALID
+        assert "--cell-width, --cell-length and --stroke" in capsys.readouterr().err
+        assert main(["validate", str(bad)]) == EXIT_INVALID
+        assert "--cell-width" not in capsys.readouterr().err
 
     def test_unreadable_input(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -814,6 +822,8 @@ class TestValidateCommand:
         path = tmp_path / name
         path.write_text(text)
         argv = ["validate", str(path), "--cell-width", "2", "--cell-length", "2", "--stroke", "1"]
+        if name.endswith(".json"):  # refused the flags before its content is checked
+            argv = argv[:2]
         assert main(argv) == EXIT_INVALID
         captured = capsys.readouterr()
         assert refusal in captured.err and "Traceback" not in captured.err

@@ -280,7 +280,7 @@ class TestAllocationOracle:
         x, y, mode, params, cfg = case
         want_u, want_grid = allocation_reference(x, y, mode, params, cfg)
         still = np.zeros_like(x)
-        for cells in (None, np.array(cell_indices(x, y, cfg))):
+        for cells in (None, cell_indices(x, y, cfg)):
             got_u, got_grid = control.command(x, y, still, still, mode, params, cfg, cells)
             assert same_bits(got_u.dz_col, want_u.dz_col)
             assert same_bits(got_u.dz_row, want_u.dz_row)

@@ -63,6 +63,16 @@ class TestLocateCell:
         # the near walls to the first cell, the far walls to the last
         assert self.cells([0.0, CFG.width], [0.0, CFG.length]) == [(0, 0), (4, 3)]
 
+    @pytest.mark.parametrize("shape", [(7,), (3, 7)])
+    def test_one_array_of_both_axes(self, shape):
+        # for 1-D positions and for (rows, N) positions, such as a trace's
+        rng = np.random.default_rng(3)
+        x, y = rng.uniform(0.0, CFG.width, shape), rng.uniform(0.0, CFG.length, shape)
+        cells = cell_indices(x, y, CFG)
+        assert cells.shape == (2, *shape) and cells.dtype == np.intp
+        assert np.array_equal(cells[0], dynamics.cell_index(x, CFG.W, CFG.n - 1))
+        assert np.array_equal(cells[1], dynamics.cell_index(y, CFG.L, CFG.m - 1))
+
     def test_outside_raises(self):
         # cell_indices takes the workspace as given; occupancy_sets, which
         # locates the objects' cells for a command given none, refuses a
@@ -104,7 +114,7 @@ class TestAcceleration:
         flat = np.zeros((CFG.n, CFG.m))
         x, y = np.array([5.0]), np.array([4.0])
         vx, vy = np.array([2.0]), np.array([-3.0])
-        advance(x, y, vx, vy, flat, flat, CFG, P.friction, P.dt)
+        advance(x, y, vx, vy, flat, flat, CFG, P.friction, P.dt, 1, cell_indices(x, y, CFG))
         assert (vx[0] - 2.0) / P.dt == pytest.approx(-0.2)
         assert (vy[0] + 3.0) / P.dt == pytest.approx(0.3)
 
@@ -145,7 +155,7 @@ class TestFarOvershoot:
         x, y = np.array([x0]), np.array([1.0])
         vx, vy = np.array([v0]), np.zeros(1)
         flat = np.zeros((cfg.n, cfg.m))
-        advance(x, y, vx, vy, flat, flat, cfg, 0.0, dt, substeps)
+        advance(x, y, vx, vy, flat, flat, cfg, 0.0, dt, substeps, cell_indices(x, y, cfg))
 
         hi = int(cfg.width)
         bounces, r = divmod(int(x0) + substeps * int(v0 * dt), hi)
@@ -186,7 +196,8 @@ class TestTerminalVelocity:
         y = np.array([cfg.L / 2])
         vx = np.zeros(1)
         vy = np.zeros(1)
-        advance(x, y, vx, vy, gx, gy, cfg, P.friction, P.dt, 100000)  # 10/b seconds
+        # 10/b seconds
+        advance(x, y, vx, vy, gx, gy, cfg, P.friction, P.dt, 100000, cell_indices(x, y, cfg))
         expect = steady_speed(CellOrientation(math.atan2(0.5, 2.0), 0.0), P)
         assert vx[0] == pytest.approx(expect, rel=5e-3)
 
@@ -206,7 +217,7 @@ class TestLowPass:
         done = 0.0
         for t_target in (2.0, 5.0, 10.0):
             substeps = int(round((t_target - done) / P.dt))
-            advance(x, y, vx, vy, gx, gy, cfg, b, P.dt, substeps)
+            advance(x, y, vx, vy, gx, gy, cfg, b, P.dt, substeps, cell_indices(x, y, cfg))
             done = t_target
             expect = accel / b * (1 - math.exp(-b * t_target))
             assert vx[0] == pytest.approx(expect, rel=1e-2)
@@ -223,7 +234,8 @@ class TestConvergenceOrder:
             y = np.array([cfg.L / 2])
             vx = np.array([0.3])
             vy = np.array([-0.2])
-            advance(x, y, vx, vy, gx, gy, cfg, P.friction, dt, int(round(2.0 / dt)))
+            advance(x, y, vx, vy, gx, gy, cfg, P.friction, dt, int(round(2.0 / dt)),
+                    cell_indices(x, y, cfg))
             return x[0], y[0]
 
         x1, y1 = final_x(1e-3)
@@ -256,8 +268,9 @@ class TestMirrorSymmetry:
         ym = np.array([2.7])
         vxm = np.array([-0.4])
         vym = np.array([-0.6])
-        advance(x, y, vx, vy, gx, gy, cfg, P.friction, P.dt, 5000)
-        advance(xm, ym, vxm, vym, gxm, gym, mirrored_cfg, P.friction, P.dt, 5000)
+        advance(x, y, vx, vy, gx, gy, cfg, P.friction, P.dt, 5000, cell_indices(x, y, cfg))
+        advance(xm, ym, vxm, vym, gxm, gym, mirrored_cfg, P.friction, P.dt, 5000,
+                cell_indices(xm, ym, mirrored_cfg))
         assert xm[0] == pytest.approx(cfg.width - x[0], abs=1e-6)
         assert ym[0] == pytest.approx(y[0], abs=1e-6)
         assert vxm[0] == pytest.approx(-vx[0], abs=1e-6)
@@ -285,7 +298,7 @@ class TestEnergyDissipation:
             e_prev, cell_prev = slaved_energy(x, y, vx, vy, col, row, cfg, P.gravity)
             for _ in range(1500):
                 xp, yp = x.copy(), y.copy()
-                advance(x, y, vx, vy, gx, gy, cfg, P.friction, P.dt, 1)
+                advance(x, y, vx, vy, gx, gy, cfg, P.friction, P.dt, 1, cell_indices(x, y, cfg))
                 e_now, cell_now = slaved_energy(x, y, vx, vy, col, row, cfg, P.gravity)
                 clean = (
                     (cell_prev[0] == cell_now[0])
@@ -304,18 +317,16 @@ class TestEnergyDissipation:
         vy = np.array([1.0])
         gx = np.zeros((2, 2))
         gy = np.zeros((2, 2))
-        advance(x, y, vx, vy, gx, gy, cfg, 0.0, 1e-3, 1)
+        advance(x, y, vx, vy, gx, gy, cfg, 0.0, 1e-3, 1, cell_indices(x, y, cfg))
         assert vx[0] == 3.0 and vy[0] == 1.0  # frictionless: exact flip
 
 
 def run_both(state, gx, gy, cfg, friction, dt, substeps):
     """(advance, advance_reference) end states from copies of one state."""
-    out = []
-    for fn in (advance, advance_reference):
-        s = [np.array(a, dtype=float) for a in state]
-        fn(*s, gx, gy, cfg, friction, dt, substeps)
-        out.append(s)
-    return out
+    got, want = ([np.array(a, dtype=float) for a in state] for _ in range(2))
+    advance(*got, gx, gy, cfg, friction, dt, substeps, cell_indices(got[0], got[1], cfg))
+    advance_reference(*want, gx, gy, cfg, friction, dt, substeps)
+    return got, want
 
 
 def assert_bitwise(state, gx, gy, cfg, friction, dt, substeps):
@@ -394,17 +405,17 @@ class TestHeldCellRecurrence:
         x, y = np.array([0.35, 1.05, 2.45]), np.array([0.65, 1.95, 3.25])  # cell centres
         zero = np.zeros(3)
         assert_bitwise((x, y, zero, zero), gx, gy, cfg, 0.1, 0.01, 10)
-        assert events == {"recurrences": 1, "lookups": 1, "tails": []}
+        assert events == {"recurrences": 1, "tails": []}
 
     @pytest.mark.parametrize("runs, counts", [
         # One object crosses into the next column in substep 3, the other
         # in substep 7: one recurrence, then 7 and 3 substeps in scalar code,
         # and no other object is computed again.
-        ([(1, 0.6, 2.5), (2, 0.6, 6.5)], {"recurrences": 1, "lookups": 1, "tails": [7, 3]}),
+        ([(1, 0.6, 2.5), (2, 0.6, 6.5)], {"recurrences": 1, "tails": [7, 3]}),
         # Five objects cross in substep 2 and owe 8 substeps each: however
         # many they owe in all, each is finished alone.
         ([(col, row, 1.5) for col, row in [(1, 0.6), (2, 0.6), (3, 0.6), (1, 1.9), (2, 1.9)]],
-         {"recurrences": 1, "lookups": 1, "tails": [8] * 5}),
+         {"recurrences": 1, "tails": [8] * 5}),
     ])
     def test_finishes_each_crossing_alone(self, events, runs, counts):
         # Each object starts ``steps`` substeps' run short of the boundary
@@ -427,14 +438,14 @@ class TestHeldCellRecurrence:
         gx, gy = np.zeros((cfg.n, cfg.m)), np.zeros((cfg.n, cfg.m))
         gx[0, -1], gy[0, -1] = -5.0, 5.0
         assert_bitwise(([0.0], [cfg.length], [0.0], [0.0]), gx, gy, cfg, 0.1, 0.01, 20)
-        assert events == {"recurrences": 1, "lookups": 1, "tails": [19]}
+        assert events == {"recurrences": 1, "tails": [19]}
 
     @pytest.mark.parametrize("friction", [0.0, 0.1])
     @pytest.mark.parametrize("substeps, counts", [
         # it leaves its starting cell in substep 1 and is finished alone
         # through the rest, however many they are
-        (20, {"recurrences": 1, "lookups": 1, "tails": [19]}),
-        (60, {"recurrences": 1, "lookups": 1, "tails": [59]}),
+        (20, {"recurrences": 1, "tails": [19]}),
+        (60, {"recurrences": 1, "tails": [59]}),
     ])
     def test_back_and_forth_across_a_boundary(self, events, friction, substeps, counts):
         cfg = self.CFG
@@ -449,7 +460,7 @@ class TestHeldCellRecurrence:
         state = [np.array([0.0, -0.0, cfg.width]), np.array([-0.0, 1.0, 0.0]),
                  np.array([-0.0, 1e12, 0.0]), np.array([0.0, -0.0, -3.0])]
         before = [a.copy() for a in state]
-        advance(*state, gx, gy, cfg, 0.1, 0.01, 0)
+        advance(*state, gx, gy, cfg, 0.1, 0.01, 0, cell_indices(state[0], state[1], cfg))
         for got, want in zip(state, before):
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
         assert_bitwise(before, gx, gy, cfg, 0.1, 0.01, 0)
@@ -521,7 +532,8 @@ class TestLinearCost:
         zero = np.zeros((1, 1))
         state = [np.array([v]) for v in (1.0, 1.0, 3e5, 0.0)]
         start = time.perf_counter()
-        advance(*state, zero, zero, self.CELL, 0.1, 1e-3, 4000)
+        advance(*state, zero, zero, self.CELL, 0.1, 1e-3, 4000,
+                cell_indices(state[0], state[1], self.CELL))
         assert time.perf_counter() - start < 2.0
         assert rows == [4000]
         assert scalar == [3999]
@@ -546,16 +558,10 @@ class TestCellsLeft:
     @staticmethod
     def check(state, gx, gy, cfg, friction, dt, substeps):
         left = [np.array(a, dtype=float) for a in state]
-        cells = advance(*left, gx, gy, cfg, friction, dt, substeps)
+        cells = advance(*left, gx, gy, cfg, friction, dt, substeps,
+                        cell_indices(left[0], left[1], cfg))
         assert cells.shape == (2, len(left[0])) and cells.dtype == np.intp
-        assert np.array_equal(cells, np.array(cell_indices(left[0], left[1], cfg)))
-        # handed the starting cells, the same state and cells, bit for bit
-        given = [np.array(a, dtype=float) for a in state]
-        start = np.array(cell_indices(given[0], given[1], cfg))
-        again = advance(*given, gx, gy, cfg, friction, dt, substeps, start)
-        assert np.array_equal(again, cells)
-        for g, w in zip(given, left):
-            assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+        assert np.array_equal(cells, cell_indices(left[0], left[1], cfg))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -593,24 +599,23 @@ class TestCellsLeft:
         dt, v = 0.01, 0.5
         state = ([cfg.width - (k - 0.5) * v * dt], [0.6], [v], [0.0])
         self.check(state, zero, zero, cfg, 0.0, dt, 10)
-        # two advance calls of one recurrence each, the second handed its
-        # starting cells: only the first looks up a row, its starting cells
-        assert (seen[2], seen[3]) == (1, 2)  # one row, a check's rows
-        assert tails == [10 - k] * 2
+        # one recurrence, whose check is advance's only lookup
+        assert (seen[2], seen[3]) == (0, 1)  # one row, a check's rows
+        assert tails == [10 - k]
 
 
 @pytest.fixture
 def events(monkeypatch):
     """Counts what advance does: its recurrences (each checks its rows with
-    one cell_index call), its lookups of one row's cells (the starting cells,
-    when it is not handed them) and, per _finish
-    call, the substeps that call takes one object in scalar code."""
-    seen = {"recurrences": 0, "lookups": 0, "tails": []}
+    one cell_index call) and, per _finish call, the substeps that call takes
+    one object in scalar code.  advance is handed its starting cells, so a
+    lookup of one row's cells, (2, N), fails the test."""
+    seen = {"recurrences": 0, "tails": []}
     lookup, finish = dynamics.cell_index, dynamics._finish
 
     def spy_lookup(pos, *args):
+        assert pos.ndim != 2, "advance looked up one row's cells"
         seen["recurrences"] += pos.ndim == 3  # the check passes (rows, 2, N)
-        seen["lookups"] += pos.ndim == 2  # one row, (2, N)
         return lookup(pos, *args)
 
     def spy_finish(*args):
@@ -673,12 +678,13 @@ def gathered_cells(x, y, cfg):
     gx, gy = np.meshgrid(np.arange(1.0, cfg.n + 1), np.arange(1.0, cfg.m + 1), indexing="ij")
     vx, vy = np.zeros(len(x)), np.zeros(len(x))
     dt = 2.0**-30
-    advance(np.array(x), np.array(y), vx, vy, gx, gy, cfg, 0.0, dt, 1)
+    advance(np.array(x), np.array(y), vx, vy, gx, gy, cfg, 0.0, dt, 1, cell_indices(x, y, cfg))
     return np.abs(vx) / dt - 1, np.abs(vy) / dt - 1
 
 
 class TestOneCellRule:
-    """advance finds an object's cell by cell_indices's rule, floor(x / W)."""
+    """advance, handed the cells cell_indices gives, takes each object's
+    acceleration from the cell of its rule, floor(x / W)."""
 
     def test_where_truncating_x_times_inverse_w_differs(self):
         cfg = SurfaceConfig(n=8, m=1, W=2.853867904161509, L=2.0, stroke=1.0,

@@ -542,8 +542,9 @@ class TestPerTickCalls:
 
 class TestOneLookupPerTick:
     """engine.run looks the objects' cells up before its first tick; from
-    then on advance looks them up in the check it already makes and hands
-    them to the next tick's command, settle rule and advance."""
+    then on advance, handed them, looks them up only in the check it already
+    makes and hands them to the next tick's command, settle rule and
+    advance."""
 
     def test_paper_s5x6_wave(self, monkeypatch):
         occupancy = count_calls(monkeypatch, control.occupancy_sets)
@@ -551,11 +552,9 @@ class TestOneLookupPerTick:
         lookup, finish = dynamics.cell_index, dynamics._finish
 
         def spy_lookup(pos, *args):
-            # inside advance: a check of a recurrence's rows, or one row
-            if advances and pos.ndim == 3:
-                advances[-1]["checks"] += 1
-            elif advances and pos.ndim == 2:
+            if advances:  # inside advance
                 advances[-1]["lookups"] += 1
+                advances[-1]["checks"] += pos.ndim == 3  # a recurrence's rows
             return lookup(pos, *args)
 
         def spy_finish(*args):
@@ -567,11 +566,10 @@ class TestOneLookupPerTick:
         monkeypatch.setattr(dynamics, "_finish", spy_finish)
         run(load_scenario(SCENARIOS / "paper-s5x6.json", mode="wave"))
         assert occupancy == []  # every command is handed the cells
-        # Each call is handed its starting cells, so it looks up no row of
-        # its own, and a tick of 10 substeps is one recurrence for 20
-        # objects.  63 calls finish 68 objects alone over 367 substeps in
-        # all (counts of the trace the goldens pin).
-        assert all(call["lookups"] == call["checks"] - 1 == 0 for call in advances)
+        # A tick of 10 substeps is one recurrence for 20 objects, and its
+        # check is the call's one lookup.  63 calls finish 68 objects alone
+        # over 367 substeps in all (counts of the trace the goldens pin).
+        assert all(call["lookups"] == call["checks"] == 1 for call in advances)
         total = sum(advances, Counter())
         assert (total["tails"], total["scalar"]) == (68, 367)
         assert sum(call["tails"] > 0 for call in advances) == 63
@@ -747,16 +745,19 @@ class TestBatch:
             e.metrics.convergence_time for e in again
         ]
 
-    def test_non_integer_thread_cap_names_the_variable(self, monkeypatch):
+    # an empty batch is refused a bad cap like any other
+    @pytest.mark.parametrize("scenarios", [[small_scenario(t_max=1.0)], []], ids=["one", "none"])
+    def test_non_integer_thread_cap_names_the_variable(self, monkeypatch, scenarios):
         monkeypatch.setenv("MORPHSURF_THREADS", "abc")
         with pytest.raises(ValueError, match="MORPHSURF_THREADS must be an integer"):
-            batch([small_scenario(t_max=1.0)])
+            batch(scenarios)
 
+    @pytest.mark.parametrize("scenarios", [[small_scenario(t_max=1.0)], []], ids=["one", "none"])
     @pytest.mark.parametrize("env", ["0", "-3"])
-    def test_thread_cap_below_one_is_refused(self, monkeypatch, env):
+    def test_thread_cap_below_one_is_refused(self, monkeypatch, env, scenarios):
         monkeypatch.setenv("MORPHSURF_THREADS", env)
         with pytest.raises(ValueError, match="MORPHSURF_THREADS must be an integer >= 1"):
-            batch([small_scenario(t_max=1.0)])
+            batch(scenarios)
 
     @pytest.mark.parametrize(
         "cpus, env, runs, workers",

@@ -11,7 +11,7 @@ away), numpy's pairwise sum 1 + 7 * 2**-52, and an exact sum (``math.fsum``)
 
 import numpy as np
 
-from morphsurf.dynamics import advance
+from morphsurf.dynamics import advance, cell_indices
 from morphsurf.engine import SimTrace, compute_metrics
 from morphsurf.scenario import read_trace_csv, write_trace_csv
 from morphsurf.surface import SurfaceConfig
@@ -47,11 +47,13 @@ def test_add_accumulate_is_sequential():
     # with no force and no friction each of 15 substeps of 0.5 s adds 2**-53
     x, y, vx, vy = np.array([1.0]), np.array([1.0]), np.array([2 * TINY]), np.zeros(1)
     zero = np.zeros((1, 1))
-    advance(x, y, vx, vy, zero, zero, CELL, friction=0.0, dt=0.5, substeps=15)
+    advance(x, y, vx, vy, zero, zero, CELL, friction=0.0, dt=0.5, substeps=15,
+            cells=cell_indices(x, y, CELL))
     assert x.tolist() == [1.0]
     # on rows of 128 values or more advance adds the rows one after another
     x, y, vx, vy = np.ones(64), np.ones(64), np.full(64, 2 * TINY), np.zeros(64)
-    advance(x, y, vx, vy, zero, zero, CELL, friction=0.0, dt=0.5, substeps=15)
+    advance(x, y, vx, vy, zero, zero, CELL, friction=0.0, dt=0.5, substeps=15,
+            cells=cell_indices(x, y, CELL))
     assert x.tolist() == [1.0] * 64
     # compute_metrics adds each object's steps to its running path length
     # with it, down a column of a (steps, objects) block, for one object as
