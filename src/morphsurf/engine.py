@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import mmap
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -39,8 +40,10 @@ SINGLE_CELL_SETTLE = 0.01
 
 THREADS_ENV = "MORPHSURF_THREADS"
 
-# Bytes of trace a run reserves before it first has to grow it.  Pages of
-# the rows a run never reaches are never touched, so never resident.
+# Bytes of trace a run reserves before it first has to grow it, in a mapping
+# of its own (_reserve): rows never reached are never resident and a freed
+# trace goes back to the OS, where malloc may keep a block of a few MB on its
+# heap once its dynamic mmap threshold has risen past it.
 _TRACE_RESERVE = 1 << 28
 
 # Most objects a scenario may place: one trace row of their states, 32 bytes
@@ -165,25 +168,29 @@ class Scenario:
 
 @dataclass
 class SimTrace:
-    """Tick-cadence record of one run.
-
-    states has shape (rows, objects, 4) storing x, y, vx, vy.  dz_col/dz_row
-    are the commanded height differences active from each row's time until
-    the next row; col/row_heights are the actual (post-response) grid.  A run
-    returns each field as the slice of the written rows of the arrays it
-    reserved up front and filled in place, one row per tick.
+    """Tick-cadence record of one run: ``table`` holds one float row per tick
+    in the trace CSV's column order (scenario.trace_header).  The six fields
+    are views of its columns, made on each access: t (rows,); states (rows,
+    n_objects, 4) of x, y, vx, vy; the commanded drops dz_col (rows, n) and
+    dz_row (rows, m), active until the next row's time; and the actual
+    (post-response) grid, col_heights (rows, n + 1), row_heights (rows, m + 1).
     """
 
-    t: np.ndarray
-    states: np.ndarray
-    dz_col: np.ndarray
-    dz_row: np.ndarray
-    col_heights: np.ndarray
-    row_heights: np.ndarray
+    table: np.ndarray
+    n_objects: int
+    n: int
+    m: int
 
-    @property
-    def n_objects(self) -> int:
-        return self.states.shape[1]
+    def _columns(self, k: int) -> np.ndarray:  # of the k-th field, as listed above
+        ends = np.cumsum([1, 4 * self.n_objects, self.n, self.m, self.n + 1])
+        return np.split(self.table, ends, axis=1)[k]
+
+    t = property(lambda self: self._columns(0)[:, 0])
+    states = property(lambda self: self._columns(1).reshape(len(self.table), self.n_objects, 4))
+    dz_col = property(lambda self: self._columns(2))
+    dz_row = property(lambda self: self._columns(3))
+    col_heights = property(lambda self: self._columns(4))
+    row_heights = property(lambda self: self._columns(5))
 
 
 @dataclass
@@ -252,14 +259,12 @@ def run(sc: Scenario) -> tuple[SimTrace, RunMetrics]:
     ref_cfgs = [cfg] + [replace(cfg, ref_col=c, ref_row=r) for _, c, r in sc.reference_schedule]
     centred = sc.mode == "single_cell"
 
-    grid_col = np.zeros(cfg.n + 1)  # actual (post-response) heights
-    grid_row = np.zeros(cfg.m + 1)
-    # One SimTrace row per tick, in field order, written in place into arrays
-    # reserved up front; a run that outgrows them doubles them.
-    row_shapes = ((), (x.size, 4), (cfg.n,), (cfg.m,), (cfg.n + 1,), (cfg.m + 1,))
-    row_bytes = 8 * sum(math.prod(shape) for shape in row_shapes)
-    capacity = min(n_ticks + 1, max(1, _TRACE_RESERVE // row_bytes))
-    columns = [np.empty((capacity, *shape)) for shape in row_shapes]
+    grid = np.zeros(cfg.n + cfg.m + 2)  # actual heights: n + 1 columns, m + 1 rows
+    objects = slice(1, 1 + 4 * x.size)
+    drops = slice(objects.stop, objects.stop + cfg.n + cfg.m)
+    # One trace row per tick, written in place; a run that outgrows the table doubles it.
+    width = drops.stop + grid.size
+    table = _reserve(np.empty((0, width)), min(n_ticks + 1, max(1, _TRACE_RESERVE // (8 * width))))
     settle_streak = 0
     converged = False
     # The (2, N) cells of the objects, looked up here once; from then on each
@@ -277,17 +282,16 @@ def run(sc: Scenario) -> tuple[SimTrace, RunMetrics]:
             settle_streak = 0
 
         u, commanded = control.command(x, y, vx, vy, sc.mode, sc.params, ref_cfg, cells)
-        grid_col = first_order_lag(grid_col, np.asarray(commanded.col_heights), p.tau, period)
-        grid_row = first_order_lag(grid_row, np.asarray(commanded.row_heights), p.tau, period)
+        grid = first_order_lag(grid, np.array(commanded.col_heights + commanded.row_heights),
+                               p.tau, period)
 
-        if tick == capacity:
-            capacity = min(2 * capacity, n_ticks + 1)
-            grown = [np.empty((capacity, *column.shape[1:])) for column in columns]
-            for new, old in zip(grown, columns):
-                new[:tick] = old
-            columns = grown
-        for column, value in zip(columns, (t, state.T, u.dz_col, u.dz_row, grid_col, grid_row)):
-            column[tick] = value
+        if tick == len(table):
+            table = _reserve(table, min(2 * tick, n_ticks + 1))
+        row = table[tick]
+        row[0] = t
+        row[objects].reshape(-1, 4)[:] = state.T
+        row[drops] = u.dz_col + u.dz_row
+        row[drops.stop :] = grid
 
         if settle_streak >= 2:
             converged = True
@@ -295,13 +299,21 @@ def run(sc: Scenario) -> tuple[SimTrace, RunMetrics]:
         if tick == n_ticks:
             break
 
-        gx, gy = _grid_orientation_terms(grid_col, grid_row, cfg, p.gravity)
+        gx, gy = _grid_orientation_terms(grid[: cfg.n + 1], grid[cfg.n + 1 :], cfg, p.gravity)
         cells = advance(x, y, vx, vy, gx, gy, cfg, p.friction, p.dt, substeps, cells)
 
-    trace = SimTrace(*(column[: tick + 1] for column in columns))
+    trace = SimTrace(table[: tick + 1], x.size, cfg.n, cfg.m)
     wall_clock = time.perf_counter() - start
     convergence, arrivals, lengths = compute_metrics(trace, ref_cfgs[-1], settle=period)
     return trace, RunMetrics(convergence, converged, arrivals, lengths, wall_clock)
+
+
+def _reserve(kept: np.ndarray, rows: int) -> np.ndarray:
+    """The float table ``kept`` grown to ``rows`` rows, copied into an
+    anonymous mapping of its own; the rows after its own are unwritten."""
+    table = np.frombuffer(mmap.mmap(-1, 8 * rows * kept.shape[1])).reshape(rows, -1)
+    table[: len(kept)] = kept
+    return table
 
 
 def _settled(
@@ -326,14 +338,6 @@ def _settled(
     return bool(((cells[0] == cfg.ref_col - 1) & (cells[1] == cfg.ref_row - 1)).all())
 
 
-def _contained(x: np.ndarray, y: np.ndarray, cfg: SurfaceConfig) -> np.ndarray:
-    """Whether each position lies in the reference cell; each axis is reduced
-    to bools before the other's cell indices are made."""
-    inside = cell_index(x, cfg.W, cfg.n - 1) == cfg.ref_col - 1
-    inside &= cell_index(y, cfg.L, cfg.m - 1) == cfg.ref_row - 1
-    return inside
-
-
 def compute_metrics(
     trace: SimTrace, cfg: SurfaceConfig, settle: float
 ) -> tuple[float | None, list[float | None], list[float]]:
@@ -350,14 +354,15 @@ def compute_metrics(
     share the trace.  The convergence time is the latest arrival, if the
     trace runs on for the ``settle`` window after it.
     """
-    states = trace.states
+    t, states = trace.t, trace.states
     rows, objects = states.shape[:2]
     last_out = np.full(objects, -1)
     total = np.zeros(objects)
     span = max(1, _METRIC_STEPS // objects)
     for lo in range(0, max(rows - 1, 1), span):
         x, y = states[lo : lo + span + 1, :, :2].transpose(2, 0, 1)
-        outside = ~_contained(x, y, cfg)
+        outside = cell_index(x, cfg.W, cfg.n - 1) != cfg.ref_col - 1
+        outside |= cell_index(y, cfg.L, cfg.m - 1) != cfg.ref_row - 1
         found = outside.any(axis=0)
         last_out[found] = lo + len(x) - 1 - outside[::-1].argmax(axis=0)[found]
         block = np.empty((len(x), objects))
@@ -373,10 +378,10 @@ def compute_metrics(
         total = block[-1].copy()
         # freed before the next block's containment makes its own temporaries
         del block, steps, dy
-    arrivals = [0.0 if k < 0 else None if k == rows - 1 else float(trace.t[k + 1])
+    arrivals = [0.0 if k < 0 else None if k == rows - 1 else float(t[k + 1])
                 for k in last_out.tolist()]
     latest = None if None in arrivals else max(arrivals)
-    if latest is not None and trace.t[-1] - latest < settle - 1e-12:
+    if latest is not None and t[-1] - latest < settle - 1e-12:
         latest = None
     return latest, arrivals, [float(v) for v in total]
 

@@ -28,7 +28,7 @@ from .surface import FieldError, SurfaceConfig, checked
 
 FLOAT_FMT = "%.17g"  # lossless float64 round-trip
 # Trace values write_trace_csv formats at a time (at least one row): a
-# block's floats, formatted as one string, take several times their bytes.
+# slice's floats, formatted as one string, take several times their bytes.
 _CSV_FLOATS = 1 << 13
 # Most seeds one --seeds listing may give: about 6 CPU-hours per mode on
 # paper-s5x6.
@@ -211,52 +211,46 @@ def trace_header(n_objects: int, n: int, m: int) -> Iterator[str]:
 
 
 def write_trace_csv(trace: SimTrace, path: str | Path) -> None:
-    """One row per tick: the SimTrace fields in order, states flattened.
-
-    The header is written one name at a time, and the rows are gathered and
-    formatted in blocks of at most _CSV_FLOATS values (one row if a row holds
-    more), so no copy of the whole trace or list of its columns is made,
-    however many objects it has.
-    """
-    rows = len(trace.t)
-    fields = (trace.t[:, None], trace.states.reshape(rows, -1), trace.dz_col, trace.dz_row,
-              trace.col_heights, trace.row_heights)
-    width = sum(f.shape[1] for f in fields)
+    """The trace's header, one name at a time, then its table, one row per
+    tick, in slices of at most _CSV_FLOATS values (one row if a row holds
+    more), so no copy of the whole trace is made, however many objects."""
+    table = trace.table
+    rows, width = table.shape
     line = (FLOAT_FMT + ",") * (width - 1) + FLOAT_FMT + "\n"
     span = max(1, _CSV_FLOATS // width)
-    table = np.empty((min(rows, span), width))
     with open(path, "w", newline="") as fh:
-        names = trace_header(trace.n_objects, trace.dz_col.shape[1], trace.dz_row.shape[1])
+        names = trace_header(trace.n_objects, trace.n, trace.m)
         fh.write(next(names))
         fh.writelines("," + name for name in names)
         fh.write("\n")
         for lo in range(0, rows, span):
-            block = table[: min(span, rows - lo)]
-            np.concatenate([f[lo : lo + span] for f in fields], axis=1, out=block)
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+            part = table[lo : lo + span]
+            fh.write(line * len(part) % tuple(part.ravel().tolist()))
 
 
 def read_trace_csv(path: str | Path) -> SimTrace:
     """Re-load a trace written by write_trace_csv (exact float round-trip),
     its object and grid counts read from the header, which must name at
-    least one object."""
+    least one object.  The rows are parsed straight into the table with no
+    comment character, so a row that holds anything but one number per
+    column, a ``#`` among them, is refused."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        rows = [line.split(",") for line in fh if line.strip()]
-    obj_cols, n, m = (sum(c.startswith(key) for c in header) for key in ("obj", "dz1[", "dz2["))
-    if header != list(trace_header(obj_cols // 4, n, m)):
-        raise ScenarioError(f"{path}: the header is not a trace header")
-    if not obj_cols:
-        raise ScenarioError(f"{path}: the header names no object")
-    if not rows:
-        raise ScenarioError(f"{path}: the header is followed by no row")
-    try:  # a row of another length is left out, so the reshape fails
-        data = np.array([float(v) for row in rows if len(row) == len(header) for v in row])
-        data = data.reshape(len(rows), len(header))
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: a row does not hold one number per column") from exc
-    t, states, *grids = np.split(data, np.cumsum([1, obj_cols, n, m, n + 1]), axis=1)
-    return SimTrace(t[:, 0], states.reshape(len(t), obj_cols // 4, 4), *grids)
+        obj_cols, n, m = (sum(c.startswith(key) for c in header) for key in ("obj", "dz1[", "dz2["))
+        if header != list(trace_header(obj_cols // 4, n, m)):
+            raise ScenarioError(f"{path}: the header is not a trace header")
+        if not obj_cols:
+            raise ScenarioError(f"{path}: the header names no object")
+        start = fh.tell()  # np.loadtxt only warns on a file with no row
+        if not any(line.strip() for line in fh):
+            raise ScenarioError(f"{path}: the header is followed by no row")
+        fh.seek(start)
+        try:  # rows of one other width load, so the reshape fails
+            table = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+            table = table.reshape(len(table), len(header))
+        except ValueError as exc:
+            raise ScenarioError(f"{path}: a row does not hold one number per column") from exc
+    return SimTrace(table, obj_cols // 4, n, m)
 
 
 def metrics_dict(metrics: RunMetrics, sc: Scenario) -> dict:

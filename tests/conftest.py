@@ -374,6 +374,23 @@ def write_trace_csv_reference(trace, path):
             fh.write(line % tuple(row.tolist()))
 
 
+def trace_of_fields(t, states, dz_col, dz_row, col_heights, row_heights) -> SimTrace:
+    """The SimTrace whose six views are these per-field arrays, rows first:
+    t (rows,), states (rows, objects, 4) and the four grid fields (rows, n),
+    (rows, m), (rows, n + 1) and (rows, m + 1).  The table's width is that
+    of the trace CSV header, and each view reads back its field's shape."""
+    fields = [np.asarray(f, dtype=float) for f in (t, states, dz_col, dz_row, col_heights,
+                                                   row_heights)]
+    rows, objects = fields[1].shape[:2]
+    n, m = fields[2].shape[1], fields[3].shape[1]
+    table = np.column_stack([fields[0], fields[1].reshape(rows, -1), *fields[2:]])
+    assert table.shape[1] == len(list(trace_header(objects, n, m)))
+    trace = SimTrace(table, objects, n, m)
+    names = ("t", "states", "dz_col", "dz_row", "col_heights", "row_heights")
+    assert [getattr(trace, name).shape for name in names] == [f.shape for f in fields]
+    return trace
+
+
 def single_cell_reference(x, y, vx, vy, gains, cfg: SurfaceConfig):
     """Oracle of ``control.command`` in single_cell mode: the law
     dz = -k * sat(e + SINGLE_CELL_KD * v, bound) on each axis for the first
@@ -450,7 +467,7 @@ def run_reference(sc) -> tuple[SimTrace, RunMetrics]:
         gx, gy = slope_field(col[:-1] - col[1:], row[:-1] - row[1:], cfg, p.gravity)
         advance_reference(x, y, vx, vy, gx, gy, cfg, p.friction, p.dt, substeps)
 
-    trace = SimTrace(*(np.array(field, dtype=float) for field in zip(*rows)))
+    trace = trace_of_fields(*(np.array(field, dtype=float) for field in zip(*rows)))
     last = sc.reference_schedule[-1][1:] if sc.reference_schedule else (cfg.ref_col, cfg.ref_row)
     arrivals = arrival_times_reference(trace, replace(cfg, ref_col=last[0], ref_row=last[1]))
     latest = None if None in arrivals else max(arrivals)

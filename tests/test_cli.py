@@ -1,6 +1,9 @@
 import concurrent.futures
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,10 +20,10 @@ from morphsurf import engine, scenario as sio
 from morphsurf.cli import EXIT_INVALID, EXIT_OK, EXIT_UNSETTLED, main
 from morphsurf.control import ControllerParams, SingleCellGains
 from morphsurf.dynamics import ObjectState, PhysicsParams
-from morphsurf.engine import Scenario, SimTrace, compute_metrics, run
+from morphsurf.engine import Scenario, compute_metrics, run
 from morphsurf.surface import SurfaceConfig
 
-from conftest import inline_pool, write_trace_csv_reference
+from conftest import inline_pool, trace_of_fields, write_trace_csv_reference
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -354,6 +357,70 @@ def scenarios():
     return build()
 
 
+# Leaf values a hostile scenario document may hold: non-finite, huge, tiny
+# and negative numbers, and values of every other JSON kind.
+HOSTILE = (NAN, INF, -INF, 1e308, -1e308, 2**1000, 5e-324, -1, True, False, None, "x", [1.0],
+           {"a": 1.0})
+
+
+def leaves(node, path=""):
+    """(JSON path, container, key) of every leaf of a JSON document, the
+    paths written as the loader names fields."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        sub = f"{path}[{key}]" if isinstance(node, list) else f"{path}.{key}" if path else key
+        if isinstance(value, (dict, list)):
+            yield from leaves(value, sub)
+        else:
+            yield sub, node, key
+
+
+def names(path):
+    """``path`` and the paths of the entries that hold it, longest first,
+    short of a whole top-level section."""
+    cuts = [k for k in range(len(path), 0, -1) if path[k : k + 1] in ("", ".", "[")]
+    return [path[:k] for k in cuts[: max(1, len(cuts) - 1)]]
+
+
+@st.composite
+def hostile_documents(draw):
+    """(document, path, value): the echo of a scenarios() draw with the leaf
+    at ``path`` replaced by ``value``, one of HOSTILE."""
+    doc = sio.scenario_echo(draw(scenarios()))
+    path, node, key = draw(st.sampled_from(list(leaves(doc))))
+    node[key] = draw(st.sampled_from(HOSTILE))
+    return doc, path, node[key]
+
+
+class TestHostileDocument:
+    @settings(max_examples=200, deadline=None)
+    @given(hostile_documents())
+    def test_refused_by_name_or_validated(self, tmp_path_factory, case):
+        # Each document is refused with exit 1, or it loads and validates.
+        # The refusal names the field or an entry holding it.  A finite
+        # number may instead break a rule between fields, refused under the
+        # field it is checked on: a rate of 1e308 Hz as a t_max of too many
+        # ticks, a cell of 5e-324 m as a gravity that crosses too many.
+        doc, field, value = case
+        path = tmp_path_factory.mktemp("hostile") / "scenario.json"
+        path.write_text(json.dumps(doc))
+        try:
+            sio.load_scenario(path)
+            refusal = None
+        except sio.ScenarioError as exc:
+            refusal = str(exc)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["validate", str(path)])
+        if refusal is None:
+            assert code == EXIT_OK
+            return
+        assert code == EXIT_INVALID and refusal in err.getvalue()
+        if not any(name in refusal for name in names(field)):
+            assert type(value) in (int, float) and math.isfinite(value), (field, refusal)
+            fields = tuple(name for leaf, _, _ in leaves(doc) for name in names(leaf))
+            assert refusal.startswith(fields), (field, refusal)
+
+
 class TestScenarioEcho:
     def test_every_loaded_attribute_has_one_table_row(self):
         rows = Counter((cls, attr) for _, cls, attr in sio.FIELDS + sio.OBJECT_FIELDS)
@@ -456,7 +523,12 @@ class TestTraceRoundTrip:
         (lambda lines: lines[:2] + [lines[2] + ",0"] + lines[3:], "row"),
         (lambda lines: lines[:-1] + [lines[-1].replace(",", ",x,", 1)], "row"),
         (lambda lines: lines + ["1,2"], "row"),
+        # a "#" is no comment: a row that holds one, or is one, is refused
+        (lambda lines: lines[:2] + [lines[2] + " # note"] + lines[3:], "row"),
+        (lambda lines: lines[:2] + ["#" + lines[2]] + lines[3:], "row"),
+        (lambda lines: lines + ["# note"], "row"),
         (lambda lines: lines[:1], "no row"),
+        (lambda lines: lines[:1] + ["", "  "], "no row"),
         # the 8 object columns of both objects dropped from every line
         (lambda lines: [",".join(line.split(",")[:1] + line.split(",")[9:]) for line in lines],
          "no object"),
@@ -471,6 +543,23 @@ class TestTraceRoundTrip:
         assert str(path) in str(exc.value)
 
 
+    def test_reading_holds_about_the_table(self, tmp_path):
+        # 200 objects on 12x12, 851 values a row: the rows are parsed into
+        # the table, not first into a list of strings and one of floats
+        trace = random_trace(np.random.default_rng(5), rows=300, objects=200, n=12, m=12)
+        sio.write_trace_csv(trace, tmp_path / "trace.csv")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            back = sio.read_trace_csv(tmp_path / "trace.csv")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert back.table.tobytes() == trace.table.tobytes()
+        assert peak < 3 * trace.table.nbytes
+
+
 def random_trace(rng, rows, objects, n, m):
     """A SimTrace whose every field holds values from 1e-300 to 1e300 in
     size, of either sign, a tenth of them signed zeros."""
@@ -480,8 +569,8 @@ def random_trace(rng, rows, objects, n, m):
         v[zero] = rng.choice([0.0, -0.0], int(zero.sum()))
         return v
 
-    return SimTrace(values(rows), values(rows, objects, 4), values(rows, n), values(rows, m),
-                    values(rows, n + 1), values(rows, m + 1))
+    return trace_of_fields(values(rows), values(rows, objects, 4), values(rows, n),
+                           values(rows, m), values(rows, n + 1), values(rows, m + 1))
 
 
 def csv_peak_bound(width):
@@ -535,7 +624,7 @@ class TestTraceCsv:
             rows = 5 * csv_peak_bound(width) // (8 * width) + 1
             rng = np.random.default_rng(floats + objects)
             shapes = ((), (objects, 4), (n,), (n,), (n + 1,), (n + 1,))
-            trace = SimTrace(*(rng.uniform(0.0, 2.0, (rows, *shape)) for shape in shapes))
+            trace = trace_of_fields(*(rng.uniform(0.0, 2.0, (rows, *shape)) for shape in shapes))
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
@@ -558,7 +647,7 @@ class TestTraceCsv:
         assert sio._CSV_FLOATS // width == 1  # one row a block
         rng = np.random.default_rng(2000)
         shapes = ((), (objects, 4), (n,), (n,), (n + 1,), (n + 1,))
-        trace = SimTrace(*(rng.uniform(0.0, 2.0, (rows, *shape)) for shape in shapes))
+        trace = trace_of_fields(*(rng.uniform(0.0, 2.0, (rows, *shape)) for shape in shapes))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import math
+import mmap
 import sys
 import tracemalloc
 from collections import Counter
@@ -26,14 +27,13 @@ from morphsurf.engine import (
     SINGLE_CELL_SETTLE,
     BatchEntry,
     Scenario,
-    SimTrace,
     _grid_orientation_terms,
     batch,
     compute_metrics,
     initial_state,
     run,
 )
-from morphsurf.scenario import load_scenario
+from morphsurf.scenario import load_scenario, trace_header
 from morphsurf.surface import FieldError
 
 from conftest import (
@@ -45,6 +45,7 @@ from conftest import (
     random_config,
     random_feasible_input,
     run_reference,
+    trace_of_fields,
     whole_runs,
     slope_field,
 )
@@ -68,13 +69,21 @@ def small_scenario(mode="wave", **kw):
     return Scenario(**defaults)
 
 
+def assert_same_trace(got, want):
+    """The two traces agree to the bit: the table, which holds all six
+    views, and the counts that lay it out."""
+    assert got.table.shape == want.table.shape
+    assert got.table.tobytes() == want.table.tobytes()
+    assert (got.n_objects, got.n, got.m) == (want.n_objects, want.n, want.m)
+
+
 def synthetic_trace(t, xs, cfg):
     """Single-object trace with given x positions (y fixed inside the ref row)."""
     rows = len(t)
     states = np.zeros((rows, 1, 4))
     states[:, 0, 0] = xs
     states[:, 0, 1] = (cfg.ref_row - 0.5) * cfg.L
-    return SimTrace(
+    return trace_of_fields(
         t=np.asarray(t, dtype=float),
         states=states,
         dz_col=np.zeros((rows, cfg.n)),
@@ -395,7 +404,7 @@ def random_trace(rng, cfg, rows, objects):
     for k, first in enumerate(rng.integers(0, rows + 1, objects)):
         states[first:, k, 0] = (cfg.ref_col - rng.uniform(0.0, 1.0, rows - first)) * cfg.W
         states[first:, k, 1] = (cfg.ref_row - 1 + rng.uniform(0.0, 1.0, rows - first)) * cfg.L
-    return SimTrace(
+    return trace_of_fields(
         t=np.arange(rows) * 0.1,
         states=states,
         dz_col=np.zeros((rows, cfg.n)),
@@ -415,10 +424,31 @@ class TestTraceRecording:
         want = run(sc)[0]
         monkeypatch.setattr(engine, "_TRACE_RESERVE", 1 << 10)
         got = run(sc)[0]
-        for f in dataclasses.fields(SimTrace):
-            a, b = getattr(got, f.name), getattr(want, f.name)
-            assert a.shape == b.shape, f.name
-            assert a.tobytes() == b.tobytes(), f.name
+        assert_same_trace(got, want)
+
+    @pytest.mark.parametrize("objects", [1, 200])
+    @pytest.mark.parametrize("reserve", [engine._TRACE_RESERVE, 1 << 10], ids=["one", "grown"])
+    def test_the_fields_are_views_of_one_mapped_table(self, objects, reserve, monkeypatch):
+        monkeypatch.setattr(engine, "_TRACE_RESERVE", reserve)
+        cfg = SurfaceConfig(n=12, m=12, W=2.0, L=2.0, stroke=1.0, ref_col=6, ref_row=6)
+        sc = Scenario(cfg, PhysicsParams(tau=0.5, dt=0.01), "distributed", random_count=objects,
+                      seed=objects, t_max=2.0)
+        trace = run(sc)[0]
+        assert list(vars(trace)) == ["table", "n_objects", "n", "m"]
+        table = trace.table
+        rows = len(table)
+        assert rows == 21 and table.shape[1] == len(list(trace_header(objects, 12, 12)))
+        shapes = {"t": (rows,), "states": (rows, objects, 4), "dz_col": (rows, 12),
+                  "dz_row": (rows, 12), "col_heights": (rows, 13), "row_heights": (rows, 13)}
+        views = [getattr(trace, name) for name in shapes]
+        for name, view in zip(shapes, views):
+            assert view.shape == shapes[name] and np.shares_memory(view, table), name
+        # the views, in order, are the table's columns
+        flat = [views[0][:, None], views[1].reshape(rows, -1), *views[2:]]
+        assert np.concatenate(flat, axis=1).tobytes() == table.tobytes()
+        while isinstance(table, np.ndarray):
+            table = table.base
+        assert isinstance(table, memoryview) and isinstance(table.obj, mmap.mmap)
 
     def test_metrics_match_the_first_formulas_bitwise(self):
         rng = np.random.default_rng(4)
@@ -800,9 +830,7 @@ class TestWholeRunOracle:
     def test_run_matches_the_reference(self, sc):
         trace, metrics = run(sc)
         want_trace, want = run_reference(sc)
-        for f in dataclasses.fields(SimTrace):
-            got, expected = getattr(trace, f.name), getattr(want_trace, f.name)
-            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), f.name
+        assert_same_trace(trace, want_trace)
         assert metrics.converged == want.converged
         assert metrics.convergence_time == want.convergence_time
         assert metrics.arrival_times == want.arrival_times

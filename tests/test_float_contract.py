@@ -16,6 +16,8 @@ from morphsurf.engine import SimTrace, compute_metrics
 from morphsurf.scenario import read_trace_csv, write_trace_csv
 from morphsurf.surface import SurfaceConfig
 
+from conftest import trace_of_fields
+
 TINY = 2.0**-53
 ADDENDS = [1.0] + [TINY] * 15
 PAIRWISE = 1.0000000000000016  # 1 + 7 * 2**-52
@@ -28,8 +30,8 @@ def trace_of(x: np.ndarray) -> SimTrace:
     rows, objects = x.shape
     states = np.zeros((rows, objects, 4))
     states[:, :, 0], states[:, :, 1] = x, 1.0
-    return SimTrace(np.arange(rows) * 0.1, states, np.zeros((rows, 1)), np.zeros((rows, 1)),
-                    np.zeros((rows, 2)), np.zeros((rows, 2)))
+    return trace_of_fields(np.arange(rows) * 0.1, states, np.zeros((rows, 1)),
+                           np.zeros((rows, 1)), np.zeros((rows, 2)), np.zeros((rows, 2)))
 
 
 def zigzag(objects: int) -> np.ndarray:

@@ -4,13 +4,16 @@
 A change that only speeds the program up must leave every hash as it is.
 A change that alters the arithmetic on purpose re-pins the hashes and says
 why.  `metrics.json` is hashed without its `wall_clock` entry, as canonical
-JSON with sorted keys.
+JSON with sorted keys.  Each golden `trace.csv` also pins digests of its
+first 1, 2, 4, ... rows, so that a trace that moved names where it first
+moved, within a factor of two.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from morphsurf import scenario as sio
@@ -115,6 +118,63 @@ S1X10 = {
                "7e43b1b9ab0fb5c261df1978bb83d06128307d0bbdec0aae3a467e2f904ea961"),
 }
 
+# The first 16 hex digits of the SHA-256 of each golden trace.csv's header
+# and its first 2**k data rows, for k = 0 to floor(log2 rows).  A trace that
+# matches the k-th and not the (k+1)-th first differs in the data rows
+# [2**k, 2**(k+1)), counted from 0 after the header; one that differs only
+# after the last is caught by its whole-file hash alone.
+PREFIXES = {
+    "paper-s1x10": (
+        "0a01c129c28b8cab", "46b3acdee4044f1b", "88fcdac26b3b899c", "6af0e85662d10def",
+        "2f5e103133952f72", "e8e0746b2ecaf0d6", "81ef836c4391a494", "8c878c888ae5b4e1",
+        "5b965cd29bc17a0e", "f29a1dd281ef71ba", "4b76c905c7ea4147",
+    ),
+    "paper-s5x6": (
+        "c7c2e8c4fb2a61d2", "e474e20d548f53b3", "c85408c74dd8a36b", "733fea3973d7c924",
+        "d0eb2c6cb72958bd", "114f51f5e349c899", "2339ac6dbb5b2489", "d1f079a7682825ee",
+        "78ab788515ff0101", "b81415da573ed06e", "0990a2a593662305",
+    ),
+    "uturn": (
+        "7cf02242344438c2", "e76b79fcb313fd41", "48cb584a7e2c11e9", "a9412b3b5383a7c2",
+        "25155ccc36b6cd61", "fec805c1e9d64ffd", "bfd3d2f1896b88f3", "e0d47ae397647741",
+        "b479696fa7694fbf", "e0e57ec82a71958e", "b396561676439dc6",
+    ),
+    "lagged distributed": (
+        "061cdda9895e1015", "fea3388370c9c0af", "901bef40bcb0892f", "128d3668c70217cf",
+        "541aa59f68898554", "01278e765458327a", "164a1c91bbbf2691", "9e208240b05a77b5",
+        "e03643775a313ce0", "e7a76841a5ac1539", "f1186c6a14845305",
+    ),
+    "lagged wave": (
+        "6029e6c054c76774", "aa4f148bf513cc2e", "7cbbaf0b2ac27548", "63c48a3e246907b3",
+        "7a86a3b50549c783", "b39e7bf794d0a32b", "e4386db81d527eab", "a9754a839865f404",
+        "94b5c8c614774120", "36b91bbed6dcf1b4", "9ce29552188ef653",
+    ),
+    "mode distributed": (
+        "8b8f0f9a89f7ba1d", "0d504f537f9ab1e6", "f56411eb24c63070", "ef033287120b065d",
+        "cf05979a81697459", "9e7bdf2d4bccafcd", "9e2766ca03e0d0a1", "e2d272acbaf1e4c4",
+        "b14ba9b9a3abccba", "fb11155ae3adc524", "574854b20c8aaa76",
+    ),
+    "mode funnel": (
+        "8b8f0f9a89f7ba1d", "0d504f537f9ab1e6", "f56411eb24c63070", "ef033287120b065d",
+        "cf05979a81697459", "9e7bdf2d4bccafcd", "9e2766ca03e0d0a1", "e2d272acbaf1e4c4",
+        "ac7f82a61ae40bf3", "ebfceba78f528b42", "505d952e2ef6c828", "f436a32f6517e894",
+    ),
+    "crowd wave": (
+        "c243189d91ff4bba", "399abe58966e08b9", "a001fdf9a79d6f07", "5217df4ff77380d2",
+        "96d6d34de3bc072b", "b046d15c0f0daffe", "82014179d58ce69a", "01ee85072a45dc5f",
+        "3b077701d30b525b", "618154f582759848", "316534737cc3706d",
+    ),
+    "crowd distributed": (
+        "f42183fd7c86d255", "c06e032fc6e76f1b", "d4dd9c5ffe7be2b0", "29f9d5b1c918cc9a",
+        "0c7dcb7b5fa8b2dc", "440413005027ec1c", "028d04daa4ce8602", "aa69d83315f06522",
+        "e87144671ef1eba9", "6809e5f66eaf65f2", "a740adfff54755cf", "8908c8fbe8835170",
+    ),
+    "single_cell": (
+        "f50bf46ee4596eb7", "ba1d41d546f61e1b", "cf81399ab93bc6e4", "06edfb76889106d7",
+        "bd12c5f5b02cf822", "a46687ff1ca35a7c", "b64395b7861ec13b",
+    ),
+}
+
 # summary.json of `compare` on paper-s5x6, three modes, seeds 1..2.
 SUMMARY = "b21348f49f66caa57cdb2eaeec077d5c582d2bcffc2bb6432bb7688e9da735a9"
 
@@ -123,8 +183,38 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_hashes(path: Path, out: Path) -> tuple[str, str]:
+def prefix_digests(path: Path) -> list[str]:
+    """The PREFIXES entry of the trace.csv at ``path``."""
+    digests, h = [], hashlib.sha256()
+    with open(path, "rb") as fh:
+        h.update(fh.readline())
+        for rows, line in enumerate(fh, 1):
+            h.update(line)
+            if rows & (rows - 1) == 0:  # a power of two
+                digests.append(h.hexdigest()[:16])
+    return digests
+
+
+def first_difference(path: Path, want: tuple[str, ...]) -> str | None:
+    """The data rows of the trace.csv at ``path`` that hold its first
+    difference from the golden whose PREFIXES entry is ``want``, or None if
+    it has every digest of the entry."""
+    got = prefix_digests(path)
+    for k, (mine, theirs) in enumerate(zip(got, want)):
+        if mine != theirs:
+            return f"[{2**k // 2}, {2**k})"
+    if len(got) != len(want):
+        return f"[{2 ** (min(len(got), len(want)) - 1)}, end): the row count differs"
+    return None
+
+
+def run_hashes(path: Path, out: Path, key: str) -> tuple[str, str]:
+    """Hashes of the trace.csv and metrics.json of `morphsurf run` on
+    ``path``; its trace must first have every prefix digest of the golden
+    ``key``."""
     assert main(["run", str(path), "-o", str(out)]) in (EXIT_OK, EXIT_UNSETTLED)
+    where = first_difference(out / "trace.csv", PREFIXES[key])
+    assert where is None, f"{key}: trace.csv first differs in data rows {where}"
     metrics = json.loads((out / "metrics.json").read_text())
     del metrics["wall_clock"]
     return (
@@ -155,13 +245,13 @@ def s5x6_scenario(tmp_path: Path, mode: str, lagged: bool) -> Path:
 
 @pytest.mark.parametrize("name", sorted(CANNED))
 def test_canned_run(name, tmp_path):
-    assert run_hashes(SCENARIOS / f"{name}.json", tmp_path / "out") == CANNED[name]
+    assert run_hashes(SCENARIOS / f"{name}.json", tmp_path / "out", name) == CANNED[name]
 
 
 @pytest.mark.parametrize("mode", sorted(LAGGED))
 def test_lagged_hardware_split_run(mode, tmp_path):
     path = s5x6_scenario(tmp_path, mode, lagged=True)
-    hashes = run_hashes(path, tmp_path / "out")
+    hashes = run_hashes(path, tmp_path / "out", f"lagged {mode}")
     assert outcome(tmp_path / "out") == OUTCOMES[f"lagged {mode}"]
     assert hashes == LAGGED[mode]
 
@@ -169,7 +259,7 @@ def test_lagged_hardware_split_run(mode, tmp_path):
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_mode_run(mode, tmp_path):
     path = s5x6_scenario(tmp_path, mode, lagged=False)
-    hashes = run_hashes(path, tmp_path / "out")
+    hashes = run_hashes(path, tmp_path / "out", f"mode {mode}")
     assert outcome(tmp_path / "out") == OUTCOMES[f"mode {mode}"]
     assert hashes == MODES[mode]
 
@@ -196,7 +286,7 @@ def crowd_hashes(tmp_path: Path, mode: str) -> tuple[str, str]:
     }
     path = tmp_path / "crowd.json"
     path.write_text(json.dumps(doc))
-    hashes = run_hashes(path, tmp_path / "out")
+    hashes = run_hashes(path, tmp_path / "out", f"crowd {mode}")
     assert outcome(tmp_path / "out") == OUTCOMES[f"crowd {mode}"]
     return hashes
 
@@ -219,9 +309,40 @@ def test_single_cell_run(tmp_path):
     }
     path = tmp_path / "single-cell.json"
     path.write_text(json.dumps(doc))
-    hashes = run_hashes(path, tmp_path / "out")
+    hashes = run_hashes(path, tmp_path / "out", "single_cell")
     assert outcome(tmp_path / "out") == OUTCOMES["single_cell"]
     assert hashes == SINGLE_CELL
+
+
+@pytest.fixture(scope="module")
+def uturn_trace(tmp_path_factory) -> bytes:
+    """The golden trace.csv of uturn: 2003 data rows."""
+    out = tmp_path_factory.mktemp("uturn")
+    assert run_hashes(SCENARIOS / "uturn.json", out, "uturn") == CANNED["uturn"]
+    return (out / "trace.csv").read_bytes()
+
+
+@pytest.mark.parametrize("row, where", [
+    (0, "[0, 1)"), (1, "[1, 2)"), (2, "[2, 4)"), (3, "[2, 4)"), (700, "[512, 1024)"),
+    (1023, "[512, 1024)"),
+    (1024, None), (2002, None),  # after the last digest: the whole-file hash moves
+])
+def test_a_one_bit_change_is_placed_within_a_factor_of_two(row, where, uturn_trace, tmp_path):
+    lines = uturn_trace.split(b"\n")
+    values = lines[1 + row].split(b",")
+    x = np.array([float(values[1])])  # obj1.x, with its last bit flipped
+    values[1] = b"%.17g" % (x.view(np.int64) ^ 1).view(np.float64)[0]
+    lines[1 + row] = b",".join(values)
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"\n".join(lines))
+    assert first_difference(path, PREFIXES["uturn"]) == where
+    assert sha256(path.read_bytes()) != CANNED["uturn"][0]
+
+
+def test_a_trace_of_another_length_is_placed(uturn_trace, tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"\n".join(uturn_trace.split(b"\n")[:1 + 900]) + b"\n")
+    assert first_difference(path, PREFIXES["uturn"]) == "[512, end): the row count differs"
 
 
 def test_compare_summary(tmp_path):
