@@ -399,7 +399,7 @@ class TestHostileDocument:
         # The refusal names the field or an entry holding it.  A finite
         # number may instead break a rule between fields, refused under the
         # field it is checked on: a rate of 1e308 Hz as a t_max of too many
-        # ticks, a cell of 5e-324 m as a gravity that crosses too many.
+        # ticks, a stroke of 1e308 m as a cell width too small for it.
         doc, field, value = case
         path = tmp_path_factory.mktemp("hostile") / "scenario.json"
         path.write_text(json.dumps(doc))
@@ -541,7 +541,6 @@ class TestTraceRoundTrip:
         with pytest.raises(sio.ScenarioError, match=reason) as exc:
             sio.read_trace_csv(path)
         assert str(path) in str(exc.value)
-
 
     def test_reading_holds_about_the_table(self, tmp_path):
         # 200 objects on 12x12, 851 values a row: the rows are parsed into
