@@ -3,7 +3,6 @@
 from .control import (
     ControllerParams,
     SingleCellGains,
-    occupancy_sets,
     single_cell_feedback,
 )
 from .dynamics import (
@@ -48,7 +47,6 @@ __all__ = [
     "batch",
     "cell_orientation",
     "dof_count",
-    "occupancy_sets",
     "planar_completion",
     "reconstruct_actuator_grid",
     "run",

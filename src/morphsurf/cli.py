@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import control, engine, scenario as sio
+from . import control, dynamics, engine, scenario as sio
 from .surface import SurfaceConfig, validate_grid
 
 EXIT_OK = 0
@@ -137,7 +137,9 @@ def _cmd_validate(args) -> int:
         )
     if doc is not None and "heights" not in doc:
         sc = sio.scenario_from_dict(doc)
-        grid = control.command(*engine.initial_state(sc), sc.mode, sc.params, sc.cfg)[1]
+        state = engine.initial_state(sc)
+        cells = dynamics.cell_indices(state[0], state[1], sc.cfg)  # as engine.run's first tick
+        grid = control.command(*state, sc.mode, sc.params, sc.cfg, cells)[1]
         cfg = sc.cfg
     else:
         if path.suffix == ".json":

@@ -20,7 +20,6 @@ from functools import reduce
 
 import numpy as np
 
-from .dynamics import cell_indices
 from .surface import (
     ActuatorGrid,
     ControlInput,
@@ -78,26 +77,6 @@ class ControllerParams:
             ("frac_x", abs(self.frac_x + self.frac_y - 1.0) <= 1e-9,
              f"such that the stroke fractions a + b = 1 (b is {self.frac_y})"),
         ))
-
-
-def occupancy_sets(
-    x: np.ndarray, y: np.ndarray, cfg: SurfaceConfig
-) -> tuple[list[int], list[int]]:
-    """The sorted 0-based columns and rows occupied by objects at positions
-    (x[k], y[k]).  Raises a ValueError naming the first position outside
-    the workspace; NaN lies outside."""
-    inside = (x >= 0.0) & (x <= cfg.width) & (y >= 0.0) & (y <= cfg.length)
-    if not inside.all():
-        k = int(inside.argmin())
-        raise ValueError(f"position ({float(x[k])}, {float(y[k])}) outside workspace "
-                         f"[0,{cfg.width}]x[0,{cfg.length}]")
-    return _occupied(cell_indices(x, y, cfg))
-
-
-def _occupied(cells) -> tuple[list[int], list[int]]:
-    """The sorted 0-based columns and rows in ``cells``, (2, N) column and
-    row indices such as ``cell_indices`` gives."""
-    return sorted(set(cells[0].tolist())), sorted(set(cells[1].tolist()))
 
 
 def axis_drops(
@@ -197,7 +176,7 @@ def command(
     mode: str,
     params: ControllerParams,
     cfg: SurfaceConfig,
-    cells: np.ndarray | None = None,
+    cells: np.ndarray,
 ) -> tuple[ControlInput, ActuatorGrid]:
     """Commanded (input, grid) pair for this tick, for objects with positions
     (x[k], y[k]) and velocities (vx[k], vy[k]).
@@ -209,11 +188,10 @@ def command(
     takes the surface, gains and objects as a Scenario accepts them, so no
     tick checks them again.
 
-    distributed and wave read the occupied lines from ``cells``, the (2, N)
-    column and row indices of the objects' cells, where given: ``engine.run``
-    looks them up once per tick, in ``dynamics.advance``, and hands them
-    on.  Without them, ``occupancy_sets`` looks the cells up and refuses a
-    position outside the workspace.
+    distributed and wave tilt the occupied lines, the sorted distinct
+    ``cells[0]`` and ``cells[1]`` of the (2, N) cells ``dynamics.cell_indices``
+    gives for objects inside the workspace: ``engine.run`` looks them up
+    before its first tick, and each ``dynamics.advance`` returns the next.
     """
     if mode == "single_cell":
         e_x, e_y = float(x[0]) - cfg.W / 2.0, float(y[0]) - cfg.L / 2.0
@@ -225,7 +203,7 @@ def command(
         cols, rows = range(cfg.n), range(cfg.m)
     elif mode in ("distributed", "wave"):
         a, b = split_fractions(x, y, params, cfg)
-        cols, rows = occupancy_sets(x, y, cfg) if cells is None else _occupied(cells)
+        cols, rows = sorted(set(cells[0].tolist())), sorted(set(cells[1].tolist()))
     else:
         raise ValueError(f"unknown controller mode {mode!r}")
     wave = mode == "wave"

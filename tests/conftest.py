@@ -252,7 +252,7 @@ class OccupancySets:
 def locate_cell(x: float, y: float, cfg: SurfaceConfig) -> tuple[int, int]:
     """1-based (column, row) of the cell holding the point (x, y), one
     scalar at a time: the workspace check and the cell rule, stated apart
-    from control.occupancy_sets and dynamics.cell_indices to check them.  A
+    from the Scenario check and dynamics.cell_indices to check them.  A
     point outside [0, width] x [0, length], NaN included, raises."""
     if not (0.0 <= x <= cfg.width and 0.0 <= y <= cfg.length):
         raise ValueError(f"position ({x}, {y}) outside the workspace")

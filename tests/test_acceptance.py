@@ -324,8 +324,9 @@ class TestC6FunnelEquivalence:
             for j in range(1, cfg.m + 1)
         ]
         arrays = object_arrays(objects)
-        u_dist = command(*arrays, "distributed", ControllerParams(), cfg)[0]
-        u_funnel = command(*arrays, "funnel", ControllerParams(), cfg)[0]
+        cells = cell_indices(arrays[0], arrays[1], cfg)
+        u_dist = command(*arrays, "distributed", ControllerParams(), cfg, cells)[0]
+        u_funnel = command(*arrays, "funnel", ControllerParams(), cfg, cells)[0]
         ok = u_dist.dz_col == u_funnel.dz_col and u_dist.dz_row == u_funnel.dz_row
         assert report("6 funnel-equivalence", ok)
 

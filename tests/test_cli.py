@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morphsurf import engine, scenario as sio
+from morphsurf import cli, engine, scenario as sio
 from morphsurf.cli import EXIT_INVALID, EXIT_OK, EXIT_UNSETTLED, main
 from morphsurf.control import ControllerParams, SingleCellGains
 from morphsurf.dynamics import ObjectState, PhysicsParams
 from morphsurf.engine import Scenario, compute_metrics, run
-from morphsurf.surface import SurfaceConfig
+from morphsurf.surface import SurfaceConfig, validate_grid
 
 from conftest import inline_pool, trace_of_fields, write_trace_csv_reference
 
@@ -110,6 +110,11 @@ class TestHostileInput:
             ({"objects": [{"x": 1.0, "y": 3.0, "vx": NAN}]}, "objects[0].vx"),
             ({"objects": [{"x": 1.0, "y": 3.0, "vy": -INF}]}, "objects[0].vy"),
             ({"objects": [{"x": 1.0, "y": 3.0}, {"x": -1.0, "y": 1.0}]}, "objects[1]"),
+            # the first float past each wall of the [0, 6] x [0, 4] workspace
+            ({"objects": [{"x": 1.0, "y": 3.0}, {"x": math.nextafter(0.0, -INF), "y": 1.0}]},
+             "objects[1]"),
+            ({"objects": [{"x": math.nextafter(6.0, INF), "y": 1.0}]}, "objects[0]"),
+            ({"objects": [{"x": 1.0, "y": math.nextafter(4.0, INF)}]}, "objects[0]"),
             ({"reference_schedule": [[0.5, 99, 99]]}, "reference_schedule"),
             ({"reference_schedule": [[-1.0, 1, 1]]}, "reference_schedule"),
             ({"reference_schedule": [[0.5, INF, 1]]}, "reference_schedule[0] column"),
@@ -177,6 +182,13 @@ class TestHostileInput:
         assert main(["run", str(path), "-o", str(out)]) == EXIT_INVALID
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    def test_an_object_on_the_far_corner_loads(self, tmp_path, capsys):
+        # the walls belong to the workspace, the far corner (n W, m L) too
+        path = tiny_scenario(tmp_path, objects=[{"x": 6.0, "y": 4.0}])
+        assert sio.load_scenario(path).objects == (ObjectState(6.0, 4.0),)
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == "grid feasible: no violations\n"
 
     def test_extents_and_speeds_just_under_2_500_run_cleanly(self, tmp_path):
         # 3x2 cells of 1e150 m and speeds of 3e150 m/s on both axes: every
@@ -794,6 +806,28 @@ class TestValidateCommand:
     def test_scenario_initial_grid_is_clean(self, tmp_path):
         path = tiny_scenario(tmp_path)
         assert main(["validate", str(path)]) == EXIT_OK
+
+    @pytest.mark.parametrize("mode", ["wave", "distributed", "funnel"])
+    @pytest.mark.parametrize("name", ["paper-s1x10", "paper-s5x6", "uturn"])
+    def test_validate_checks_the_grid_run_commands_first(self, tmp_path, monkeypatch,
+                                                         name, mode):
+        # every shipped scenario has tau 0, so row 0 of the trace is the
+        # grid commanded before the first tick
+        doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+        doc["control"]["mode"] = mode
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        checked = []
+        monkeypatch.setattr(cli, "validate_grid",
+                            lambda grid, cfg: checked.append(grid) or validate_grid(grid, cfg))
+        assert main(["validate", str(path)]) == EXIT_OK
+        sc = sio.load_scenario(path)
+        assert sc.physics.tau == 0.0
+        trace = run(dataclasses.replace(sc, t_max=1.0))[0]
+        (grid,) = checked
+        got = np.concatenate((grid.col_heights, grid.row_heights))
+        want = np.concatenate((trace.col_heights[0], trace.row_heights[0]))
+        assert got.tobytes() == want.tobytes()
 
     def test_grid_from_run_trace_is_clean(self, tmp_path):
         # grids recorded in a run's trace satisfy every constraint

@@ -33,45 +33,27 @@ def objects_in_cells(cells, cfg):
     )
 
 
-def occupancy_sets(objects, cfg):
-    x, y, _, _ = objects
-    return control.occupancy_sets(x, y, cfg)
+def command(x, y, vx, vy, mode, params, cfg):
+    """control.command handed the objects' cells, as engine.run hands them."""
+    return control.command(x, y, vx, vy, mode, params, cfg, cell_indices(x, y, cfg))
 
 
 def commanded_input(objects, mode, params, cfg):
-    return control.command(*objects, mode, params, cfg)[0]
+    return command(*objects, mode, params, cfg)[0]
 
 
 def control_tick(objects, mode, params, cfg):
-    return control.command(*objects, mode, params, cfg)[1]
+    return command(*objects, mode, params, cfg)[1]
 
 
 # One object in each column and each row off the reference: full occupancy.
 EXAMPLE_CELLS = [(1, 2), (2, 4), (5, 3), (4, 1)]
-HOME = objects_in_cells([(3, 1)], CFG)  # every object in the reference cell
+HOME = objects_in_cells([(3, 1), (3, 1)], CFG)  # every object in the reference cell
+# Surfaces with no tilted line: no objects, or all of them in the reference cell.
+LEVEL = (object_arrays([]), HOME)
 
 
-class TestOccupancySets:
-    def test_empty_surface(self):
-        assert occupancy_sets(object_arrays([]), CFG) == ([], [])
-
-    def test_all_in_reference(self):
-        s = occupancy_sets(objects_in_cells([(3, 1), (3, 1)], CFG), CFG)
-        assert s == ([2], [0])
-
-    def test_example_surface(self):
-        s = occupancy_sets(objects_in_cells(EXAMPLE_CELLS, CFG), CFG)
-        assert s == ([0, 1, 3, 4], [0, 1, 2, 3])
-
-    def test_single_neighbor(self):
-        s = occupancy_sets(objects_in_cells([(3, 2)], CFG), CFG)
-        assert s == ([2], [1])
-
-    @staticmethod
-    def sets_by_locate_cell(xs, ys, cfg):
-        cells = [locate_cell(a, b, cfg) for a, b in zip(xs, ys)]
-        return sorted({c - 1 for c, _ in cells}), sorted({r - 1 for _, r in cells})
-
+class TestOccupiedCells:
     @pytest.mark.parametrize("cfg", [
         CFG,
         SurfaceConfig(5, 4, 0.1, 0.3, 1.0, 3, 2),  # multiples of W round both ways
@@ -85,16 +67,17 @@ class TestOccupancySets:
         ci, cj = cell_indices(np.array(xs), np.array(ys), cfg)
         cells = [locate_cell(a, b, cfg) for a, b in zip(xs, ys)]
         assert list(zip((ci + 1).tolist(), (cj + 1).tolist())) == cells
-        for a, b in zip(xs, ys):
-            got = control.occupancy_sets(np.array([a]), np.array([b]), cfg)
-            assert got == self.sets_by_locate_cell([a], [b], cfg)
+        # the lines command tilts for one point, and for three at a time
         rng = np.random.default_rng(11)
-        for _ in range(50):
-            pick = rng.choice(len(xs), size=3)
-            got = control.occupancy_sets(np.array(xs)[pick], np.array(ys)[pick], cfg)
-            assert got == self.sets_by_locate_cell(
-                [xs[k] for k in pick], [ys[k] for k in pick], cfg
-            )
+        picks = [[k] for k in range(len(xs))] + [rng.choice(len(xs), size=3) for _ in range(50)]
+        params = ControllerParams(0.3, 0.7)
+        for pick in picks:
+            x, y = np.array(xs)[pick], np.array(ys)[pick]
+            for mode in ("distributed", "wave"):
+                got_u, got_grid = command(x, y, 0 * x, 0 * y, mode, params, cfg)
+                want_u, want_grid = allocation_reference(x, y, mode, params, cfg)
+                assert same_bits(got_u.dz_col + got_u.dz_row, want_u.dz_col + want_u.dz_row)
+                assert same_bits(got_grid.heights(), want_grid.heights())
 
     @pytest.mark.parametrize("x, y", [
         (np.nextafter(0.0, -1.0), 1.0),
@@ -103,22 +86,11 @@ class TestOccupancySets:
         (float("nan"), 1.0),
         (1.0, float("-inf")),
     ])
-    def test_outside_workspace_raises_like_locate_cell(self, x, y):
-        # the first position outside the workspace is named, in x and in y;
-        # the one after it is not
-        with pytest.raises(ValueError):
+    def test_locate_cell_refuses_outside_workspace(self, x, y):
+        # the oracle's workspace check, to the last ulp; the program makes it
+        # when a Scenario loads (test_cli.py TestHostileInput)
+        with pytest.raises(ValueError, match="outside the workspace"):
             locate_cell(x, y, CFG)
-        xs, ys, still = np.array([1.0, x, -1.0]), np.array([1.0, y, -1.0]), np.zeros(3)
-        text = (f"position ({float(x)}, {float(y)}) outside workspace "
-                f"[0,{CFG.width}]x[0,{CFG.length}]")
-        calls = [lambda: control.occupancy_sets(xs, ys, CFG)] + [
-            lambda mode=mode: control.command(xs, ys, still, still, mode, ControllerParams(), CFG)
-            for mode in ("distributed", "wave")
-        ]
-        for call in calls:
-            with pytest.raises(ValueError) as got:
-                call()
-            assert str(got.value) == text
 
 
 def edges(count, size, extent):
@@ -148,9 +120,17 @@ class TestDistributedAllocation:
         np.testing.assert_allclose(u.dz_row, [0, -50 / 3, -50 / 3, -50 / 3])
 
     def test_empty_sets_level_surface(self):
-        u = commanded_input(HOME, "distributed", ControllerParams(), CFG)
-        assert all(v == 0 for v in u.dz_col)
-        assert all(v == 0 for v in u.dz_row)
+        for objects in LEVEL:
+            u = commanded_input(objects, "distributed", ControllerParams(), CFG)
+            assert all(v == 0 for v in u.dz_col)
+            assert all(v == 0 for v in u.dz_row)
+
+    def test_single_neighbor(self):
+        # one object just above the reference cell tilts its row alone
+        u = commanded_input(objects_in_cells([(3, 2)], CFG), "distributed",
+                            ControllerParams(), CFG)
+        assert u.dz_col == (0.0,) * 5
+        assert u.dz_row == (0.0, -50.0, 0.0, 0.0)
 
     def test_full_occupancy_equals_funnel(self):
         full = objects_in_cells(EXAMPLE_CELLS, CFG)
@@ -170,7 +150,7 @@ class TestDistributedAllocation:
                 for _ in range(6)
             ]
             objects = objects_in_cells(cells, cfg)
-            cols, rows = occupancy_sets(objects, cfg)
+            cols, rows = {i - 1 for i, _ in cells}, {j - 1 for _, j in cells}
             a = float(rng.uniform(0, 1))
             u = commanded_input(objects, "distributed", ControllerParams(a, 1 - a), cfg)
             left = [c for c in cols if c < cfg.ref_col - 1]
@@ -193,9 +173,10 @@ class TestWave:
         np.testing.assert_allclose(u.dz_row, [0, 0, 0, -50])
 
     def test_empty_sets(self):
-        u = commanded_input(HOME, "wave", ControllerParams(), CFG)
-        assert all(v == 0 for v in u.dz_col)
-        assert all(v == 0 for v in u.dz_row)
+        for objects in LEVEL:
+            u = commanded_input(objects, "wave", ControllerParams(), CFG)
+            assert all(v == 0 for v in u.dz_col)
+            assert all(v == 0 for v in u.dz_row)
 
     def test_singleton_far_corner(self):
         u = commanded_input(objects_in_cells([(5, 4)], CFG), "wave",
@@ -275,17 +256,16 @@ class TestAllocationOracle:
     @settings(max_examples=300, deadline=None)
     @given(allocation_cases())
     def test_command_matches_the_reference(self, case):
-        # with and without the cells engine.run hands command; funnel and
+        # handed the cells engine.run hands command; funnel and
         # hardware_split, which do not read them, are drawn too
         x, y, mode, params, cfg = case
         want_u, want_grid = allocation_reference(x, y, mode, params, cfg)
         still = np.zeros_like(x)
-        for cells in (None, cell_indices(x, y, cfg)):
-            got_u, got_grid = control.command(x, y, still, still, mode, params, cfg, cells)
-            assert same_bits(got_u.dz_col, want_u.dz_col)
-            assert same_bits(got_u.dz_row, want_u.dz_row)
-            assert same_bits(got_grid.col_heights, want_grid.col_heights)
-            assert same_bits(got_grid.row_heights, want_grid.row_heights)
+        got_u, got_grid = command(x, y, still, still, mode, params, cfg)
+        assert same_bits(got_u.dz_col, want_u.dz_col)
+        assert same_bits(got_u.dz_row, want_u.dz_row)
+        assert same_bits(got_grid.col_heights, want_grid.col_heights)
+        assert same_bits(got_grid.row_heights, want_grid.row_heights)
 
 
 class TestSingleCellFeedback:
@@ -343,8 +323,8 @@ class TestSingleCellFeedback:
         vx, vy = data.draw(st.floats(-1e3, 1e3)), data.draw(st.floats(-1e3, 1e3))
         dz1, dz2, corners = single_cell_feedback(x - w / 2.0, y - length / 2.0,
                                                  gains, cfg, vx, vy)
-        u, grid = control.command(*(np.array([c]) for c in (x, y, vx, vy)),
-                                  "single_cell", ControllerParams(gains=gains), cfg)
+        u, grid = command(*(np.array([c]) for c in (x, y, vx, vy)),
+                          "single_cell", ControllerParams(gains=gains), cfg)
         h = grid.heights()
         assert same_bits(corners, [h[0, 0], h[1, 0], h[1, 1], h[0, 1]])
         assert same_bits((dz1, dz2), u.dz_col + u.dz_row)
@@ -414,7 +394,7 @@ class TestCommandedGridsAreFeasible:
     @given(commands())
     def test_every_commanded_grid_is_feasible(self, case):
         *_, cfg = case
-        report = validate_grid(control.command(*case)[1], cfg)
+        report = validate_grid(command(*case)[1], cfg)
         assert report.ok, report.summary()
 
 

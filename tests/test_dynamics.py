@@ -15,7 +15,6 @@ from morphsurf import (
     reconstruct_actuator_grid,
 )
 from morphsurf import dynamics
-from morphsurf.control import occupancy_sets
 from morphsurf.dynamics import advance, cell_indices, first_order_lag
 from morphsurf.engine import _grid_orientation_terms
 from conftest import (
@@ -72,13 +71,6 @@ class TestLocateCell:
         assert cells.shape == (2, *shape) and cells.dtype == np.intp
         assert np.array_equal(cells[0], dynamics.cell_index(x, CFG.W, CFG.n - 1))
         assert np.array_equal(cells[1], dynamics.cell_index(y, CFG.L, CFG.m - 1))
-
-    def test_outside_raises(self):
-        # cell_indices takes the workspace as given; occupancy_sets, which
-        # locates the objects' cells for a command given none, refuses a
-        # point outside it
-        with pytest.raises(ValueError, match=r"position \(-0\.1, 1\.0\) outside workspace"):
-            occupancy_sets(np.array([-0.1]), np.array([1.0]), CFG)
 
 
 class TestAcceleration:

@@ -516,9 +516,9 @@ def test_a_field_build_and_a_grid_check_take_at_most_64_bytes_a_cell():
     # engine.MAX_CELLS allows 64 bytes a cell: on a 64x64 surface the field
     # build and the check of its commanded, feasible grid stay within them
     cfg = SurfaceConfig(n=64, m=64, W=2.0, L=2.0, stroke=1.0, ref_col=32, ref_row=32)
-    still = np.zeros(1)
-    grid = control.command(still + 1.0, still + 1.0, still, still, "funnel",
-                           ControllerParams(), cfg)[1]
+    one, still = np.ones(1), np.zeros(1)
+    grid = control.command(one, one, still, still, "funnel", ControllerParams(), cfg,
+                           dynamics.cell_indices(one, one, cfg))[1]
     col, row = np.asarray(grid.col_heights), np.asarray(grid.row_heights)
     results, peaks = [], []
     tracemalloc.start()
@@ -577,7 +577,7 @@ class TestOneLookupPerTick:
     advance."""
 
     def test_paper_s5x6_wave(self, monkeypatch):
-        occupancy = count_calls(monkeypatch, control.occupancy_sets)
+        lookups = count_calls(monkeypatch, dynamics.cell_indices)
         advances = count_calls(monkeypatch, dynamics.advance, Counter)
         lookup, finish = dynamics.cell_index, dynamics._finish
 
@@ -595,7 +595,7 @@ class TestOneLookupPerTick:
         monkeypatch.setattr(dynamics, "cell_index", spy_lookup)
         monkeypatch.setattr(dynamics, "_finish", spy_finish)
         run(load_scenario(SCENARIOS / "paper-s5x6.json", mode="wave"))
-        assert occupancy == []  # every command is handed the cells
+        assert len(lookups) == 1  # before the first tick; every command is handed the cells
         # A tick of 10 substeps is one recurrence for 20 objects, and its
         # check is the call's one lookup.  63 calls finish 68 objects alone
         # over 367 substeps in all (counts of the trace the goldens pin).

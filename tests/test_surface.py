@@ -14,6 +14,7 @@ from morphsurf import (
     validate_grid,
 )
 from morphsurf.control import ControllerParams, command
+from morphsurf.dynamics import cell_indices
 from morphsurf.surface import _component_heights
 from conftest import (
     component_heights_reference,
@@ -185,7 +186,7 @@ def controller_axes(rng, draws):
         k = int(rng.integers(1, 30))
         x, y = rng.uniform(0, cfg.width, k), rng.uniform(0, cfg.length, k)
         mode = str(rng.choice(["distributed", "wave", "funnel"]))
-        u = command(x, y, np.zeros(k), np.zeros(k), mode, params, cfg)[0]
+        u = command(x, y, np.zeros(k), np.zeros(k), mode, params, cfg, cell_indices(x, y, cfg))[0]
         g = reconstruct_actuator_grid(u, cfg)
         for heights, dz, ref in ((g.col_heights, u.dz_col, cfg.ref_col),
                                  (g.row_heights, u.dz_row, cfg.ref_row)):
